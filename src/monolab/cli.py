@@ -2,9 +2,10 @@
 requested checks, write reports, return machine-readable pass/fail.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration / unusable arguments.  Worker parallelism spans scenarios;
-each scenario computes serially in a fixed order, so its artifacts are
-byte-identical for any worker count.
+configuration / unusable arguments.  A check that raises a ValueError or
+NumericalError is recorded as failed with the error and the scenario goes on.
+Worker parallelism spans scenarios; each scenario computes serially in a
+fixed order, so its artifacts are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import gauss_transforms as gt
 from . import geometry, kernels, quadrature
 from .config import ScenarioConfig, parse_config
 from .cutoff import build_cutoff
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .report import CheckRecord, ReportDocument, environment_info, write_report
 from .solutions import (SpaceTimeGrid, make_family, pair_validity_check,
                         supercaloric_residual_check)
@@ -64,8 +65,10 @@ def _ladder_rs(cfg):
     return [4.0 ** (-k) for k in range(cfg.k_min, cfg.k_max + 1)]
 
 
-def run_scenario(cfg, kernel_override=None, tol_scale=None):
-    """Execute every requested check; failures are recorded, never fatal."""
+def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
+    """Execute every requested check; failures are recorded, never fatal.
+
+    ``workers`` is the suite's worker count, recorded in the environment."""
     tol_scale = (tol_scale if tol_scale is not None else cfg.tol_scale)
     kind = kernel_override or cfg.kernel_kind
     chart = _build_chart(cfg)
@@ -89,17 +92,15 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None):
     if admissible:
         inp = fn.MonotonicityInput(chart=chart, pair=pair, profile=profile,
                                    kernel=kernel, quad=qcfg)
-        ladder_cache = {}
-
-        def ladder():
-            if "ladder" not in ladder_cache:
-                ladder_cache["ladder"] = fn.dyadic_ladder(
-                    inp, cfg.k_min, cfg.k_max, cfg.c0, cfg.c1)
-            return ladder_cache["ladder"]
-
         for check in cfg.checks:
-            records.append(_run_check(check, cfg, inp, chart, kind, qcfg,
-                                      ladder, tol_scale))
+            try:
+                rec = _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale)
+            except ConfigError:
+                raise
+            except (ValueError, NumericalError) as exc:
+                rec = CheckRecord(name=check, passed=False, values={
+                    "error": f"{type(exc).__name__}: {exc}"})
+            records.append(rec)
     else:
         for check in cfg.checks:
             records.append(CheckRecord(
@@ -109,7 +110,7 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None):
     doc = ReportDocument(
         scenario_id=cfg.scenario_id,
         records=records,
-        environment=environment_info(extra={
+        environment=environment_info(workers=workers, extra={
             "kernel": kind,
             "pair": cfg.pair_family,
             "manifold": cfg.manifold_family,
@@ -121,8 +122,11 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None):
     return doc
 
 
-def _run_check(check, cfg, inp, chart, kind, qcfg, ladder, tol_scale):
+def _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale):
     rs = _ladder_rs(cfg)
+    if check in ("ladder", "prop1", "prop2"):
+        # repeated ladders are slice-table lookups on inp
+        lad = fn.dyadic_ladder(inp, cfg.k_min, cfg.k_max, cfg.c0, cfg.c1)
     if check == "phi_curve":
         rows = []
         coarse = dataclasses.replace(
@@ -136,20 +140,17 @@ def _run_check(check, cfg, inp, chart, kind, qcfg, ladder, tol_scale):
             rough = fn.phi(inp, r, cfg=coarse)
             rows.append({"r": r, "phi": value, "a_plus": a_p, "a_minus": a_m,
                          "err_est": abs(value - rough) / 1.5})
-        return CheckRecord(name=check, passed=True, values={"rows": rows})
+        return CheckRecord(name=check, passed=None, values={"rows": rows})
     if check == "ladder":
-        lad = ladder()
         rows = [dataclasses.asdict(row) for row in lad.rows]
-        return CheckRecord(name=check, passed=True,
+        return CheckRecord(name=check, passed=None,
                            values={"rows": rows, "C0": lad.c0, "C1": lad.c1})
     if check == "prop1":
-        lad = ladder()
         ok = all(row.prop1_pass for row in lad.rows)
         return CheckRecord(name=check, passed=bool(ok), values={
             "ratios": [row.prop1_ratio for row in lad.rows],
             "deltas": [row.delta_k for row in lad.rows]})
     if check == "prop2":
-        lad = ladder()
         active = [(row.k, row.prop2_ratio) for row in lad.rows if row.prop2_active]
         ratios = [r for _, r in active if np.isfinite(r)]
         ok = all(r < 1.0 for r in ratios) if ratios else True
@@ -218,7 +219,7 @@ def _run_check(check, cfg, inp, chart, kind, qcfg, ladder, tol_scale):
             "plus": fn.positivity_measure(inp, cfg.positivity_r, +1),
             "minus": fn.positivity_measure(inp, cfg.positivity_r, -1),
         }
-        return CheckRecord(name=check, passed=True, values=recs)
+        return CheckRecord(name=check, passed=None, values=recs)
     raise ConfigError(f"unknown check {check!r}", key="checks")
 
 
@@ -229,10 +230,11 @@ def check_suite(config_paths, out_root, workers=1, tol_scale=None,
     if not config_paths:
         raise ConfigError("empty scenario suite")
     configs = [parse_config(p) for p in config_paths]
+    workers = max(1, min(workers, len(configs)))
 
     def one(cfg):
         doc = run_scenario(cfg, kernel_override=kernel_override,
-                           tol_scale=tol_scale)
+                           tol_scale=tol_scale, workers=workers)
         write_report(doc, os.path.join(out_root, cfg.scenario_id))
         return doc
 
@@ -265,7 +267,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--tol-scale", type=float, default=None)
     p_run.add_argument("--kernel", choices=["gauss", "parametrix0"], default=None)
 
@@ -281,10 +282,10 @@ def main(argv=None):
 
     try:
         if args.command == "run":
-            paths = [args.config]
+            paths, workers = [args.config], 1
         else:
-            paths = sorted(glob.glob(args.glob))
-        return check_suite(paths, out_root, workers=max(1, args.workers),
+            paths, workers = sorted(glob.glob(args.glob)), args.workers
+        return check_suite(paths, out_root, workers=workers,
                            tol_scale=args.tol_scale,
                            kernel_override=args.kernel)
     except ConfigError as exc:

@@ -182,3 +182,14 @@ def _validate(cfg, name):
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
     if cfg.tol_scale <= 0:
         raise ConfigError("tol.scale must be positive", key="tol.scale")
+    # values the quadrature, grid and chart constructors would reject later
+    if cfg.quad_nodes != 0 and cfg.quad_nodes < 8:
+        raise ConfigError("quad.nodes must be >= 8 (0 picks the default)",
+                          key="quad.nodes")
+    if cfg.quad_r_tail < 4.0:
+        raise ConfigError("quad.r_tail must be >= 4", key="quad.r_tail")
+    if not 0.0 < cfg.grid_q < 1.0:
+        raise ConfigError("grid.q must lie in (0, 1)", key="grid.q")
+    if cfg.manifold_family == "perturbed" and not 0.0 <= cfg.epsilon <= 0.1:
+        raise ConfigError("manifold.epsilon must lie in [0, 0.1]",
+                          key="manifold.epsilon")

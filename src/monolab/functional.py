@@ -11,13 +11,23 @@ energy inequality with fitted constants, the scale-derivative identity at the
 unit scale of the parabolic rescaling, the global bound check, the refinement
 of phi under a growth hypothesis, and the positivity-measure predicates.
 
+Every one of these reduces to time slices of three kernel-weighted
+integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
+(`w_sq`: slice masses and the e322 annulus) and the positivity indicator
+(`positive`).  Each MonotonicityInput carries one slice table, keyed by
+(integrand kind, sign, s, QuadratureConfig) with the exact float time s, so a
+slice is integrated once per input however many checks, scales or blocks
+reach it.  The values do not depend on the order of evaluation, so a warm
+table returns exactly what a fresh input would compute.  `dataclasses.replace`
+and `rescaled_input` start with an empty table.
+
 All fitted constants are reported, never asserted against the non-constructive
 ones; regression guards are explicit config inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +66,9 @@ class MonotonicityInput:
     profile: CutoffProfile
     kernel: KernelSpec
     quad: quadrature.QuadratureConfig
+    # (kind, sign, s, QuadratureConfig) -> slice integral; see the module doc
+    slice_table: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.kernel.chart is not self.chart:
@@ -134,14 +147,38 @@ def _positivity_sampler(input_, sign):
     return f
 
 
+_SAMPLERS = {
+    "grad_sq": _grad_sq_sampler,
+    "w_sq": _w_sq_sampler,
+    "positive": _positivity_sampler,
+}
+
+
+def _slice_at(input_, kind, sign, cfg):
+    """s -> slice integral of one integrand, read through the input's slice
+    table and integrated only on a miss."""
+    table = input_.slice_table
+    f = _SAMPLERS[kind](input_, sign)
+
+    def slice_at(s):
+        key = (kind, sign, float(s), cfg)
+        value = table.get(key)
+        if value is None:
+            value = quadrature.slice_integral(lambda X: f(X, s), input_.kernel,
+                                              s, cfg, cutoff_zone=input_.zone)
+            table[key] = value
+        return value
+
+    return slice_at
+
+
 def phase_energy(input_, r, sign, cfg=None):
     """A_pm(r): kernel-weighted energy of the truncated phase over S_r."""
     cfg = cfg or input_.quad
     if not 0.0 < r <= input_.chart.radius / 2.0 + 1e-12:
         raise ValueError("scale r must lie in (0, radius/2]")
-    f = _grad_sq_sampler(input_, sign)
-    return quadrature.spacetime_integral(f, input_.kernel, r, cfg,
-                                         cutoff_zone=input_.zone)
+    return quadrature.spacetime_integral(_slice_at(input_, "grad_sq", sign, cfg),
+                                         r, cfg)
 
 
 def phi(input_, r, cfg=None):
@@ -153,17 +190,13 @@ def phi(input_, r, cfg=None):
 def boundary_energy(input_, r, sign, cfg=None):
     """Single-slice energy at s = -r^2; dA/dr = 2 r B(r) up to quadrature."""
     cfg = cfg or input_.quad
-    f = _grad_sq_sampler(input_, sign)
-    return quadrature.slice_integral(lambda X: f(X, -r * r), input_.kernel,
-                                     -r * r, cfg, cutoff_zone=input_.zone)
+    return _slice_at(input_, "grad_sq", sign, cfg)(-r * r)
 
 
 def slice_mass(input_, s, sign, cfg=None):
     """int w_pm^2(., s) dnu^s."""
     cfg = cfg or input_.quad
-    f = _w_sq_sampler(input_, sign)
-    return quadrature.slice_integral(lambda X: f(X, s), input_.kernel, s, cfg,
-                                     cutoff_zone=input_.zone)
+    return _slice_at(input_, "w_sq", sign, cfg)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +357,9 @@ def energy_inequality_check(input_, r, cfg=None, n_inf_samples=9):
         p = slice_mass(input_, -r * r, sign, cfg)
         s_samples = -np.geomspace(r * r, 4 * r * r, n_inf_samples)
         inf_mass = min(slice_mass(input_, s, sign, cfg) for s in s_samples)
-        f = _w_sq_sampler(input_, sign)
-        ann = quadrature.time_range_integral(f, input_.kernel, -4 * r * r,
-                                             -r * r, cfg, cutoff_zone=input_.zone)
+        ann = quadrature.time_range_integral(_slice_at(input_, "w_sq", sign, cfg),
+                                             -4 * r * r, -r * r,
+                                             cfg.slices_per_scale)
         c1 = max(0.0, a - 0.5 * p) / (r ** 4 + r ** 2 * np.sqrt(max(p, 0.0)))
         c2 = a / (r ** 4 + inf_mass)
         c3 = a / (r ** 4 + ann / r ** 2)
@@ -447,10 +480,9 @@ def positivity_measure(input_, r, sign, cfg=None):
     if r > input_.chart.radius / 4.0 + 1e-12:
         raise ValueError("positivity measure needs r <= radius/4")
     cfg = cfg or input_.quad
-    f = _positivity_sampler(input_, sign)
     measure = quadrature.time_range_integral(
-        f, input_.kernel, -(r / 2.0) ** 2, -(r / 4.0) ** 2, cfg,
-        cutoff_zone=input_.zone)
+        _slice_at(input_, "positive", sign, cfg), -(r / 2.0) ** 2,
+        -(r / 4.0) ** 2, cfg.slices_per_scale)
     a_quarter = phase_energy(input_, r / 4.0, sign, cfg)
     a_full = phase_energy(input_, r, sign, cfg)
     return {

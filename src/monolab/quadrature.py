@@ -10,8 +10,10 @@ coordinates, where the annulus is fixed.
 
 Time integration over (-r^2, 0) uses geometric blocks shrinking toward 0
 (ratio `time_ratio`, `slices_per_scale` trapezoid cells per block) plus a
-rectangle for the final sliver.  All reductions run in a fixed order, so equal
-inputs give bit-identical results.
+rectangle for the final sliver.  The time rules integrate a scalar
+`slice_at(s)`, normally a slice integral or a table lookup of one, so the
+caller decides how often each slice is evaluated.  All reductions run in a
+fixed order, so equal inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -193,37 +195,29 @@ def _time_nodes(r_sq, cfg):
     return blocks, lo  # lo = -r_sq * ratio^blocks, start of the sliver
 
 
-def spacetime_integral(f, kernel, r, cfg, cutoff_zone=None):
-    """int_{-r^2}^0 slice_integral ds on the graded time mesh.
+def spacetime_integral(slice_at, r, cfg):
+    """int_{-r^2}^0 slice_at(s) ds on the graded time mesh.
 
-    ``f`` is called as f(X, s) with X (m, n); deterministic fixed-order sums.
+    ``slice_at`` maps a slice time s < 0 to a float; deterministic fixed-order
+    sums.  Neighbouring blocks share their boundary time, and r and r/4 share
+    all but four blocks when time_ratio is 1/2.
     """
-    if not 0.0 < r <= kernel.chart.radius:
-        raise ValueError("scale r out of range for the chart")
     blocks, sliver = _time_nodes(r * r, cfg)
     total = 0.0
     for lo, hi in blocks:
         s_nodes = np.linspace(lo, hi, cfg.slices_per_scale + 1)
-        vals = np.array([
-            slice_integral(lambda X, s=s: f(X, s), kernel, s, cfg, cutoff_zone)
-            for s in s_nodes
-        ])
+        vals = np.array([slice_at(s) for s in s_nodes])
         total += float(np.trapezoid(vals, s_nodes))
-    total += (-sliver) * slice_integral(lambda X: f(X, sliver), kernel, sliver,
-                                        cfg, cutoff_zone)
+    total += (-sliver) * slice_at(sliver)
     return total
 
 
-def time_range_integral(f, kernel, s_lo, s_hi, cfg, cutoff_zone=None, cells=None):
-    """Trapezoid of slice integrals over [s_lo, s_hi], s_hi < 0."""
+def time_range_integral(slice_at, s_lo, s_hi, cells):
+    """Trapezoid of slice_at(s) over [s_lo, s_hi] with ``cells`` cells, s_hi < 0."""
     if not s_lo < s_hi < 0:
         raise ValueError("need s_lo < s_hi < 0")
-    cells = cells or cfg.slices_per_scale
     s_nodes = np.linspace(s_lo, s_hi, cells + 1)
-    vals = np.array([
-        slice_integral(lambda X, s=s: f(X, s), kernel, s, cfg, cutoff_zone)
-        for s in s_nodes
-    ])
+    vals = np.array([slice_at(s) for s in s_nodes])
     return float(np.trapezoid(vals, s_nodes))
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import monolab
 from monolab import cli
 from monolab.config import ALL_CHECKS, parse_config, parse_config_text
 from monolab.errors import ConfigError
@@ -99,6 +103,24 @@ def test_parse_validation_errors():
         parse_config_text("thm2.eps = 2.0\n")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("quad.nodes = 4\n", "quad.nodes"),
+    ("quad.r_tail = 2.0\n", "quad.r_tail"),
+    ("grid.q = 1.0\n", "grid.q"),
+    ("manifold.family = perturbed\nmanifold.epsilon = 0.5\n", "manifold.epsilon"),
+])
+def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
+    """Values the quadrature, grid or chart constructors reject are config
+    errors naming their key, not tracebacks."""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.key == key
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_NULL + text)
+    assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_all_checks_known():
     cfg = parse_config_text("checks = " + ", ".join(ALL_CHECKS) + "\n")
     assert set(cfg.checks) == set(ALL_CHECKS)
@@ -120,6 +142,36 @@ def test_null_scenario_all_zero_and_pass(null_doc):
     ladder = null_doc.record("ladder").values["rows"]
     assert all(row["a_plus"] == 0.0 for row in ladder)
     assert null_doc.record("thm1").values["ratio"] == 0.0
+
+
+def test_informational_checks_report_none(tmp_path):
+    text = FAST_NULL.replace("checks = phi_curve, ladder, prop1, prop2, thm1",
+                             "checks = phi_curve, ladder, positivity, prop1")
+    doc = cli.run_scenario(parse_config_text(text))
+    for name in ("phi_curve", "ladder", "positivity"):
+        assert doc.record(name).passed is None
+    assert doc.record("prop1").passed is True
+    write_report(doc, str(tmp_path / "rep"))
+    payload = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert payload["checks"]["ladder"]["passed"] is None
+    assert payload["checks"]["prop1"]["passed"] is True
+
+
+def test_raising_check_is_recorded_not_fatal(tmp_path, capsys):
+    """A Null pair has no s = -1 slice mass, so bkp_perturbed raises
+    DegenerateInputError; the suite still reports every check."""
+    text = FAST_NULL.replace("checks = phi_curve, ladder, prop1, prop2, thm1",
+                             "checks = ladder, bkp_perturbed")
+    paths = _write_cfgs(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.check_suite(paths, str(out)) == 1
+    assert "[tiny_null:bkp_perturbed] FAIL" in capsys.readouterr().out
+    payload = json.loads((out / "tiny_null" / "report.json").read_text())
+    assert set(payload["checks"]) == {"admissibility", "ladder", "bkp_perturbed"}
+    failed = payload["checks"]["bkp_perturbed"]
+    assert failed["passed"] is False
+    assert failed["values"]["error"].startswith("DegenerateInputError: ")
+    assert (out / "tiny_null" / "ladder.csv").exists()
 
 
 def test_every_requested_check_reported_once(null_doc):
@@ -226,6 +278,9 @@ def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(FAST_NULL)
     assert cli.main(["run", "--config", str(good), "--out", str(tmp_path / "o")]) == 0
+    with pytest.raises(SystemExit) as err:   # one config: run takes no workers
+        cli.main(["run", "--config", str(good), "--workers", "2"])
+    assert err.value.code == 2
 
 
 def test_main_unwritable_output(tmp_path, capsys):
@@ -257,6 +312,26 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         a = tmp_path / "w1" / sid / "ladder.csv"
         b = tmp_path / "w4" / sid / "ladder.csv"
         assert a.read_bytes() == b.read_bytes()
+        # the worker count actually used: min(requested, number of configs)
+        for run, used in (("w1", 1), ("w4", 2)):
+            payload = json.loads((tmp_path / run / sid / "report.json").read_text())
+            assert payload["environment"]["workers"] == used
+
+
+def test_python_m_monolab_run(tmp_path):
+    good = tmp_path / "good.cfg"
+    good.write_text(FAST_NULL.replace("checks = phi_curve, ladder, prop1, prop2, thm1",
+                                      "checks = ladder"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monolab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "monolab", "run", "--config", str(good),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "[tiny_null:ladder]" in proc.stdout
+    assert (tmp_path / "o" / "tiny_null" / "ladder.csv").exists()
 
 
 def test_shipped_scenarios_present_and_parse():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special
@@ -303,3 +305,71 @@ def test_validity_gate(euclid2, lean_quad2):
                              profile=cutoff.build_cutoff(euclid2),
                              kernel=kernels.KernelSpec("gauss", euclid2),
                              quad=lean_quad2)
+
+
+# ---------------------------------------------------------------------------
+# slice table
+
+
+@pytest.fixture
+def slice_calls(monkeypatch):
+    """Slice times passed to quadrature.slice_integral from now on."""
+    calls = []
+    original = quad.slice_integral
+
+    def counted(f, kernel, s, cfg, cutoff_zone=None):
+        calls.append(s)
+        return original(f, kernel, s, cfg, cutoff_zone)
+
+    monkeypatch.setattr(quad, "slice_integral", counted)
+    return calls
+
+
+def test_slice_table_serves_repeated_checks(euclid2, lean_quad2, slice_calls):
+    inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
+    rs = [4.0 ** (-k) for k in (2, 3)]
+    fn.dyadic_ladder(inp, 2, 3)
+    first = len(slice_calls)
+    assert first == len(inp.slice_table) > 0
+    fn.dyadic_ladder(inp, 2, 3)
+    fn.theorem1_check(inp, rs)
+    fn.theorem2_check(inp, 1.0, rs)
+    for r in rs:
+        for sign in (+1, -1):
+            fn.boundary_energy(inp, r, sign)
+    assert len(slice_calls) == first
+
+
+def test_slice_table_one_energy_slice_count(euclid2, lean_quad2, slice_calls):
+    inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
+    fn.phase_energy(inp, 0.25, +1)
+    expected = lean_quad2.time_blocks * lean_quad2.slices_per_scale + 1
+    assert len(slice_calls) == expected
+    assert len(inp.slice_table) == expected
+
+
+def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
+    warm = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
+    fn.dyadic_ladder(warm, 2, 4)
+    fn.energy_inequality_check(warm, 1.0 / 16.0)
+    for r in (1.0 / 64.0, 1.0 / 256.0):
+        for sign in (+1, -1):
+            fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5},
+                                cfg=lean_quad2)
+            assert fn.phase_energy(warm, r, sign) == fn.phase_energy(fresh, r, sign)
+            assert fn.boundary_energy(warm, r, sign) == fn.boundary_energy(
+                fresh, r, sign)
+    fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
+    assert fn.slice_mass(warm, -1.0 / 256.0, +1) == fn.slice_mass(
+        fresh, -1.0 / 256.0, +1)
+
+
+def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
+    inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
+    fn.boundary_energy(inp, 0.25, +1)
+    assert len(inp.slice_table) == 1
+    other = build_input(euclid2, "Null", cfg=lean_quad2).pair
+    copy = dataclasses.replace(inp, pair=other)
+    assert copy.slice_table == {} and copy.slice_table is not inp.slice_table
+    assert fn.boundary_energy(copy, 0.25, +1) == 0.0
+    assert fn.rescaled_input(inp, 0.25).slice_table == {}

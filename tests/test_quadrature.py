@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monolab import functional as fn
 from monolab import geometry as geo
 from monolab import kernels as ker
 from monolab import quadrature as quad
@@ -13,6 +14,11 @@ def gauss2(euclid2):
 
 def ones(X):
     return np.ones(np.atleast_2d(X).shape[0])
+
+
+def slices(f, kernel, cfg):
+    """slice_at(s) for the time rules: the slice integral of f(., s)."""
+    return lambda s: quad.slice_integral(lambda X: f(X, s), kernel, s, cfg)
 
 
 def test_slice_mass(gauss2, quad2):
@@ -44,22 +50,23 @@ def test_slice_time_validation(gauss2, quad2):
 
 def test_spacetime_mass_and_zero(gauss2, quad2):
     r = 0.5
-    assert quad.spacetime_integral(lambda X, s: ones(X), gauss2, r, quad2) == \
-        pytest.approx(r * r, abs=1e-5)
-    assert quad.spacetime_integral(lambda X, s: np.zeros(X.shape[0]),
-                                   gauss2, r, quad2) == 0.0
+    assert quad.spacetime_integral(slices(lambda X, s: ones(X), gauss2, quad2),
+                                   r, quad2) == pytest.approx(r * r, abs=1e-5)
+    assert quad.spacetime_integral(
+        slices(lambda X, s: np.zeros(X.shape[0]), gauss2, quad2), r, quad2) == 0.0
 
 
 def test_spacetime_half_space(gauss2, quad2):
     r = 0.5
-    val = quad.spacetime_integral(lambda X, s: (X[:, 0] > 0).astype(float),
-                                  gauss2, r, quad2)
+    val = quad.spacetime_integral(
+        slices(lambda X, s: (X[:, 0] > 0).astype(float), gauss2, quad2), r, quad2)
     assert val == pytest.approx(r * r / 2.0, rel=5e-3)
 
 
-def test_spacetime_range_validation(gauss2, quad2):
+def test_spacetime_range_validation(caloric_input):
+    # the scale range is enforced where the chart is known, in phase_energy
     with pytest.raises(ValueError):
-        quad.spacetime_integral(lambda X, s: ones(X), gauss2, 1.5, quad2)
+        fn.phase_energy(caloric_input, 1.5, +1)
 
 
 def test_linearity_exact(gauss2, quad2):
@@ -84,15 +91,15 @@ def test_determinism_bitwise(gauss2):
     cfg_a = quad.default_config(2)
     cfg_b = quad.default_config(2)
     f = lambda X, s: np.exp(-np.abs(X[:, 0])) * (1.0 + s) ** 2
-    v1 = quad.spacetime_integral(f, gauss2, 0.25, cfg_a)
-    v2 = quad.spacetime_integral(f, gauss2, 0.25, cfg_b)
+    v1 = quad.spacetime_integral(slices(f, gauss2, cfg_a), 0.25, cfg_a)
+    v2 = quad.spacetime_integral(slices(f, gauss2, cfg_b), 0.25, cfg_b)
     assert v1 == v2
 
 
 def test_refinement_error_estimate(gauss2, quad2):
     # time-direction power integrand: trapezoid converges at second order
     task = lambda c: quad.spacetime_integral(
-        lambda X, s: (-s) ** 0.25 * ones(X), gauss2, 0.5, c)
+        slices(lambda X, s: (-s) ** 0.25 * ones(X), gauss2, c), 0.5, c)
     res = quad.refine_and_estimate_error(task, quad2, levels=3)
     assert res.converged
     assert res.observed_order is None or res.observed_order >= 1.8
@@ -101,8 +108,8 @@ def test_refinement_error_estimate(gauss2, quad2):
 
 
 def test_refinement_constant_integrand(gauss2, quad2):
-    task = lambda c: quad.spacetime_integral(lambda X, s: ones(X) * 3.0,
-                                             gauss2, 0.25, c)
+    task = lambda c: quad.spacetime_integral(
+        slices(lambda X, s: ones(X) * 3.0, gauss2, c), 0.25, c)
     res = quad.refine_and_estimate_error(task, quad2, levels=2)
     # level values agree to tail accuracy; reported error >= |diff|/3
     diff = abs(res.level_values[-1] - res.level_values[-2])
@@ -144,8 +151,8 @@ def test_polar_rules_measure():
 
 
 def test_time_range_integral(gauss2, quad2):
-    val = quad.time_range_integral(lambda X, s: (-s) * ones(X), gauss2,
-                                   -0.2, -0.1, quad2)
+    val = quad.time_range_integral(slices(lambda X, s: (-s) * ones(X), gauss2, quad2),
+                                   -0.2, -0.1, quad2.slices_per_scale)
     assert val == pytest.approx((0.2 ** 2 - 0.1 ** 2) / 2.0, rel=1e-5)
 
 
