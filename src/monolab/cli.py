@@ -247,7 +247,8 @@ def check_suite(config_paths, out_root, workers=1, tol_scale=None,
     any_failed = False
     for doc in docs:
         for rec in doc.records:
-            status = "PASS" if rec.passed or rec.passed is None else "FAIL"
+            status = ("INFO" if rec.passed is None
+                      else "PASS" if rec.passed else "FAIL")
             if rec.passed is False:
                 any_failed = True
             print(f"[{doc.scenario_id}:{rec.name}] {status}", file=stream)

@@ -7,6 +7,7 @@ reported with their line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -22,6 +23,7 @@ ALL_CHECKS = (
 _MANIFOLDS = ("euclidean", "const_curvature", "perturbed")
 _PAIRS = ("Null", "TwoPlaneCaloric", "PowerWedge", "DriftTwoPlane", "NumericPair")
 _KERNELS = ("gauss", "parametrix0")
+_SHAPES = ("const", "radial", "wave")
 
 
 @dataclass
@@ -190,6 +192,21 @@ def _validate(cfg, name):
         raise ConfigError("quad.r_tail must be >= 4", key="quad.r_tail")
     if not 0.0 < cfg.grid_q < 1.0:
         raise ConfigError("grid.q must lie in (0, 1)", key="grid.q")
+    if not cfg.grid_h > 0.0:
+        raise ConfigError("grid.h must be positive", key="grid.h")
+    if not cfg.grid_dt0 > 0.0:
+        raise ConfigError("grid.dt0 must be positive", key="grid.dt0")
+    if cfg.shape not in _SHAPES:
+        raise ConfigError(f"unknown perturbation shape {cfg.shape!r} "
+                          f"(known: {_SHAPES})", key="manifold.shape")
+    if cfg.manifold_family == "const_curvature":
+        K = cfg.curvature
+        if K > 0 and cfg.delta_p >= math.pi / math.sqrt(K):
+            raise ConfigError("delta_p must stay below the conjugate radius "
+                              "pi/sqrt(K)", key="manifold.K")
+        # the curvature series in geometry holds for |K| rho^2 <= 40
+        if abs(K) * cfg.delta_p ** 2 > 40.0:
+            raise ConfigError("|K| delta_p^2 must not exceed 40", key="manifold.K")
     if cfg.manifold_family == "perturbed" and not 0.0 <= cfg.epsilon <= 0.1:
         raise ConfigError("manifold.epsilon must lie in [0, 0.1]",
                           key="manifold.epsilon")

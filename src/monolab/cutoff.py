@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DomainError
 
 __all__ = [
     "CutoffProfile",
     "build_cutoff",
-    "cutoff_eval",
     "cutoff_fields",
     "smoothstep",
     "smoothstep_d1",
@@ -113,11 +111,3 @@ def cutoff_fields(profile, chart, X):
     grad = d1[:, None] * xhat
     lap = _laplace_chi(profile, chart, X, rho)
     return c, grad, lap
-
-
-def cutoff_eval(profile, chart, x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(chart.contains(x)):
-        raise DomainError("point outside chart ball")
-    c, grad, lap = cutoff_fields(profile, chart, x[None])
-    return float(c[0]), grad[0], float(lap[0])

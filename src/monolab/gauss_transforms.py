@@ -3,10 +3,11 @@ functional inequalities.
 
 Two maps do the reduction at a fixed slice s of the parabolic rescaling at
 scale r.  The first integrates the metric square root along rays,
-y(x) = int_0^1 g^{1/2}(tx) x dt; for exact normal-coordinate metrics the Gauss
-lemma makes this the identity, and its promised conclusions (Jacobian
-1 + O(r^2 |y|^2), Euclidean gradient norms up to O(r^2 |x|^2)) are what the
-tests pin down.  The remaining density deviation A(y) (volume density and, for
+y(x) = int_0^1 g^{1/2}(tx) x dt.  Every built-in chart is an exact
+normal-coordinate chart, so the Gauss lemma g(x) x = x makes this map the
+identity with Jacobian 1; the pushforward uses that closed form, and
+``RayTransform`` keeps the numerical map as the reference the tests compare it
+against.  The remaining density deviation A(y) (volume density and, for
 the order-zero kernel, its -1/4 power) is absorbed by the radial map
 z -> z + psi(z) solving z . psi = v ln(1 + A) outside the unit ball (v the
 Gauss variance of the slice; v = 1 is the unit-variance calibration), blended to zero
@@ -31,14 +32,11 @@ from .errors import DegenerateInputError, DomainError, PreconditionError
 __all__ = [
     "GaussMeasure",
     "GaussField",
-    "TransformPair",
     "gauss_density",
     "gauss_integral",
     "rayleigh_quotient",
     "gaussian_poincare_check",
     "bkp_sum",
-    "first_transform",
-    "second_transform",
     "pushforward_deviation",
     "pushforward_ladder",
     "manifold_bkp_deficit",
@@ -157,7 +155,8 @@ def bkp_sum(f_plus, f_minus, measure, cfg=None, tol=1e-3, n_check=2000,
 
 
 class RayTransform:
-    """y(x) = int_0^1 g^{1/2}(tx) x dt on a (rescaled) chart."""
+    """y(x) = int_0^1 g^{1/2}(tx) x dt on a (rescaled) chart, by Gauss-Legendre
+    nodes along each ray; the numerical reference for the closed form y = x."""
 
     def __init__(self, chart, n_nodes=16):
         self.chart = chart
@@ -202,9 +201,8 @@ class RayTransform:
 class PsiMap:
     """z -> z + psi(z) with z . psi = variance * ln(1 + A(z)) outside B_1."""
 
-    def __init__(self, a_field, r, variance=1.0, blend_start=0.5):
+    def __init__(self, a_field, variance=1.0, blend_start=0.5):
         self.a_field = a_field
-        self.r = float(r)
         self.variance = float(variance)
         self.blend_start = float(blend_start)
 
@@ -235,26 +233,6 @@ class PsiMap:
         return np.linalg.det(J)
 
 
-@dataclass(eq=False)
-class TransformPair:
-    ray: RayTransform
-    psi_map: PsiMap
-    scale: float
-    a_field: Callable
-    variance: float
-
-
-def first_transform(chart, r, n_nodes=16):
-    """Ray-integrated square-root map on the rescaled chart g(r .)."""
-    if r > chart.radius / 4.0 + 1e-12:
-        raise ValueError("first transform expects r <= radius/4")
-    return RayTransform(geometry.rescale_chart(chart, r), n_nodes=n_nodes)
-
-
-def second_transform(a_field, r, variance=1.0, blend_start=0.5):
-    return PsiMap(a_field, r, variance=variance, blend_start=blend_start)
-
-
 def _slice_variance(s):
     if s not in (-0.5, -1.0):
         raise ValueError("pushforward slices are s = -1/2 or s = -1")
@@ -264,27 +242,26 @@ def _slice_variance(s):
 def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None,
                           sample_radius=4.0, sample_axis=17):
     """Compose both transforms at slice s and measure how far the pushforward
-    density sits from the Gauss density; returns the record and the maps."""
+    density sits from the Gauss density; returns the record.
+
+    The ray map is the identity with Jacobian 1 (Gauss lemma), so the density
+    after it is the kernel-weighted volume density itself."""
     cfg = cfg or quadrature.default_config(chart.dim)
     n = chart.dim
     v = _slice_variance(s)
     t = -s
     chart_r = geometry.rescale_chart(chart, r)
     kern = kernels.KernelSpec(kernel_kind, chart_r)
-    ray = RayTransform(chart_r)
     measure = GaussMeasure(n, v)
 
     def density_after_ray(Y):
-        X = ray.inverse(Y)
-        jac, _ = ray.jacobian_det(X)
-        kv = kernels.kernel_values(kern, X, t)
-        _, dens = geometry.inverse_metric_and_density(chart_r, X)
-        return kv * dens / jac
+        _, dens = geometry.inverse_metric_and_density(chart_r, Y)
+        return kernels.kernel_values(kern, Y, t) * dens
 
     def a_field(Y):
         return density_after_ray(Y) / gauss_density(measure, Y) - 1.0
 
-    psi_map = PsiMap(a_field, r, variance=v)
+    psi_map = PsiMap(a_field, variance=v)
 
     def pushforward_density(Z):
         Y = psi_map.forward(Z)
@@ -296,7 +273,7 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None,
     dev = pushforward_density(Z) / gauss_density(measure, Z) - 1.0
     mass = quadrature.gauss_weighted_integral(
         lambda W: pushforward_density(W) / gauss_density(measure, W), n, v, cfg)
-    record = {
+    return {
         "r": r,
         "s": s,
         "variance": v,
@@ -304,12 +281,10 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None,
         "mass": mass,
         "mass_defect": abs(mass - 1.0),
     }
-    return record, TransformPair(ray=ray, psi_map=psi_map, scale=r,
-                                 a_field=a_field, variance=v)
 
 
 def pushforward_ladder(chart, rs, kernel_kind="parametrix0", s=-0.5, cfg=None):
-    recs = [pushforward_deviation(chart, r, kernel_kind, s, cfg)[0] for r in rs]
+    recs = [pushforward_deviation(chart, r, kernel_kind, s, cfg) for r in rs]
     sups = [rec["sup_deviation"] for rec in recs]
     defects = [rec["mass_defect"] for rec in recs]
     fitted_mass_const = max((d / r ** 2 for r, d in zip(rs, defects)), default=np.nan)

@@ -14,39 +14,27 @@ radial direction unit and the chart a genuine normal-coordinate chart.
 Rescaling by r (metric g(r .) on the enlarged ball) is represented by an
 accumulated ``scale`` factor, so rescale-then-evaluate is bitwise identical
 to evaluating the base chart at the rescaled point.
-
-Derivative samplers are analytic for built-in families and fourth-order
-central differences for user-supplied metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "NormalChart",
-    "MetricEval",
     "euclidean_chart",
     "constant_curvature_chart",
     "perturbed_chart",
-    "custom_chart",
-    "metric_at",
-    "distance_to_center",
-    "christoffel_at",
-    "curvature_bound_estimate",
     "rescale_chart",
     "metric_fields",
     "inverse_metric_and_density",
     "radial_log_density_derivative",
     "divergence_drift",
 ]
-
-_FD_STEP_FACTOR = 1e-3  # step = factor * radius for user-metric differences
 
 # Series coefficients for chi1(w) = ((sin sqrt(w)/sqrt(w))^2 - 1)/w, entire in w.
 # chi1(w) = sum_{j>=0} b_j w^j with b_j = (-1)^{j+1} 2^{2j+3} / (2j+4)!.
@@ -69,46 +57,35 @@ _CHI1_J, _CHI1_C = _chi1_coeffs()
 
 
 def _chi1(w):
-    """chi1 and its first two derivatives, vectorized; valid for |w| <~ 40."""
+    """chi1 and its first derivative, vectorized; valid for |w| <~ 40."""
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 40.0):
         raise NumericalError("curvature series argument out of range (|K| r^2 too large)")
     v0 = np.zeros_like(w)
     v1 = np.zeros_like(w)
-    v2 = np.zeros_like(w)
-    # Horner from the top coefficient down
+    # Horner from the top coefficient down; v1 accumulates chi1' directly
     for j in range(_CHI1_TERMS - 1, -1, -1):
-        v2 = v2 * w + v1 * 2.0
         v1 = v1 * w + v0
         v0 = v0 * w + _CHI1_C[j]
-    # The recurrences above accumulate v1 = chi1', v2 = chi1'' directly.
-    return v0, v1, v2
+    return v0, v1
 
 
 _PERTURBED_WAVE_DIR = np.array([1.0, 0.7, 0.4, 0.25, 0.15])
 
 
 def _shape_q(shape, n, X):
-    """Scalar field q with gradient and Hessian for the perturbed family."""
+    """Scalar field q with its gradient for the perturbed family."""
     m = X.shape[0]
     if shape == "const":
-        return np.ones(m), np.zeros((m, n)), np.zeros((m, n, n))
+        return np.ones(m), np.zeros((m, n))
     if shape == "radial":
         u = np.sum(X * X, axis=1)
         f = 1.0 / (1.0 + u)
-        q = f
-        dq = -2.0 * X * (f * f)[:, None]
-        d2q = (-2.0 * (f * f))[:, None, None] * np.eye(n) + (
-            8.0 * (f ** 3)
-        )[:, None, None] * (X[:, :, None] * X[:, None, :])
-        return q, dq, d2q
+        return f, -2.0 * X * (f * f)[:, None]
     if shape == "wave":
         a = _PERTURBED_WAVE_DIR[:n]
         phase = X @ a
-        q = np.cos(phase)
-        dq = -np.sin(phase)[:, None] * a
-        d2q = -np.cos(phase)[:, None, None] * (a[:, None] * a[None, :])
-        return q, dq, d2q
+        return np.cos(phase), -np.sin(phase)[:, None] * a
     raise ValueError(f"unknown perturbation shape {shape!r}")
 
 
@@ -122,32 +99,16 @@ class NormalChart:
     curvature: float = 0.0
     epsilon: float = 0.0
     shape: str = "wave"
-    curvature_bound: float = 0.0
     scale: float = 1.0
-    metric_fn: Optional[Callable] = None       # custom family only
-    dmetric_fn: Optional[Callable] = None
-    d2metric_fn: Optional[Callable] = None
-    fd_step: float = field(default=0.0)
 
     def contains(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.sqrt(np.sum(X * X, axis=1)) < self.radius + 1e-12
 
 
-@dataclass(frozen=True)
-class MetricEval:
-    """Metric data at one point: g, its inverse and the volume density."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_det: float
-    christoffel: Optional[np.ndarray] = None
-
-
 def euclidean_chart(n, radius=1.0):
     _check_new_chart(n, radius)
-    return NormalChart(dim=n, radius=float(radius), family="euclidean",
-                       curvature_bound=0.0)
+    return NormalChart(dim=n, radius=float(radius), family="euclidean")
 
 
 def constant_curvature_chart(n, K, radius=None):
@@ -158,9 +119,8 @@ def constant_curvature_chart(n, K, radius=None):
     _check_new_chart(n, radius)
     if K > 0 and radius >= np.pi / np.sqrt(K):
         raise ValueError("chart radius exceeds the conjugate radius pi/sqrt(K)")
-    # |R| in an orthonormal frame is |K|; nabla R = 0 for constant curvature.
     return NormalChart(dim=n, radius=float(radius), family="const_curvature",
-                       curvature=float(K), curvature_bound=abs(float(K)))
+                       curvature=float(K))
 
 
 def perturbed_chart(n, eps, shape="wave", radius=1.0):
@@ -168,20 +128,7 @@ def perturbed_chart(n, eps, shape="wave", radius=1.0):
     if not 0.0 <= eps <= 0.1:
         raise ValueError("perturbation amplitude must lie in [0, 0.1] (keeps g SPD)")
     return NormalChart(dim=n, radius=float(radius), family="perturbed",
-                       epsilon=float(eps), shape=shape,
-                       curvature_bound=12.0 * float(eps))
-
-
-def custom_chart(n, radius, metric_fn, dmetric_fn=None, d2metric_fn=None,
-                 curvature_bound=0.0):
-    """Chart from a user metric sampler g(x) -> (n, n); derivatives by 4th-order
-    central differences with step 1e-3 * radius unless samplers are supplied."""
-    _check_new_chart(n, radius)
-    return NormalChart(dim=n, radius=float(radius), family="custom",
-                       metric_fn=metric_fn, dmetric_fn=dmetric_fn,
-                       d2metric_fn=d2metric_fn,
-                       curvature_bound=float(curvature_bound),
-                       fd_step=_FD_STEP_FACTOR * float(radius))
+                       epsilon=float(eps), shape=shape)
 
 
 def _check_new_chart(n, radius):
@@ -193,150 +140,54 @@ def _check_new_chart(n, radius):
         raise ValueError("chart radius must lie in (0, 1]")
 
 
-def _require_inside(chart, X):
-    if not np.all(chart.contains(X)):
-        raise DomainError("point outside chart ball")
-
-
 # ---------------------------------------------------------------------------
 # field evaluation
 
 
 def _phi_field(chart, Z, order):
-    """Scalar coefficient phi in g = I + phi (u I - x x^T), with derivatives.
+    """Scalar coefficient phi in g = I + phi (u I - x x^T), with its gradient.
 
-    Returns (phi, dphi, d2phi); entries beyond `order` are None.
+    Returns (phi, dphi); dphi is None for order 0.
     """
     n = chart.dim
     m = Z.shape[0]
     if chart.family == "euclidean":
-        phi = np.zeros(m)
-        dphi = np.zeros((m, n)) if order >= 1 else None
-        d2phi = np.zeros((m, n, n)) if order >= 2 else None
-        return phi, dphi, d2phi
+        return np.zeros(m), (np.zeros((m, n)) if order >= 1 else None)
     if chart.family == "const_curvature":
         K = chart.curvature
         u = np.sum(Z * Z, axis=1)
-        c0, c1, c2 = _chi1(K * u)
-        phi = K * c0
-        dphi = d2phi = None
-        if order >= 1:
-            dphi = (2.0 * K * K * c1)[:, None] * Z
-        if order >= 2:
-            d2phi = (2.0 * K * K * c1)[:, None, None] * np.eye(n) + (
-                4.0 * K ** 3 * c2
-            )[:, None, None] * (Z[:, :, None] * Z[:, None, :])
-        return phi, dphi, d2phi
+        c0, c1 = _chi1(K * u)
+        dphi = (2.0 * K * K * c1)[:, None] * Z if order >= 1 else None
+        return K * c0, dphi
     if chart.family == "perturbed":
-        q, dq, d2q = _shape_q(chart.shape, n, Z)
-        phi = chart.epsilon * q
-        dphi = chart.epsilon * dq if order >= 1 else None
-        d2phi = chart.epsilon * d2q if order >= 2 else None
-        return phi, dphi, d2phi
-    raise NumericalError("phi field only defined for built-in families")
+        q, dq = _shape_q(chart.shape, n, Z)
+        return chart.epsilon * q, (chart.epsilon * dq if order >= 1 else None)
+    raise ValueError(f"unknown chart family {chart.family!r}")
 
 
-def _builtin_metric(chart, Z, order):
+def metric_fields(chart, X, order=0):
+    """Vectorized metric data at points X (m, n) in chart coordinates.
+
+    Returns a dict with ``g`` (m,n,n) and, for order >= 1, ``dg`` (m,k,i,j)
+    with dg[m,k,i,j] = d_k g_ij.  Derivatives include the chain-rule factor of
+    an accumulated rescale.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    s = chart.scale
+    Z = s * X
     n = chart.dim
-    m = Z.shape[0]
-    phi, dphi, d2phi = _phi_field(chart, Z, order)
+    phi, dphi = _phi_field(chart, Z, order)
     u = np.sum(Z * Z, axis=1)
     eye = np.eye(n)
-    ZZ = Z[:, :, None] * Z[:, None, :]
-    T = u[:, None, None] * eye - ZZ
-    g = eye[None] + phi[:, None, None] * T
-    out = {"g": g, "phi": phi, "u": u, "T": T}
+    T = u[:, None, None] * eye - Z[:, :, None] * Z[:, None, :]
+    out = {"g": eye[None] + phi[:, None, None] * T}
     if order >= 1:
         # dT[k,i,j] = 2 z_k d_ij - d_ik z_j - z_i d_jk
         dT = (2.0 * Z[:, :, None, None] * eye[None, None, :, :]
               - eye[None, :, :, None] * Z[:, None, None, :]
               - Z[:, None, :, None] * eye[None, :, None, :])
         dg = dphi[:, :, None, None] * T[:, None, :, :] + phi[:, None, None, None] * dT
-        out["dg"] = dg
-        out["dT"] = dT
-    if order >= 2:
-        dT = out["dT"]
-        d2T = (2.0 * eye[None, :, :, None, None] * eye[None, None, None, :, :]
-               - eye[None, None, :, :, None] * eye[None, :, None, None, :]
-               - eye[None, :, None, :, None] * eye[None, None, :, None, :])
-        # indices [m, l, k, i, j]; d2T[l,k,i,j] = 2 d_kl d_ij - d_ik d_jl - d_il d_jk
-        d2T = np.broadcast_to(d2T, (m, n, n, n, n))
-        d2g = (d2phi[:, :, :, None, None] * T[:, None, None, :, :]
-               + dphi[:, :, None, None, None] * dT[:, None, :, :, :]
-               + dphi[:, None, :, None, None] * dT[:, :, None, :, :]
-               + phi[:, None, None, None, None] * d2T)
-        out["d2g"] = d2g
-    return out
-
-
-def _custom_metric(chart, Z, order):
-    m = Z.shape[0]
-    n = chart.dim
-    g = np.empty((m, n, n))
-    for i in range(m):
-        g[i] = chart.metric_fn(Z[i])
-    out = {"g": g}
-    if order >= 1:
-        out["dg"] = _custom_dg(chart, Z)
-    if order >= 2:
-        out["d2g"] = _custom_d2g(chart, Z)
-    return out
-
-
-def _custom_dg(chart, Z):
-    if chart.dmetric_fn is not None:
-        return np.stack([np.asarray(chart.dmetric_fn(z)) for z in Z])
-    n = chart.dim
-    h = chart.fd_step
-    m = Z.shape[0]
-    dg = np.empty((m, n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        # fourth-order central difference
-        gp1 = _custom_metric(chart, Z + h * e, 0)["g"]
-        gm1 = _custom_metric(chart, Z - h * e, 0)["g"]
-        gp2 = _custom_metric(chart, Z + 2 * h * e, 0)["g"]
-        gm2 = _custom_metric(chart, Z - 2 * h * e, 0)["g"]
-        dg[:, k] = (8.0 * (gp1 - gm1) - (gp2 - gm2)) / (12.0 * h)
-    return dg
-
-
-def _custom_d2g(chart, Z):
-    if chart.d2metric_fn is not None:
-        return np.stack([np.asarray(chart.d2metric_fn(z)) for z in Z])
-    n = chart.dim
-    h = chart.fd_step
-    m = Z.shape[0]
-    d2g = np.empty((m, n, n, n, n))
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = 1.0
-        dp = _custom_dg(chart, Z + h * e)
-        dm = _custom_dg(chart, Z - h * e)
-        d2g[:, l] = (dp - dm) / (2.0 * h)
-    return d2g
-
-
-def metric_fields(chart, X, order=0):
-    """Vectorized metric data at points X (m, n) in chart coordinates.
-
-    Returns a dict with ``g`` (m,n,n) and, for order >= 1/2, ``dg`` (m,k,i,j)
-    and ``d2g`` (m,l,k,i,j).  Derivatives include the chain-rule factors of an
-    accumulated rescale.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    s = chart.scale
-    Z = s * X
-    if chart.family == "custom":
-        out = _custom_metric(chart, Z, order)
-    else:
-        out = _builtin_metric(chart, Z, order)
-    if s != 1.0:
-        if "dg" in out:
-            out["dg"] = s * out["dg"]
-        if "d2g" in out:
-            out["d2g"] = (s * s) * out["d2g"]
+        out["dg"] = s * dg if s != 1.0 else dg
     return out
 
 
@@ -347,23 +198,16 @@ def inverse_metric_and_density(chart, X):
     if chart.family == "euclidean":
         m = X.shape[0]
         return np.broadcast_to(np.eye(n), (m, n, n)), np.ones(m)
-    if chart.family in ("const_curvature", "perturbed"):
-        Z = chart.scale * X
-        phi, _, _ = _phi_field(chart, Z, 0)
-        u = np.sum(Z * Z, axis=1)
-        lam = 1.0 + phi * u          # tangential eigenvalue
-        if np.any(lam <= 0.0):
-            raise NumericalError("metric not positive definite at a sample point")
-        ZZ = Z[:, :, None] * Z[:, None, :]
-        g_inv = (np.eye(n)[None] + phi[:, None, None] * ZZ) / lam[:, None, None]
-        dens = lam ** ((n - 1) / 2.0)
-        return g_inv, dens
-    out = metric_fields(chart, X, 0)
-    g = out["g"]
-    sign, logdet = np.linalg.slogdet(g)
-    if np.any(sign <= 0):
+    Z = chart.scale * X
+    phi, _ = _phi_field(chart, Z, 0)
+    u = np.sum(Z * Z, axis=1)
+    lam = 1.0 + phi * u          # tangential eigenvalue
+    if np.any(lam <= 0.0):
         raise NumericalError("metric not positive definite at a sample point")
-    return np.linalg.inv(g), np.exp(0.5 * logdet)
+    ZZ = Z[:, :, None] * Z[:, None, :]
+    g_inv = (np.eye(n)[None] + phi[:, None, None] * ZZ) / lam[:, None, None]
+    dens = lam ** ((n - 1) / 2.0)
+    return g_inv, dens
 
 
 def volume_density(chart, X):
@@ -376,24 +220,17 @@ def radial_log_density_derivative(chart, X):
     n = chart.dim
     if chart.family == "euclidean":
         return np.zeros(X.shape[0])
-    if chart.family in ("const_curvature", "perturbed"):
-        s = chart.scale
-        Z = s * X
-        phi, dphi, _ = _phi_field(chart, Z, 1)
-        u = np.sum(Z * Z, axis=1)
-        rho = np.sqrt(np.sum(X * X, axis=1))
-        lam = 1.0 + phi * u
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-        dphi_r = np.einsum("mk,mk->m", dphi, zhat) * s
-        du_r = 2.0 * np.einsum("mk,mk->m", Z, zhat) * s
-        return (n - 1) / 2.0 * (dphi_r * u + phi * du_r) / lam
-    out = metric_fields(chart, X, 1)
-    g_inv = np.linalg.inv(out["g"])
-    dlog = 0.5 * np.einsum("mij,mkij->mk", g_inv, out["dg"])
+    s = chart.scale
+    Z = s * X
+    phi, dphi = _phi_field(chart, Z, 1)
+    u = np.sum(Z * Z, axis=1)
     rho = np.sqrt(np.sum(X * X, axis=1))
-    xhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-    return np.einsum("mk,mk->m", dlog, xhat)
+    lam = 1.0 + phi * u
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
+    dphi_r = np.einsum("mk,mk->m", dphi, zhat) * s
+    du_r = 2.0 * np.einsum("mk,mk->m", Z, zhat) * s
+    return (n - 1) / 2.0 * (dphi_r * u + phi * du_r) / lam
 
 
 def divergence_drift(chart, X):
@@ -406,126 +243,6 @@ def divergence_drift(chart, X):
     dlog = 0.5 * np.einsum("mji,mkij->mk", g_inv, dg)   # d_k log sqrt det g
     dginv = -np.einsum("mia,mkab,mbj->mkij", g_inv, dg, g_inv)
     return np.einsum("mij,mi->mj", g_inv, dlog) + np.einsum("mkkj->mj", dginv)
-
-
-# ---------------------------------------------------------------------------
-# spec operations (single-point surface)
-
-
-def metric_at(chart, x, with_christoffel=False):
-    x = np.asarray(x, dtype=float)
-    _require_inside(chart, x)
-    g = metric_fields(chart, x[None], 0)["g"][0]
-    sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0:
-        raise NumericalError("metric not positive definite")
-    gamma = christoffel_at(chart, x) if with_christoffel else None
-    return MetricEval(g=g, g_inv=np.linalg.inv(g), sqrt_det=float(np.exp(0.5 * logdet)),
-                      christoffel=gamma)
-
-
-def distance_to_center(chart, x):
-    x = np.asarray(x, dtype=float)
-    _require_inside(chart, x)
-    return float(np.linalg.norm(x))
-
-
-def christoffel_at(chart, x):
-    x = np.asarray(x, dtype=float)
-    _require_inside(chart, x)
-    out = metric_fields(chart, x[None], 1)
-    return _christoffel_from(out["g"], out["dg"])[0]
-
-
-def _christoffel_from(g, dg):
-    g_inv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    return 0.5 * np.einsum(
-        "mkl,milj->mkij",
-        g_inv,
-        dg.transpose(0, 1, 2, 3) + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3),
-    )
-
-
-def _riemann_lower(chart, x):
-    """Covariant curvature tensor R_{rsmv} at a single point."""
-    out = metric_fields(chart, x[None], 2)
-    g, dg, d2g = out["g"], out["dg"], out["d2g"]
-    g_inv = np.linalg.inv(g)
-    gamma = _christoffel_from(g, dg)
-    dginv = -np.einsum("mia,mkab,mbj->mkij", g_inv, dg, g_inv)
-    # M[l,i,j] = d_i g_lj + d_j g_li - d_l g_ij, indexed as operand[m,i,l,j]
-    m_op = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
-    dm_op = (d2g + d2g.transpose(0, 1, 4, 3, 2) - d2g.transpose(0, 1, 3, 2, 4))
-    # dgamma[m,p,k,i,j] = d_p Gamma^k_ij
-    dgamma = 0.5 * (np.einsum("mpkl,milj->mpkij", dginv, m_op)
-                    + np.einsum("mkl,mpilj->mpkij", g_inv, dm_op))
-    n = chart.dim
-    G = gamma[0]
-    dG = dgamma[0]
-    # R^k_{s mu v} = d_mu Gamma^k_{v s} - d_v Gamma^k_{mu s}
-    #                + Gamma^k_{mu a} Gamma^a_{v s} - Gamma^k_{v a} Gamma^a_{mu s}
-    Rup = np.zeros((n, n, n, n))
-    for k in range(n):
-        for s in range(n):
-            for mu in range(n):
-                for v in range(n):
-                    val = dG[mu, k, v, s] - dG[v, k, mu, s]
-                    for a in range(n):
-                        val += G[k, mu, a] * G[a, v, s] - G[k, v, a] * G[a, mu, s]
-                    Rup[k, s, mu, v] = val
-    Rlow = np.einsum("rk,ksmv->rsmv", g[0], Rup)
-    return Rlow, G, g[0]
-
-
-def _orthonormal_frame(g):
-    # columns of L^{-T} for g = L L^T form a g-orthonormal frame
-    L = np.linalg.cholesky(g)
-    return np.linalg.inv(L).T
-
-
-def _frame_sup_norm(tensor, frame):
-    # contract every index with the frame, take the component sup norm
-    t = tensor
-    for _ in range(t.ndim):
-        t = np.tensordot(t, frame, axes=([0], [0]))
-    return float(np.max(np.abs(t)))
-
-
-def curvature_bound_estimate(chart, samples, fd_step=1e-3):
-    """sup over samples of |R| + |nabla R| in the g-orthonormal frame sup norm.
-
-    The derivative of the curvature tensor is formed by central differences of
-    the (analytically assembled) curvature components plus the Christoffel
-    correction terms of the covariant derivative.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("curvature estimate needs a nonempty sample set")
-    if np.any(np.linalg.norm(samples, axis=1) >= chart.radius / 2):
-        raise DomainError("curvature samples must lie inside B(0, radius/2)")
-    n = chart.dim
-    worst = 0.0
-    h = fd_step * max(chart.radius, 1e-6)
-    for x in samples:
-        R, G, g = _riemann_lower(chart, x)
-        frame = _orthonormal_frame(g)
-        r_norm = _frame_sup_norm(R, frame)
-        dR = np.zeros((n, n, n, n, n))
-        for mdir in range(n):
-            e = np.zeros(n)
-            e[mdir] = 1.0
-            Rp, _, _ = _riemann_lower(chart, x + h * e)
-            Rm, _, _ = _riemann_lower(chart, x - h * e)
-            dR[mdir] = (Rp - Rm) / (2.0 * h)
-        nabla = dR.copy()
-        for mdir in range(n):
-            for slot in range(4):
-                corr = np.tensordot(G[:, mdir, :], np.moveaxis(R, slot, 0), axes=([0], [0]))
-                nabla[mdir] -= np.moveaxis(corr, 0, slot)
-        dr_norm = _frame_sup_norm(nabla, frame)
-        worst = max(worst, r_norm + dr_norm)
-    return worst
 
 
 def rescale_chart(chart, r):

@@ -16,11 +16,8 @@ from .errors import DomainError
 
 __all__ = [
     "KernelSpec",
-    "gauss_kernel",
     "parametrix_phi0",
-    "parametrix_kernel",
     "kernel_values",
-    "kernel_comparability",
 ]
 
 KINDS = ("gauss", "parametrix0")
@@ -57,54 +54,9 @@ def kernel_values(spec, X, t):
     return vals
 
 
-def gauss_kernel(chart, x, t):
-    """(4 pi t)^(-n/2) exp(-|x|^2 / (4t)); |x| is the geodesic distance."""
-    if t <= 0:
-        raise ValueError("kernel time must be positive")
-    x = np.asarray(x, dtype=float)
-    if not np.all(chart.contains(x)):
-        raise DomainError("point outside chart ball")
-    return float(_gauss_values(chart.dim, float(np.dot(x, x)), t))
-
-
 def parametrix_phi0(chart, x):
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
         raise DomainError("point outside chart ball")
     dens = geometry.volume_density(chart, x[None])[0]
     return float(dens ** (-0.5))
-
-
-def parametrix_kernel(chart, x, t):
-    return gauss_kernel(chart, x, t) * parametrix_phi0(chart, x)
-
-
-def kernel_comparability(chart, radius, t_range, n_radial=12, n_dirs=16, n_times=5,
-                         seed=20240117):
-    """(inf, sup) of U/G over a sample grid in B(0, radius) x t_range.
-
-    For the order-0 truncation the ratio equals phi0 pointwise, so the bounds
-    coincide with the range of phi0 on the ball; we still compute U and G
-    separately and divide, as an independent route.
-    """
-    if radius >= chart.radius / 2:
-        raise ValueError("comparability radius must be < chart radius / 2")
-    t_lo, t_hi = t_range
-    if not (0 < t_lo <= t_hi):
-        raise ValueError("t_range must be positive and ordered")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, chart.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(0.0, radius, n_radial)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, chart.dim)
-    if pts.size == 0:
-        raise ValueError("empty sample grid")
-    times = np.geomspace(t_lo, t_hi, n_times)
-    u_spec = KernelSpec("parametrix0", chart)
-    g_spec = KernelSpec("gauss", chart)
-    lo, hi = np.inf, -np.inf
-    for t in times:
-        ratio = kernel_values(u_spec, pts, t) / kernel_values(g_spec, pts, t)
-        lo = min(lo, float(ratio.min()))
-        hi = max(hi, float(ratio.max()))
-    return lo, hi

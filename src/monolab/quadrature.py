@@ -23,18 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
+from . import geometry, kernels
 from .cutoff import smoothstep
 
 __all__ = [
     "QuadratureConfig",
     "default_config",
     "slice_integral",
-    "slice_tail_estimate",
     "spacetime_integral",
     "time_range_integral",
-    "refine_and_estimate_error",
-    "RefinementResult",
     "gauss_weighted_integral",
     "ball_rule",
     "annulus_rule",
@@ -141,8 +138,6 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     """Approximate int f(x) K(x, -s) sqrt(det g) dx for a single time s < 0."""
     if s >= 0:
         raise ValueError("slice time must be negative")
-    from . import geometry  # local import to avoid cycle at module load
-
     chart = kernel.chart
     n = chart.dim
     t = -s
@@ -173,15 +168,6 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
             vals_ann = np.asarray(f(P), dtype=float) * kv * dens_ann * (1.0 - _eta(rho, cutoff_zone))
             total += float(np.dot(w_ann, vals_ann))
     return total
-
-
-def slice_tail_estimate(f, kernel, s, cfg):
-    """e^{-R_tail^2/4} * sup|f| heuristic for the truncated Gaussian tail."""
-    chart = kernel.chart
-    c = np.sqrt(-s)
-    Y, _ = _scaled_rule(chart.dim, cfg.nodes, cfg.r_tail)
-    sup = float(np.max(np.abs(np.asarray(f(c * Y)))))
-    return np.exp(-cfg.r_tail ** 2 / 4.0) * sup
 
 
 def _time_nodes(r_sq, cfg):
@@ -221,53 +207,6 @@ def time_range_integral(slice_at, s_lo, s_hi, cells):
     return float(np.trapezoid(vals, s_nodes))
 
 
-@dataclass(frozen=True)
-class RefinementResult:
-    value: float
-    error: float
-    level_values: tuple
-    observed_order: float | None
-    converged: bool
-
-
-def _level_config(cfg, shrink):
-    return replace(
-        cfg,
-        nodes=max(8, cfg.nodes // shrink),
-        slices_per_scale=max(4, cfg.slices_per_scale // shrink),
-        annulus_radial=max(6, cfg.annulus_radial // shrink),
-    )
-
-
-def refine_and_estimate_error(task, cfg, levels=None):
-    """Richardson-style error estimate from successive refinement levels.
-
-    ``task`` maps a QuadratureConfig to a float.  Level L-1 runs the given
-    config; coarser levels halve the node counts.  The reported error is
-    |last difference| / 1.5 (>= |difference| / 3 as promised); a sequence whose
-    differences stop shrinking is flagged, value still returned.
-    """
-    levels = levels or cfg.levels
-    if levels < 2:
-        raise ValueError("error estimation needs at least 2 refinement levels")
-    values = []
-    for lev in range(levels):
-        shrink = 2 ** (levels - 1 - lev)
-        values.append(float(task(_level_config(cfg, shrink) if shrink > 1 else cfg)))
-    diffs = np.abs(np.diff(values))
-    err = float(max(diffs[-1] / 1.5, 1e-300))
-    converged = True
-    order = None
-    if len(diffs) >= 2 and diffs[-2] > 0:
-        ratio = diffs[-1] / diffs[-2]
-        converged = ratio < 1.0
-        if 0 < ratio < 1:
-            order = float(np.log2(1.0 / ratio))
-    return RefinementResult(value=values[-1], error=err,
-                            level_values=tuple(values),
-                            observed_order=order, converged=converged)
-
-
 def gauss_weighted_integral(f, n, variance, cfg):
     """int f d(nu_v) for the centered Gaussian measure of given variance.
 
@@ -282,8 +221,6 @@ def gauss_weighted_integral(f, n, variance, cfg):
 
 def plain_spacetime_integral(f, chart, radius, t_depth, cfg, time_cells=24):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight."""
-    from . import geometry
-
     n = chart.dim
     P, w = ball_rule(n, float(radius), max(cfg.annulus_radial, 24),
                      cfg.annulus_angular)

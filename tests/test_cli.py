@@ -108,6 +108,12 @@ def test_parse_validation_errors():
     ("quad.r_tail = 2.0\n", "quad.r_tail"),
     ("grid.q = 1.0\n", "grid.q"),
     ("manifold.family = perturbed\nmanifold.epsilon = 0.5\n", "manifold.epsilon"),
+    ("manifold.family = const_curvature\nmanifold.K = 20\n", "manifold.K"),
+    ("manifold.family = const_curvature\nmanifold.K = -50\n", "manifold.K"),
+    ("manifold.family = perturbed\nmanifold.shape = zigzag\n", "manifold.shape"),
+    ("grid.h = 0\n", "grid.h"),
+    ("grid.h = -0.1\n", "grid.h"),
+    ("grid.dt0 = 0\n", "grid.dt0"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject are config
@@ -251,7 +257,8 @@ def test_suite_exit_zero(tmp_path, capsys):
     code = cli.check_suite(paths, str(tmp_path / "out"), workers=1)
     out = capsys.readouterr().out
     assert code == 0
-    assert "[tiny_null:ladder] PASS" in out
+    assert "[tiny_null:ladder] INFO" in out     # informational: passed is None
+    assert "[tiny_null:prop1] PASS" in out
 
 
 def test_suite_overlap_fails(tmp_path, capsys):

@@ -278,9 +278,7 @@ def test_positivity_measure_null(euclid2, lean_quad2):
 
 def test_kernel_swap_sandwich(sphere2, lean_quad2):
     """Swapping G for the order-zero kernel moves the energy by no more than
-    the comparability range of phi0 on the support."""
-    from monolab import kernels as ker
-
+    the comparability range of phi0 = dens^(-1/2) on the support."""
     inp_g = build_input(sphere2, "TwoPlaneCaloric", {}, kind="gauss",
                         cfg=lean_quad2)
     inp_u = build_input(sphere2, "TwoPlaneCaloric", {}, kind="parametrix0",
@@ -288,7 +286,12 @@ def test_kernel_swap_sandwich(sphere2, lean_quad2):
     r = 1.0 / 8.0
     a_g = fn.phase_energy(inp_g, r, +1)
     a_u = fn.phase_energy(inp_u, r, +1)
-    lo, hi = ker.kernel_comparability(sphere2, 0.45, (r * r / 64.0, r * r))
+    rng = np.random.default_rng(20240117)
+    dirs = rng.standard_normal((16, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = (np.linspace(0.0, 0.45, 12)[:, None, None] * dirs[None]).reshape(-1, 2)
+    phi0 = geo.volume_density(sphere2, pts) ** -0.5
+    lo, hi = float(phi0.min()), float(phi0.max())
     assert lo * a_g * (1 - 1e-9) <= a_u <= hi * a_g * (1 + 1e-9)
 
 

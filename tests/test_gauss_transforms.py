@@ -157,27 +157,31 @@ def test_bkp_random_wedge_sweep():
 # transforms
 
 
-def test_first_transform_euclid_identity(euclid2):
-    ray = gt.first_transform(euclid2, 0.1)
-    X = np.array([[0.7, -1.2], [3.0, 2.0]])
-    assert np.abs(ray.forward(X) - X).max() < 1e-13
-    jac, _ = ray.jacobian_det(X)
-    assert np.abs(jac - 1.0).max() < 1e-9
+def _builtin_charts():
+    """Every built-in chart family, in two and three dimensions."""
+    for n in (2, 3):
+        yield geo.euclidean_chart(n)
+        for K in (1.0, -1.0):
+            yield geo.constant_curvature_chart(n, K, radius=1.0)
+        for shape in ("const", "radial", "wave"):
+            yield geo.perturbed_chart(n, 0.1, shape)
 
 
-def test_first_transform_sphere_properties(sphere2):
-    r = 0.1
-    ray = gt.first_transform(sphere2, r)
-    X = np.array([[1.0, 0.0], [0.3, 0.9], [2.0, -1.0]])
-    # Gauss lemma makes the ray map the identity; fitted r^2 bounds hold
-    assert np.abs(ray.forward(X) - X).max() <= 1.0 * r ** 2
-    jac, _ = ray.jacobian_det(X)
-    assert np.abs(jac - 1.0).max() <= 1.0 * r ** 2
-    # monotone along a fixed ray
-    lams = np.linspace(0.1, 2.0, 8)
-    ys = ray.forward(lams[:, None] * np.array([0.6, 0.8]))
-    norms = np.linalg.norm(ys, axis=1)
-    assert np.all(np.diff(norms) > 0)
+def test_ray_map_is_identity_on_builtin_charts():
+    """The Gauss lemma g(x) x = x makes the ray map y = int_0^1 g^{1/2}(tx) x dt
+    the identity with Jacobian 1, which the pushforward uses in closed form;
+    the numerical RayTransform is the reference."""
+    rng = np.random.default_rng(31)
+    for chart in _builtin_charts():
+        chart_r = geo.rescale_chart(chart, 0.1)
+        n = chart.dim
+        Y = rng.uniform(-4.0, 4.0, size=(12, n))
+        g = geo.metric_fields(chart_r, Y)["g"]
+        assert np.abs(np.einsum("mij,mj->mi", g, Y) - Y).max() <= 1e-14
+        ray = gt.RayTransform(chart_r)
+        assert np.abs(ray.forward(Y) - Y).max() <= 1e-13
+        jac, _ = ray.jacobian_det(Y)
+        assert np.abs(jac - 1.0).max() <= 1e-10
 
 
 def test_first_transform_gradient_norm_reduction(sphere2):
@@ -195,7 +199,7 @@ def test_first_transform_gradient_norm_reduction(sphere2):
 
 
 def test_second_transform_identity_zero_deviation():
-    psi = gt.second_transform(lambda Z: np.zeros(np.atleast_2d(Z).shape[0]), 0.1)
+    psi = gt.PsiMap(lambda Z: np.zeros(np.atleast_2d(Z).shape[0]))
     Z = np.array([[2.0, 1.0], [0.2, 0.1]])
     assert np.abs(psi.psi(Z)).max() == 0.0
     assert np.abs(psi.jacobian_det(Z) - 1.0).max() < 1e-12
@@ -204,7 +208,7 @@ def test_second_transform_identity_zero_deviation():
 def test_second_transform_formula_and_bound():
     r = 0.1
     a_field = lambda Z: r * r * np.sum(np.atleast_2d(Z) ** 2, axis=1)
-    psi = gt.second_transform(a_field, r)
+    psi = gt.PsiMap(a_field)
     z = np.array([[2.0, 0.0]])
     val = psi.psi(z)
     assert val[0, 0] == pytest.approx(2.0 * np.log(1.04) / 4.0, rel=1e-12)
@@ -214,7 +218,7 @@ def test_second_transform_formula_and_bound():
 def test_second_transform_defining_identity():
     r = 0.07
     a_field = lambda Z: r * r * (1.0 + np.sum(np.atleast_2d(Z) ** 2, axis=1))
-    psi = gt.second_transform(a_field, r)
+    psi = gt.PsiMap(a_field)
     rng = np.random.default_rng(23)
     Z = rng.uniform(-3, 3, size=(40, 2))
     Z = Z[np.linalg.norm(Z, axis=1) > 1.0]
@@ -227,7 +231,7 @@ def test_second_transform_derivative_bound_and_invertibility():
     preserving (positive Jacobian) there."""
     for r in (0.05, 0.1):
         a_field = lambda Z: r * r * (1.0 + np.sum(np.atleast_2d(Z) ** 2, axis=1))
-        psi = gt.second_transform(a_field, r)
+        psi = gt.PsiMap(a_field)
         rng = np.random.default_rng(29)
         Z = rng.uniform(-4, 4, size=(60, 2))
         Z = Z[(np.linalg.norm(Z, axis=1) > 1.0) & (np.linalg.norm(Z, axis=1) < 4.0)]
@@ -241,14 +245,13 @@ def test_second_transform_derivative_bound_and_invertibility():
 
 
 def test_second_transform_log_domain_guard():
-    psi = gt.second_transform(
-        lambda Z: np.full(np.atleast_2d(Z).shape[0], -1.5), 0.1)
+    psi = gt.PsiMap(lambda Z: np.full(np.atleast_2d(Z).shape[0], -1.5))
     with pytest.raises(DomainError):
         psi.psi(np.array([[2.0, 0.0]]))
 
 
 def test_pushforward_euclid(euclid2):
-    rec, _ = gt.pushforward_deviation(euclid2, 0.1, "parametrix0", -0.5)
+    rec = gt.pushforward_deviation(euclid2, 0.1, "parametrix0", -0.5)
     assert rec["sup_deviation"] <= 1e-10
     assert rec["mass"] == pytest.approx(1.0, abs=1e-6)
 
@@ -268,10 +271,23 @@ def test_pushforward_sphere_ladder(sphere2):
         assert rec["mass_defect"] <= lad["fitted_mass_constant"] * rec["r"] ** 2 + 1e-12
 
 
+def test_pushforward_sphere_pinned():
+    """Pinned against the numerical ray map (inverse, FD Jacobian) that the
+    closed form y = x replaced; the two agree to 3.1e-12."""
+    lad = gt.pushforward_ladder(geo.constant_curvature_chart(2, 1.0, 1.0),
+                                [0.2, 0.1], "parametrix0", -0.5)
+    sups = [rec["sup_deviation"] for rec in lad["records"]]
+    masses = [rec["mass"] for rec in lad["records"]]
+    assert sups == pytest.approx([0.011685636537855704, 0.0029246238004859704],
+                                 abs=1e-11)
+    assert masses == pytest.approx([0.9933439213159192, 0.9983343230641718],
+                                   abs=1e-11)
+
+
 def test_pushforward_both_slices(sphere2):
     # variance-2 calibration at s = -1 must keep the deviation O(r^2) too
     for s in (-0.5, -1.0):
-        rec, _ = gt.pushforward_deviation(sphere2, 0.05, "parametrix0", s)
+        rec = gt.pushforward_deviation(sphere2, 0.05, "parametrix0", s)
         assert rec["sup_deviation"] <= 0.1 * 0.05 ** 2 * 400
 
 

@@ -2,49 +2,59 @@ import numpy as np
 import pytest
 
 from monolab import geometry as geo
+from monolab import kernels as ker
 from monolab.errors import DomainError
 
 SPHERE_DENS_03 = 0.98506735553779858  # sin(0.3)/0.3, Jacobi-field closed form
 
 
+def _density(chart, x):
+    return float(geo.inverse_metric_and_density(chart, np.asarray(x)[None])[1][0])
+
+
+def _christoffel(chart, x):
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from dg."""
+    out = geo.metric_fields(chart, np.asarray(x)[None], 1)
+    g_inv = np.linalg.inv(out["g"][0])
+    dg = out["dg"][0]                      # dg[k, i, j] = d_k g_ij
+    lower = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("kl,lij->kij", g_inv, lower)
+
+
 def test_euclid_metric_identity(euclid2):
-    ev = geo.metric_at(euclid2, np.array([0.3, -0.2]))
-    assert np.allclose(ev.g, np.eye(2))
-    assert ev.sqrt_det == pytest.approx(1.0)
+    x = np.array([[0.3, -0.2]])
+    assert np.allclose(geo.metric_fields(euclid2, x)["g"][0], np.eye(2))
+    assert _density(euclid2, x[0]) == pytest.approx(1.0)
 
 
 def test_sphere_density_closed_form(sphere2):
-    ev = geo.metric_at(sphere2, np.array([0.3, 0.0]))
-    assert ev.sqrt_det == pytest.approx(SPHERE_DENS_03, abs=1e-12)
+    assert _density(sphere2, [0.3, 0.0]) == pytest.approx(SPHERE_DENS_03, abs=1e-12)
     # rotation invariance of the density
-    ev2 = geo.metric_at(sphere2, 0.3 * np.array([np.cos(1.1), np.sin(1.1)]))
-    assert ev2.sqrt_det == pytest.approx(SPHERE_DENS_03, abs=1e-12)
+    x2 = 0.3 * np.array([np.cos(1.1), np.sin(1.1)])
+    assert _density(sphere2, x2) == pytest.approx(SPHERE_DENS_03, abs=1e-12)
 
 
 def test_center_metric_is_identity(sphere2, perturbed2):
     for chart in (sphere2, perturbed2):
-        ev = geo.metric_at(chart, np.zeros(2))
-        assert np.allclose(ev.g, np.eye(2), atol=1e-14)
+        g = geo.metric_fields(chart, np.zeros((1, 2)))["g"][0]
+        assert np.allclose(g, np.eye(2), atol=1e-14)
 
 
 def test_metric_inverse_consistency(sphere2, perturbed2):
     rng = np.random.default_rng(3)
     for chart in (sphere2, perturbed2):
-        for _ in range(5):
-            x = rng.uniform(-0.4, 0.4, size=2)
-            ev = geo.metric_at(chart, x)
-            assert np.abs(ev.g @ ev.g_inv - np.eye(2)).max() < 1e-12
-            assert ev.sqrt_det > 0
+        X = rng.uniform(-0.4, 0.4, size=(5, 2))
+        g = geo.metric_fields(chart, X)["g"]
+        g_inv, dens = geo.inverse_metric_and_density(chart, X)
+        assert np.abs(g @ g_inv - np.eye(2)).max() < 1e-12
+        assert np.all(dens > 0)
+        assert np.abs(dens - np.sqrt(np.linalg.det(g))).max() < 1e-12
 
 
 def test_metric_outside_chart_raises(euclid2):
+    # the order-zero parametrix factor is the metric quantity with a domain guard
     with pytest.raises(DomainError):
-        geo.metric_at(euclid2, np.array([1.5, 0.0]))
-
-
-def test_distance_center_and_pythagoras(euclid2):
-    assert geo.distance_to_center(euclid2, np.zeros(2)) == 0.0
-    assert geo.distance_to_center(euclid2, np.array([0.3, 0.4])) == pytest.approx(0.5)
+        ker.parametrix_phi0(euclid2, np.array([1.5, 0.0]))
 
 
 def test_distance_on_sphere_via_geodesic_shooting(sphere2):
@@ -57,8 +67,7 @@ def test_distance_on_sphere_via_geodesic_shooting(sphere2):
     ds = 0.2 / n_steps
     for _ in range(n_steps):
         def acc(pos, vel):
-            gamma = (geo.christoffel_at(sphere2, pos) if np.linalg.norm(pos) > 0
-                     else np.zeros((2, 2, 2)))
+            gamma = _christoffel(sphere2, pos)
             return -np.einsum("kij,i,j->k", gamma, vel, vel)
 
         k1x, k1v = xdot, acc(x, xdot)
@@ -68,20 +77,11 @@ def test_distance_on_sphere_via_geodesic_shooting(sphere2):
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         xdot = xdot + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     assert np.linalg.norm(x - 0.2 * v) < 1e-8
-    assert geo.distance_to_center(sphere2, x) == pytest.approx(0.2, abs=1e-8)
-
-
-def test_christoffel_trivial_cases(euclid2, sphere2):
-    assert np.abs(geo.christoffel_at(euclid2, np.array([0.2, 0.1]))).max() == 0.0
-    assert np.abs(geo.christoffel_at(sphere2, np.zeros(2))).max() == 0.0
-
-
-def test_christoffel_symmetry(perturbed2):
-    gamma = geo.christoffel_at(perturbed2, np.array([0.3, -0.2]))
-    assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() < 1e-12
+    assert np.linalg.norm(x) == pytest.approx(0.2, abs=1e-8)
 
 
 def test_christoffel_against_symbolic_oracle(perturbed2):
+    """The analytic metric derivative dg[k, i, j] = d_k g_ij, against sympy."""
     sympy = pytest.importorskip("sympy")
     x1, x2 = sympy.symbols("x1 x2")
     eps = perturbed2.epsilon
@@ -92,49 +92,14 @@ def test_christoffel_against_symbolic_oracle(perturbed2):
     g = sympy.Matrix(2, 2, lambda i, j: (sympy.KroneckerDelta(i, j)
                                          + eps * q * (u * sympy.KroneckerDelta(i, j)
                                                       - xs[i] * xs[j])))
-    ginv = g.inv()
     pt = {x1: 0.25, x2: -0.15}
-    gamma_sym = np.zeros((2, 2, 2))
+    dg_sym = np.zeros((2, 2, 2))
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                expr = sum(ginv[k, l] * (sympy.diff(g[l, j], xs[i])
-                                         + sympy.diff(g[l, i], xs[j])
-                                         - sympy.diff(g[i, j], xs[l]))
-                           for l in range(2)) / 2
-                gamma_sym[k, i, j] = float(expr.subs(pt))
-    gamma = geo.christoffel_at(perturbed2, np.array([0.25, -0.15]))
-    assert np.abs(gamma - gamma_sym).max() < 1e-6
-
-
-SAMPLES = np.array([[0.1, 0.05], [0.2, -0.1], [0.05, 0.3], [0.0, 0.0], [0.31, 0.17]])
-
-
-def test_curvature_estimate_flat(euclid2):
-    assert geo.curvature_bound_estimate(euclid2, SAMPLES) < 1e-8
-
-
-def test_curvature_estimate_constant_curvature():
-    # orthonormal-frame sup norm of the curvature tensor is |K|; nabla R = 0
-    for K in (1.0, -1.0, 0.5, -0.5):
-        chart = geo.constant_curvature_chart(2, K, radius=1.0)
-        est = geo.curvature_bound_estimate(chart, SAMPLES)
-        assert est == pytest.approx(abs(K), rel=0.05)
-
-
-def test_curvature_estimate_perturbed_linear_in_eps():
-    vals = {}
-    for eps in (0.01, 0.02, 0.05):
-        chart = geo.perturbed_chart(2, eps)
-        vals[eps] = geo.curvature_bound_estimate(chart, SAMPLES)
-    ratios = [vals[eps] / eps for eps in vals]
-    assert max(ratios) / min(ratios) < 1.5
-    assert vals[0.01] <= 10.0 * 0.01  # fitted C stays moderate
-
-
-def test_curvature_estimate_empty_samples(euclid2):
-    with pytest.raises(ValueError):
-        geo.curvature_bound_estimate(euclid2, np.empty((0, 2)))
+                dg_sym[k, i, j] = float(sympy.diff(g[i, j], xs[k]).subs(pt))
+    dg = geo.metric_fields(perturbed2, np.array([[0.25, -0.15]]), 1)["dg"][0]
+    assert np.abs(dg - dg_sym).max() < 1e-12
 
 
 def test_rescale_identity_and_exactness(sphere2):
@@ -190,25 +155,3 @@ def test_factory_validation():
         geo.perturbed_chart(2, eps=0.5)
     with pytest.raises(ValueError):
         geo.constant_curvature_chart(2, K=12.0, radius=1.0)
-
-
-def test_custom_chart_fd_derivatives_match_builtin(sphere2):
-    """A user metric sampler (no derivative samplers) must reproduce the
-    built-in analytic Christoffels and curvature through the fourth-order
-    difference fallback."""
-    def metric_fn(x):
-        return geo.metric_fields(sphere2, np.asarray(x)[None], 0)["g"][0]
-
-    chart = geo.custom_chart(2, 1.0, metric_fn, curvature_bound=1.0)
-    x = np.array([0.25, -0.15])
-    got = geo.christoffel_at(chart, x)
-    want = geo.christoffel_at(sphere2, x)
-    assert np.abs(got - want).max() < 1e-8
-    ev = geo.metric_at(chart, x)
-    assert ev.sqrt_det == pytest.approx(geo.metric_at(sphere2, x).sqrt_det,
-                                        rel=1e-12)
-    est = geo.curvature_bound_estimate(chart, np.array([[0.2, 0.1], [0.05, 0.3]]))
-    assert est == pytest.approx(1.0, rel=0.05)
-    drift_c = geo.divergence_drift(chart, x[None])
-    drift_s = geo.divergence_drift(sphere2, x[None])
-    assert np.abs(drift_c - drift_s).max() < 1e-7

@@ -4,22 +4,24 @@ import pytest
 from monolab import geometry as geo
 from monolab import kernels as ker
 from monolab import quadrature as quad
-from monolab.errors import DomainError
 
 GAUSS_N1_X2_T1 = 0.10377687435514868   # (4 pi)^{-1/2} e^{-1}, high-precision
 SPHERE_PHI0_03 = 1.0075509955070447    # (sin 0.3 / 0.3)^{-1/2}
 
 
+def gauss_at(chart, x, t):
+    return float(ker.kernel_values(ker.KernelSpec("gauss", chart), x, t)[0])
+
+
 def test_normalization_at_center(euclid2):
     t = 1.0 / (4.0 * np.pi)
-    assert ker.gauss_kernel(euclid2, np.zeros(2), t) == pytest.approx(1.0, abs=1e-14)
+    assert gauss_at(euclid2, np.zeros(2), t) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_frozen_value_n1():
     # |x| = 2 sits outside a unit chart; a rescaled chart keeps the point legal
     ch = geo.rescale_chart(geo.euclidean_chart(1), 0.25)
-    assert ker.gauss_kernel(ch, np.array([2.0]), 1.0) == pytest.approx(
-        GAUSS_N1_X2_T1, abs=1e-6)
+    assert gauss_at(ch, np.array([2.0]), 1.0) == pytest.approx(GAUSS_N1_X2_T1, abs=1e-6)
 
 
 def test_kernel_mass_by_quadrature(euclid2):
@@ -31,9 +33,10 @@ def test_kernel_mass_by_quadrature(euclid2):
 
 def test_kernel_positive_and_radially_decreasing(euclid2):
     radii = np.linspace(0.0, 0.9, 12)
-    vals = [ker.gauss_kernel(euclid2, np.array([r, 0.0]), 0.05) for r in radii]
-    assert all(v > 0 for v in vals)
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+    X = np.stack([radii, np.zeros_like(radii)], axis=1)
+    vals = ker.kernel_values(ker.KernelSpec("gauss", euclid2), X, 0.05)
+    assert np.all(vals > 0)
+    assert np.all(np.diff(vals) < 0)
 
 
 def test_kernel_rotation_invariance(euclid2):
@@ -41,16 +44,15 @@ def test_kernel_rotation_invariance(euclid2):
     for _ in range(6):
         rho = rng.uniform(0.05, 0.9)
         th1, th2 = rng.uniform(0, 2 * np.pi, 2)
-        a = ker.gauss_kernel(euclid2, rho * np.array([np.cos(th1), np.sin(th1)]), 0.3)
-        b = ker.gauss_kernel(euclid2, rho * np.array([np.cos(th2), np.sin(th2)]), 0.3)
+        a = gauss_at(euclid2, rho * np.array([np.cos(th1), np.sin(th1)]), 0.3)
+        b = gauss_at(euclid2, rho * np.array([np.cos(th2), np.sin(th2)]), 0.3)
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_kernel_time_validation(euclid2):
-    with pytest.raises(ValueError):
-        ker.gauss_kernel(euclid2, np.zeros(2), 0.0)
-    with pytest.raises(DomainError):
-        ker.gauss_kernel(euclid2, np.array([1.2, 0.0]), 0.1)
+    for kind in ker.KINDS:
+        with pytest.raises(ValueError):
+            ker.kernel_values(ker.KernelSpec(kind, euclid2), np.zeros(2), 0.0)
 
 
 def test_phi0_values(euclid2, sphere2):
@@ -72,48 +74,17 @@ def test_phi0_quadratic_deviation(sphere2, perturbed2):
 def test_parametrix_kernel_product(euclid2, sphere2):
     x = np.array([0.3, 0.0])
     t = 0.01
-    assert ker.parametrix_kernel(euclid2, x, t) == ker.gauss_kernel(euclid2, x, t)
-    got = ker.parametrix_kernel(sphere2, x, t)
-    assert got == pytest.approx(ker.gauss_kernel(sphere2, x, t) * SPHERE_PHI0_03,
-                                rel=1e-9)
-    assert ker.parametrix_kernel(sphere2, np.zeros(2), t) == pytest.approx(
-        ker.gauss_kernel(sphere2, np.zeros(2), t), rel=1e-14)
+
+    def parametrix_at(chart, x):
+        return float(ker.kernel_values(ker.KernelSpec("parametrix0", chart), x, t)[0])
+
+    assert parametrix_at(euclid2, x) == gauss_at(euclid2, x, t)
+    assert parametrix_at(sphere2, x) == pytest.approx(
+        gauss_at(sphere2, x, t) * SPHERE_PHI0_03, rel=1e-9)
+    assert parametrix_at(sphere2, np.zeros(2)) == pytest.approx(
+        gauss_at(sphere2, np.zeros(2), t), rel=1e-14)
 
 
 def test_higher_parametrix_order_refused(euclid2):
     with pytest.raises(NotImplementedError):
         ker.KernelSpec("parametrix1", euclid2)
-
-
-def test_comparability_euclid(euclid2):
-    lo, hi = ker.kernel_comparability(euclid2, 0.3, (1e-3, 1e-1))
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert hi == pytest.approx(1.0, abs=1e-12)
-
-
-def test_comparability_sphere_and_perturbed(sphere2, perturbed2):
-    lo, hi = ker.kernel_comparability(sphere2, 0.3, (1e-3, 1e-2))
-    assert 0.95 < lo <= hi < 1.05
-    lo_p, hi_p = ker.kernel_comparability(perturbed2, 0.2, (1e-3, 1e-2))
-    assert hi_p - lo_p <= 0.01
-
-
-def test_comparability_equals_phi0_range(sphere2):
-    """Order-zero truncation means U/G is exactly the phi0 range."""
-    lo, hi = ker.kernel_comparability(sphere2, 0.3, (1e-3, 1e-2),
-                                      n_radial=8, n_dirs=6, n_times=3)
-    rng = np.random.default_rng(20240117)
-    dirs = rng.standard_normal((6, 2))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(0.0, 0.3, 8)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    phi0 = np.array([ker.parametrix_phi0(sphere2, p) for p in pts])
-    assert lo == pytest.approx(phi0.min(), rel=1e-12)
-    assert hi == pytest.approx(phi0.max(), rel=1e-12)
-
-
-def test_comparability_validation(euclid2):
-    with pytest.raises(ValueError):
-        ker.kernel_comparability(euclid2, 0.6, (1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        ker.kernel_comparability(euclid2, 0.3, (0.0, 1e-2))

@@ -96,40 +96,6 @@ def test_determinism_bitwise(gauss2):
     assert v1 == v2
 
 
-def test_refinement_error_estimate(gauss2, quad2):
-    # time-direction power integrand: trapezoid converges at second order
-    task = lambda c: quad.spacetime_integral(
-        slices(lambda X, s: (-s) ** 0.25 * ones(X), gauss2, c), 0.5, c)
-    res = quad.refine_and_estimate_error(task, quad2, levels=3)
-    assert res.converged
-    assert res.observed_order is None or res.observed_order >= 1.8
-    exact = 0.25 ** 1.25 / 1.25
-    assert abs(res.value - exact) <= max(res.error * 3.0, 2e-5)
-
-
-def test_refinement_constant_integrand(gauss2, quad2):
-    task = lambda c: quad.spacetime_integral(
-        slices(lambda X, s: ones(X) * 3.0, gauss2, c), 0.25, c)
-    res = quad.refine_and_estimate_error(task, quad2, levels=2)
-    # level values agree to tail accuracy; reported error >= |diff|/3
-    diff = abs(res.level_values[-1] - res.level_values[-2])
-    assert res.error >= diff / 3.0
-    assert diff < 1e-6
-
-
-def test_refinement_kinked_integrand(gauss2, quad2):
-    # |x1|^(1/2) kink: converging at reduced order, no flag raised
-    task = lambda c: quad.slice_integral(lambda X: np.abs(X[:, 0]) ** 0.5,
-                                         gauss2, -0.3, c)
-    res = quad.refine_and_estimate_error(task, quad2, levels=3)
-    assert res.converged
-
-
-def test_tail_estimate(gauss2, quad2):
-    est = quad.slice_tail_estimate(ones, gauss2, -0.3, quad2)
-    assert 0 < est < 2e-7
-
-
 def test_gauss_weighted_moments():
     cfg = quad.default_config(1)
     m1 = quad.gauss_weighted_integral(lambda X: X[:, 0] ** 2, 1, 1.0, cfg)
