@@ -184,6 +184,29 @@ def test_ray_map_is_identity_on_builtin_charts():
         assert np.abs(jac - 1.0).max() <= 1e-10
 
 
+def test_first_transform_euclid_identity(euclid2):
+    ray = gt.RayTransform(geo.rescale_chart(euclid2, 0.1))
+    X = np.array([[0.7, -1.2], [3.0, 2.0]])
+    assert np.abs(ray.forward(X) - X).max() < 1e-13
+    jac, _ = ray.jacobian_det(X)
+    assert np.abs(jac - 1.0).max() < 1e-9
+
+
+def test_first_transform_sphere_properties(sphere2):
+    r = 0.1
+    ray = gt.RayTransform(geo.rescale_chart(sphere2, r))
+    X = np.array([[1.0, 0.0], [0.3, 0.9], [2.0, -1.0]])
+    # Gauss lemma makes the ray map the identity; fitted r^2 bounds hold
+    assert np.abs(ray.forward(X) - X).max() <= 1.0 * r ** 2
+    jac, _ = ray.jacobian_det(X)
+    assert np.abs(jac - 1.0).max() <= 1.0 * r ** 2
+    # monotone along a fixed ray
+    lams = np.linspace(0.1, 2.0, 8)
+    ys = ray.forward(lams[:, None] * np.array([0.6, 0.8]))
+    norms = np.linalg.norm(ys, axis=1)
+    assert np.all(np.diff(norms) > 0)
+
+
 def test_first_transform_gradient_norm_reduction(sphere2):
     """Through the (identity) ray map the Euclidean gradient norm matches the
     rescaled-metric norm to O(r^2 |x|^2)."""
