@@ -56,7 +56,7 @@ def _quad_config(cfg):
     base = quadrature.default_config(cfg.n)
     nodes = cfg.quad_nodes if cfg.quad_nodes else base.nodes
     return dataclasses.replace(
-        base, r_tail=cfg.quad_r_tail, nodes=nodes, levels=cfg.quad_levels,
+        base, r_tail=cfg.quad_r_tail, nodes=nodes,
         slices_per_scale=cfg.quad_slices_per_scale,
         time_blocks=cfg.quad_time_blocks)
 

@@ -43,7 +43,6 @@ class ScenarioConfig:
     grid_dt0: float = 0.2
     quad_r_tail: float = 8.0
     quad_nodes: int = 0              # 0: pick the per-dimension default
-    quad_levels: int = 2
     quad_slices_per_scale: int = 40
     quad_time_blocks: int = 16
     k_min: int = 2
@@ -93,7 +92,6 @@ _KEYS = {
     "grid.dt0": ("grid_dt0", float),
     "quad.r_tail": ("quad_r_tail", float),
     "quad.nodes": ("quad_nodes", int),
-    "quad.levels": ("quad_levels", int),
     "quad.slices_per_scale": ("quad_slices_per_scale", int),
     "quad.time_blocks": ("quad_time_blocks", int),
     "ladder.k_min": ("k_min", int),

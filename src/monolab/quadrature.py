@@ -46,7 +46,6 @@ class QuadratureConfig:
     time_ratio: float = 0.5
     slices_per_scale: int = 40      # trapezoid cells per geometric block
     time_blocks: int = 16
-    levels: int = 2
     annulus_radial: int = 24
     annulus_angular: int = 32       # multiples of 4 keep x1 = 0 on cell edges
 

@@ -4,6 +4,10 @@ The spatial grid is uniform on the cube [-L, L]^n with a node at the origin.
 The time mesh lives on (-T, 0] and, for the geometric constructor, marches
 from -T toward 0 with steps shrinking by a fixed ratio (coarsest step first),
 the final step snapped to land exactly on 0.
+
+Samplers interpolate through one helper pair: ``_corners`` locates the cell of
+each point once (flat node indices and weights of its 2^n corners) and
+``_interpolate`` reads any time frame of any field on the same grid from them.
 """
 
 from __future__ import annotations
@@ -97,37 +101,52 @@ class GridFunction:
             raise ValueError("grid function carries non-finite values")
 
 
-def _multilinear(grid, frame, X):
-    """Multilinear interpolation of one time frame at points X (m, n)."""
+def _corners(grid, X):
+    """Cell corners of points X (m, n): flat node indices and multilinear
+    weights, each (2^n, m), corner bits in axis order (bit d steps axis d)."""
     n = grid.dim
     na = grid.n_axis
     c = (X + grid.half_width) / grid.h
     i0 = np.clip(np.floor(c).astype(int), 0, na - 2)
     frac = np.clip(c - i0, 0.0, 1.0)
-    out = np.zeros(X.shape[0])
-    for corner in range(2 ** n):
-        idx = []
-        wgt = np.ones(X.shape[0])
-        for d in range(n):
-            bit = (corner >> d) & 1
-            idx.append(i0[:, d] + bit)
-            wgt = wgt * (frac[:, d] if bit else (1.0 - frac[:, d]))
-        out += wgt * frame[tuple(idx)]
+    strides = na ** np.arange(n - 1, -1, -1)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    flat = (i0 @ strides)[None, :] + (bits @ strides)[:, None]
+    wgt = np.ones((2 ** n, X.shape[0]))
+    for d in range(n):
+        wgt *= np.where(bits[:, d:d + 1] == 1, frac[:, d], 1.0 - frac[:, d])
+    return flat, wgt
+
+
+def _interpolate(values, frames, flat, wgt):
+    """Interpolants of the time frames values[j], j in frames, at the corners
+    (flat, wgt) of _corners: shape (len(frames), m).  Each is summed corner by
+    corner from zero, in corner order."""
+    out = np.zeros((len(frames), flat.shape[1]))
+    for row, j in zip(out, frames):
+        vals = np.take(values[j].reshape(-1), flat)
+        for corner in range(flat.shape[0]):
+            row += wgt[corner] * vals[corner]
     return out
 
 
 class GridPhaseSampler:
     """Callable value/gradient samplers backed by a GridFunction.
 
-    Gradients are central differences of the interpolant with the grid step;
-    where the opposite phase is positive on one side, a one-sided difference
-    from the clean side is used instead (interface stencils are biased).
+    Values interpolate multilinearly in space and linearly between the two
+    bracketing time frames.  Gradients are central differences of the
+    interpolant with the grid step; where the opposite phase is positive on
+    one side, a one-sided difference from the clean side is used instead
+    (interface stencils are biased).  ``grad`` stacks its 2n+1 stencil points,
+    locates their cells once and reads both phases' frames from the shared
+    corners; ``other`` must live on the same grid.
     """
 
     def __init__(self, gf, other=None):
         self.gf = gf
         self.other = other
-        self.pos_tol = 1e-12 * max(1.0, float(np.max(np.abs(gf.values))))
+        self.other_tol = (None if other is None else
+                          1e-12 * max(1.0, float(np.max(np.abs(other.values)))))
 
     def _frame_pair(self, s):
         t = self.gf.grid.times
@@ -140,43 +159,41 @@ class GridPhaseSampler:
         theta = (s - t[j]) / (t[j + 1] - t[j])
         return j, j + 1, float(theta)
 
-    def value(self, X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def _at(self, X, s):
+        """This phase at X (m, n) and time s, with the corners and time frames
+        it read, for reuse on ``other``."""
         j0, j1, th = self._frame_pair(s)
-        v0 = _multilinear(self.gf.grid, self.gf.values[j0], X)
-        if j1 == j0 or th == 0.0:
-            return v0
-        v1 = _multilinear(self.gf.grid, self.gf.values[j1], X)
-        return (1.0 - th) * v0 + th * v1
+        frames = [j0] if j1 == j0 or th == 0.0 else [j0, j1]
+        flat, wgt = _corners(self.gf.grid, X)
+        v = _interpolate(self.gf.values, frames, flat, wgt)
+        v = v[0] if len(frames) == 1 else (1.0 - th) * v[0] + th * v[1]
+        return v, frames, flat, wgt
 
-    def _other_positive(self, X, s):
-        if self.other is None:
-            return np.zeros(X.shape[0], dtype=bool)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.other.values))))
-        j0, j1, th = self._frame_pair(s)
-        v = _multilinear(self.other.grid, self.other.values[j0], X)
-        if j1 != j0 and th > 0.0:
-            v = np.maximum(v, _multilinear(self.other.grid, self.other.values[j1], X))
-        return v > tol
+    def value(self, X, s):
+        return self._at(np.atleast_2d(np.asarray(X, dtype=float)), s)[0]
 
     def grad(self, X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = self.gf.grid.dim
+        m, n = X.shape
         h = self.gf.grid.h
-        out = np.empty((X.shape[0], n))
-        v_c = self.value(X, s)
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = h
-            v_p = self.value(X + e, s)
-            v_m = self.value(X - e, s)
-            central = (v_p - v_m) / (2.0 * h)
-            o_p = self._other_positive(X + e, s)
-            o_m = self._other_positive(X - e, s)
-            fwd = (v_p - v_c) / h
-            bwd = (v_c - v_m) / h
-            g = np.where(o_p & ~o_m, bwd, central)
-            g = np.where(o_m & ~o_p, fwd, g)
-            g = np.where(o_m & o_p, 0.0, g)
-            out[:, d] = g
-        return out
+        # stencil rows: X, then X + h e_d and X - h e_d for each axis d
+        steps = np.zeros((2 * n + 1, n))
+        steps[1::2] = h * np.eye(n)
+        steps[2::2] = -h * np.eye(n)
+        v, frames, flat, wgt = self._at((X[None] + steps[:, None]).reshape(-1, n), s)
+        if self.other is None:
+            o = np.zeros(v.shape, dtype=bool)
+        else:
+            o = _interpolate(self.other.values, frames, flat, wgt)
+            o = o.max(axis=0) > self.other_tol
+        v = v.reshape(2 * n + 1, m)
+        o = o.reshape(2 * n + 1, m)
+        v_c, v_p, v_m = v[0], v[1::2], v[2::2]
+        o_p, o_m = o[1::2], o[2::2]
+        central = (v_p - v_m) / (2.0 * h)
+        fwd = (v_p - v_c) / h
+        bwd = (v_c - v_m) / h
+        g = np.where(o_p & ~o_m, bwd, central)
+        g = np.where(o_m & ~o_p, fwd, g)
+        g = np.where(o_m & o_p, 0.0, g)
+        return np.ascontiguousarray(g.T)   # (m, n) in C order, one row per point

@@ -114,10 +114,12 @@ def test_parse_validation_errors():
     ("grid.h = 0\n", "grid.h"),
     ("grid.h = -0.1\n", "grid.h"),
     ("grid.dt0 = 0\n", "grid.dt0"),
+    ("quad.levels = 2\n", "quad.levels"),   # deleted key: unknown now
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
-    """Values the quadrature, grid or chart constructors reject are config
-    errors naming their key, not tracebacks."""
+    """Values the quadrature, grid or chart constructors reject, and keys
+    that no longer exist, are config errors naming their key, not
+    tracebacks."""
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert err.value.key == key

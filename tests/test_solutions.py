@@ -67,6 +67,123 @@ def test_sampler_matches_nodes_and_one_sided_gradient():
     assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+# Reference: the per-direction stencil, one multilinear interpolation per
+# stencil point, time frame and phase, with the cell located each time.
+
+def _ref_multilinear(grid, frame, X):
+    n = grid.dim
+    na = grid.n_axis
+    c = (X + grid.half_width) / grid.h
+    i0 = np.clip(np.floor(c).astype(int), 0, na - 2)
+    frac = np.clip(c - i0, 0.0, 1.0)
+    out = np.zeros(X.shape[0])
+    for corner in range(2 ** n):
+        idx = []
+        wgt = np.ones(X.shape[0])
+        for d in range(n):
+            bit = (corner >> d) & 1
+            idx.append(i0[:, d] + bit)
+            wgt = wgt * (frac[:, d] if bit else (1.0 - frac[:, d]))
+        out += wgt * frame[tuple(idx)]
+    return out
+
+
+def _ref_frames(t, s):
+    if s <= t[0]:
+        return 0, 0, 0.0
+    if s >= t[-1]:
+        return len(t) - 1, len(t) - 1, 0.0
+    j = min(int(np.searchsorted(t, s, side="right") - 1), len(t) - 2)
+    return j, j + 1, float((s - t[j]) / (t[j + 1] - t[j]))
+
+
+def _ref_value(gf, X, s):
+    j0, j1, th = _ref_frames(gf.grid.times, s)
+    v0 = _ref_multilinear(gf.grid, gf.values[j0], X)
+    if j1 == j0 or th == 0.0:
+        return v0
+    return (1.0 - th) * v0 + th * _ref_multilinear(gf.grid, gf.values[j1], X)
+
+
+def _ref_other_positive(other, X, s):
+    if other is None:
+        return np.zeros(X.shape[0], dtype=bool)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(other.values))))
+    j0, j1, th = _ref_frames(other.grid.times, s)
+    v = _ref_multilinear(other.grid, other.values[j0], X)
+    if j1 != j0 and th > 0.0:
+        v = np.maximum(v, _ref_multilinear(other.grid, other.values[j1], X))
+    return v > tol
+
+
+def _ref_grad(gf, other, X, s):
+    n = gf.grid.dim
+    h = gf.grid.h
+    out = np.empty((X.shape[0], n))
+    v_c = _ref_value(gf, X, s)
+    for d in range(n):
+        e = np.zeros(n)
+        e[d] = h
+        v_p = _ref_value(gf, X + e, s)
+        v_m = _ref_value(gf, X - e, s)
+        o_p = _ref_other_positive(other, X + e, s)
+        o_m = _ref_other_positive(other, X - e, s)
+        g = np.where(o_p & ~o_m, (v_c - v_m) / h, (v_p - v_m) / (2.0 * h))
+        g = np.where(o_m & ~o_p, (v_p - v_c) / h, g)
+        out[:, d] = np.where(o_m & o_p, 0.0, g)
+    return out
+
+
+def _random_pair(n, seed):
+    """Phases with random node values on the half-cubes x_1 > 0 and x_1 < 0
+    and values below the positivity tolerance elsewhere; on odd time frames
+    both also take the interface nodes x_1 = 0, so the phases overlap there."""
+    grid = SpaceTimeGrid.geometric(n, 1.0, 0.2, ratio=0.8, dt0=0.25)
+    rng = np.random.default_rng(seed)
+    x1 = grid.points()[:, 0].reshape(grid.shape())
+    size = (len(grid.times),) + grid.shape()
+    reach = (np.arange(size[0]) % 2).reshape((-1,) + (1,) * n) * grid.h
+    plus = np.where(x1 > -reach, rng.uniform(0.1, 1.0, size), rng.choice([0.0, 1e-14], size))
+    minus = np.where(x1 < reach, rng.uniform(0.1, 1.0, size), rng.choice([0.0, 1e-14], size))
+    return GridFunction(grid=grid, values=plus), GridFunction(grid=grid, values=minus)
+
+
+def _stencil_probes(n, h, rng):
+    """Random points; points within h of a cube face and just outside it;
+    points on, between and one cell either side of the interface x_1 = 0."""
+    rand = rng.uniform(-1.0, 1.0, (60, n))
+    face = rng.uniform(-1.0, 1.0, (40, n))
+    face[:, 0] = rng.choice([-1.0, 1.0], 40) * (1.0 + rng.uniform(-h, h, 40))
+    face[:20, n - 1] = 1.0 + rng.uniform(0.0, h, 20)   # outside on a second axis
+    face[20:, n - 1] = -1.0 - rng.uniform(0.0, h, 20)
+    near = rng.uniform(-1.0, 1.0, (12, n))
+    near[:, 0] = np.repeat([-h, -0.5 * h, -1e-3 * h, 1e-3 * h, 0.5 * h, h], 2)
+    cells = rng.uniform(-1.0, 1.0, (20, n))
+    cells[:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0], 20) * h + rng.uniform(-0.1, 0.1, 20) * h
+    return np.concatenate([rand, face, near, cells])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shared_corner_stencil_matches_per_direction_reference(n):
+    """value and grad are bit-identical to the per-direction reference stencil,
+    with and without the other phase, at times before the mesh, on its first
+    node, on interior nodes, between nodes and at 0."""
+    gf_p, gf_m = _random_pair(n, seed=n)
+    t = gf_p.grid.times
+    X = _stencil_probes(n, gf_p.grid.h, np.random.default_rng(10 + n))
+    times = [t[0] - 1.0, t[0], t[3], t[4], 0.5 * (t[3] + t[4]), 0.5 * (t[4] + t[5]), 0.0]
+    one_sided = 0
+    for gf, other in ((gf_p, gf_m), (gf_m, gf_p), (gf_p, None)):
+        sampler = GridPhaseSampler(gf, other=other)
+        for s in times:
+            assert np.array_equal(sampler.value(X, s), _ref_value(gf, X, s))
+            g = sampler.grad(X, s)
+            assert np.array_equal(g, _ref_grad(gf, other, X, s))
+            if other is not None:
+                one_sided += int(np.sum(g != _ref_grad(gf, None, X, s)))
+    assert one_sided > 0   # the interface rule was exercised
+
+
 # ---------------------------------------------------------------------------
 # families
 
