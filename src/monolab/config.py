@@ -174,6 +174,8 @@ def _validate(cfg, name):
         raise ConfigError("k range is empty", key="ladder.k_max")
     if 4.0 ** (-cfg.k_min) > cfg.delta_p / 2.0:
         raise ConfigError("4^{-k_min} must not exceed delta_p/2", key="ladder.k_min")
+    if not cfg.checks:
+        raise ConfigError("no checks requested", key="checks")
     unknown = [c for c in cfg.checks if c not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown} (known: {list(ALL_CHECKS)})",
@@ -186,12 +188,17 @@ def _validate(cfg, name):
     if cfg.quad_nodes != 0 and cfg.quad_nodes < 8:
         raise ConfigError("quad.nodes must be >= 8 (0 picks the default)",
                           key="quad.nodes")
+    for key, count in (("quad.slices_per_scale", cfg.quad_slices_per_scale),
+                       ("quad.time_blocks", cfg.quad_time_blocks)):
+        if count < 1:
+            raise ConfigError(f"{key} must be >= 1", key=key)
     if cfg.quad_r_tail < 4.0:
         raise ConfigError("quad.r_tail must be >= 4", key="quad.r_tail")
     if not 0.0 < cfg.grid_q < 1.0:
         raise ConfigError("grid.q must lie in (0, 1)", key="grid.q")
-    if not cfg.grid_h > 0.0:
-        raise ConfigError("grid.h must be positive", key="grid.h")
+    if not cfg.grid_h > 0.0 or round(cfg.delta_p / cfg.grid_h) < 1:
+        raise ConfigError("grid.h must be positive with round(delta_p / h) >= 1",
+                          key="grid.h")
     if not cfg.grid_dt0 > 0.0:
         raise ConfigError("grid.dt0 must be positive", key="grid.dt0")
     if cfg.shape not in _SHAPES:
@@ -205,6 +212,8 @@ def _validate(cfg, name):
         # the curvature series in geometry holds for |K| rho^2 <= 40
         if abs(K) * cfg.delta_p ** 2 > 40.0:
             raise ConfigError("|K| delta_p^2 must not exceed 40", key="manifold.K")
+    if cfg.pair_params.get("n_bumps", 1) < 1:
+        raise ConfigError("pair.n_bumps must be >= 1", key="pair.n_bumps")
     if cfg.manifold_family == "perturbed" and not 0.0 <= cfg.epsilon <= 0.1:
         raise ConfigError("manifold.epsilon must lie in [0, 0.1]",
                           key="manifold.epsilon")

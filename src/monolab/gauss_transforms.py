@@ -168,7 +168,7 @@ class RayTransform:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros_like(X)
         for t, w in zip(self.t_nodes, self.t_weights):
-            g = geometry.metric_fields(self.chart, t * X, 0)["g"]
+            g = geometry.metric_fields(self.chart, t * X)["g"]
             vals, vecs = np.linalg.eigh(g)
             if np.any(vals <= 0):
                 raise DomainError("metric not SPD along a ray")

@@ -42,18 +42,16 @@ _CHI1_TERMS = 40
 
 
 def _chi1_coeffs():
-    js = np.arange(_CHI1_TERMS)
-    # factorial via cumulative product in log space is overkill; direct loop
     coef = np.empty(_CHI1_TERMS)
     fact = 24.0  # (2*0+4)! = 24
     coef[0] = -8.0 / fact
     for j in range(1, _CHI1_TERMS):
         fact *= (2 * j + 3) * (2 * j + 4)
         coef[j] = (-1) ** (j + 1) * 2.0 ** (2 * j + 3) / fact
-    return js, coef
+    return coef
 
 
-_CHI1_J, _CHI1_C = _chi1_coeffs()
+_CHI1_C = _chi1_coeffs()
 
 
 def _chi1(w):
@@ -165,30 +163,16 @@ def _phi_field(chart, Z, order):
     raise ValueError(f"unknown chart family {chart.family!r}")
 
 
-def metric_fields(chart, X, order=0):
-    """Vectorized metric data at points X (m, n) in chart coordinates.
-
-    Returns a dict with ``g`` (m,n,n) and, for order >= 1, ``dg`` (m,k,i,j)
-    with dg[m,k,i,j] = d_k g_ij.  Derivatives include the chain-rule factor of
-    an accumulated rescale.
-    """
+def metric_fields(chart, X):
+    """Vectorized metric at points X (m, n) in chart coordinates, as a dict
+    with ``g`` (m,n,n)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    s = chart.scale
-    Z = s * X
-    n = chart.dim
-    phi, dphi = _phi_field(chart, Z, order)
+    Z = chart.scale * X
+    phi, _ = _phi_field(chart, Z, 0)
     u = np.sum(Z * Z, axis=1)
-    eye = np.eye(n)
+    eye = np.eye(chart.dim)
     T = u[:, None, None] * eye - Z[:, :, None] * Z[:, None, :]
-    out = {"g": eye[None] + phi[:, None, None] * T}
-    if order >= 1:
-        # dT[k,i,j] = 2 z_k d_ij - d_ik z_j - z_i d_jk
-        dT = (2.0 * Z[:, :, None, None] * eye[None, None, :, :]
-              - eye[None, :, :, None] * Z[:, None, None, :]
-              - Z[:, None, :, None] * eye[None, :, None, :])
-        dg = dphi[:, :, None, None] * T[:, None, :, :] + phi[:, None, None, None] * dT
-        out["dg"] = s * dg if s != 1.0 else dg
-    return out
+    return {"g": eye[None] + phi[:, None, None] * T}
 
 
 def inverse_metric_and_density(chart, X):
@@ -235,14 +219,24 @@ def radial_log_density_derivative(chart, X):
 
 def divergence_drift(chart, X):
     """b^j = (1/dens) d_i(dens g^{ij}), the drift vector of the Laplace-Beltrami
-    operator: Delta_g f = g^{ij} d_i d_j f + b^j d_j f."""
+    operator: Delta_g f = g^{ij} d_i d_j f + b^j d_j f.
+
+    Closed form: with z = scale x, u = |z|^2 and lam = 1 + phi u, the metric
+    g = I + phi (u I - z z^T) has g^{-1} = (I + phi z z^T) / lam and
+    dens = lam^((n-1)/2), so with dlam = u dphi + 2 phi z
+    b = scale ((n-1)/2 g^{-1} dlam / lam + d_i g^{ij}),
+    d_i g^{ij} = ((z.dphi + (n+1) phi) z - g^{-1} dlam) / lam.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = metric_fields(chart, X, 1)
-    g_inv = np.linalg.inv(out["g"])
-    dg = out["dg"]
-    dlog = 0.5 * np.einsum("mji,mkij->mk", g_inv, dg)   # d_k log sqrt det g
-    dginv = -np.einsum("mia,mkab,mbj->mkij", g_inv, dg, g_inv)
-    return np.einsum("mij,mi->mj", g_inv, dlog) + np.einsum("mkkj->mj", dginv)
+    n = chart.dim
+    Z = chart.scale * X
+    phi, dphi = _phi_field(chart, Z, 1)
+    u = np.sum(Z * Z, axis=1)
+    lam = (1.0 + phi * u)[:, None]
+    dlam = u[:, None] * dphi + 2.0 * phi[:, None] * Z
+    ginv_dlam = (dlam + (phi * np.sum(Z * dlam, axis=1))[:, None] * Z) / lam
+    div_ginv = ((np.sum(Z * dphi, axis=1) + (n + 1) * phi)[:, None] * Z - ginv_dlam) / lam
+    return chart.scale * ((n - 1) / 2.0 * ginv_dlam / lam + div_ginv)
 
 
 def rescale_chart(chart, r):

@@ -115,6 +115,11 @@ def test_parse_validation_errors():
     ("grid.h = -0.1\n", "grid.h"),
     ("grid.dt0 = 0\n", "grid.dt0"),
     ("quad.levels = 2\n", "quad.levels"),   # deleted key: unknown now
+    ("checks =\n", "checks"),
+    ("quad.slices_per_scale = 0\n", "quad.slices_per_scale"),
+    ("quad.time_blocks = 0\n", "quad.time_blocks"),
+    ("grid.h = 5.0\n", "grid.h"),
+    ("pair.family = NumericPair\npair.n_bumps = 0\n", "pair.n_bumps"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys

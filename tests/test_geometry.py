@@ -12,11 +12,40 @@ def _density(chart, x):
     return float(geo.inverse_metric_and_density(chart, np.asarray(x)[None])[1][0])
 
 
+def _dg(chart, X):
+    """dg[m, k, i, j] = d_k g_ij of g = I + phi (u I - z z^T), z = scale x,
+    assembled from the 4-index product rule: the reference for the
+    closed-form drift and the Christoffels below."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = chart.scale * X
+    eye = np.eye(chart.dim)
+    phi, dphi = geo._phi_field(chart, Z, 1)
+    u = np.sum(Z * Z, axis=1)
+    T = u[:, None, None] * eye - Z[:, :, None] * Z[:, None, :]
+    # dT[k,i,j] = 2 z_k d_ij - d_ik z_j - z_i d_jk
+    dT = (2.0 * Z[:, :, None, None] * eye[None, None, :, :]
+          - eye[None, :, :, None] * Z[:, None, None, :]
+          - Z[:, None, :, None] * eye[None, :, None, :])
+    dg = dphi[:, :, None, None] * T[:, None, :, :] + phi[:, None, None, None] * dT
+    return chart.scale * dg if chart.scale != 1.0 else dg
+
+
+def _einsum_drift(chart, X):
+    """b^j = g^{ij} d_i log sqrt det g + d_i g^{ij} from a numerical inverse
+    and dg: the general-metric route the closed form replaces."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    g_inv = np.linalg.inv(geo.metric_fields(chart, X)["g"])
+    dg = _dg(chart, X)
+    dlog = 0.5 * np.einsum("mji,mkij->mk", g_inv, dg)   # d_k log sqrt det g
+    dginv = -np.einsum("mia,mkab,mbj->mkij", g_inv, dg, g_inv)
+    return np.einsum("mij,mi->mj", g_inv, dlog) + np.einsum("mkkj->mj", dginv)
+
+
 def _christoffel(chart, x):
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij) from dg."""
-    out = geo.metric_fields(chart, np.asarray(x)[None], 1)
-    g_inv = np.linalg.inv(out["g"][0])
-    dg = out["dg"][0]                      # dg[k, i, j] = d_k g_ij
+    x = np.asarray(x)[None]
+    g_inv = np.linalg.inv(geo.metric_fields(chart, x)["g"][0])
+    dg = _dg(chart, x)[0]                  # dg[k, i, j] = d_k g_ij
     lower = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     return 0.5 * np.einsum("kl,lij->kij", g_inv, lower)
 
@@ -98,8 +127,52 @@ def test_christoffel_against_symbolic_oracle(perturbed2):
         for i in range(2):
             for j in range(2):
                 dg_sym[k, i, j] = float(sympy.diff(g[i, j], xs[k]).subs(pt))
-    dg = geo.metric_fields(perturbed2, np.array([[0.25, -0.15]]), 1)["dg"][0]
+    dg = _dg(perturbed2, np.array([[0.25, -0.15]]))[0]
     assert np.abs(dg - dg_sym).max() < 1e-12
+
+
+def _drift_charts():
+    for n in (1, 2, 3):
+        yield geo.euclidean_chart(n)
+        yield geo.constant_curvature_chart(n, 1.0)
+        yield geo.constant_curvature_chart(n, -1.0)
+        for shape in ("const", "radial", "wave"):
+            yield geo.perturbed_chart(n, 0.1, shape)
+
+
+def test_closed_form_drift_matches_einsum_reference():
+    """The closed-form drift equals the numerical-inverse einsum drift on every
+    built-in family, n = 1..3, rescaled by 0.1, at the origin included."""
+    rng = np.random.default_rng(5)
+    for base in _drift_charts():
+        for r in (1.0, 0.1):
+            chart = geo.rescale_chart(base, r)
+            n = chart.dim
+            X = np.vstack([np.zeros(n), rng.uniform(-0.55, 0.55, (200, n)) / r])
+            b = geo.divergence_drift(chart, X)
+            assert b.shape == X.shape
+            assert np.abs(b - _einsum_drift(chart, X)).max() < 1e-14, (chart, r)
+            assert np.all(b[0] == 0.0)
+
+
+def test_drift_against_symbolic_oracle(perturbed2):
+    """b^j = (1/sqrt det g) d_i(sqrt det g g^{ij}) on the perturbed wave chart."""
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    xs = [x1, x2]
+    eps = perturbed2.epsilon
+    q = sympy.cos(1.0 * x1 + 0.7 * x2)   # the wave shape direction in two dimensions
+    u = x1 ** 2 + x2 ** 2
+    g = sympy.Matrix(2, 2, lambda i, j: (sympy.KroneckerDelta(i, j)
+                                         + eps * q * (u * sympy.KroneckerDelta(i, j)
+                                                      - xs[i] * xs[j])))
+    g_inv = g.inv()
+    root = sympy.sqrt(g.det())
+    pt = {x1: 0.25, x2: -0.15}
+    b_sym = [float((sum(sympy.diff(root * g_inv[i, j], xs[i]) for i in range(2))
+                    / root).subs(pt)) for j in range(2)]
+    b = geo.divergence_drift(perturbed2, np.array([[0.25, -0.15]]))[0]
+    assert np.abs(b - b_sym).max() < 1e-12
 
 
 def test_rescale_identity_and_exactness(sphere2):

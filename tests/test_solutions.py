@@ -5,6 +5,7 @@ from monolab import geometry as geo
 from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, make_family,
                                pair_validity_check, rescale_pair, solve_heat,
                                supercaloric_residual_check)
+from monolab.solutions import checks
 from monolab.solutions.grids import GridFunction
 
 
@@ -246,6 +247,93 @@ def test_wedge_weak_form(euclid2):
     rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
     assert rec.weak_min_plus >= -1e-6
     assert rec.weak_min_minus >= -1e-6
+
+
+def _reference_weak_pairing(u_frames, chart, grid):
+    """The per-bump, per-frame weak pairing: for each bump of the battery and
+    each time frame, integrate u (Delta_g psi + d_t psi) + psi against the
+    density, and return the minimum normalized pairing."""
+    n = chart.dim
+    L = grid.half_width
+    T = -float(grid.times[0])
+    pts = grid.points()
+    g_inv, dens = geo.inverse_metric_and_density(chart, pts)
+    drift = geo.divergence_drift(chart, pts)
+    cell = grid.h ** n
+    times = grid.times
+    tw = np.zeros(len(times))
+    tw[1:] += 0.5 * np.diff(times)
+    tw[:-1] += 0.5 * np.diff(times)
+    u_flat = u_frames.reshape(len(times), -1)
+    centers = [np.zeros(n)]
+    for d in range(n):
+        for sgn in (-1.0, 1.0):
+            c = np.zeros(n)
+            c[d] = 0.35 * L * sgn
+            centers.append(c)
+    worst = np.inf
+    for c in centers:
+        for w in (0.3 * L, 0.5 * L):
+            if np.linalg.norm(c) + w >= 0.95 * L:
+                continue
+            D = pts - c
+            base = np.maximum(0.0, 1.0 - np.sum(D * D, axis=1) / w ** 2)
+            psi_x = base ** 3
+            grad = (-6.0 / w ** 2) * base[:, None] ** 2 * D
+            hess = ((24.0 / w ** 4) * base[:, None, None] * (D[:, :, None] * D[:, None, :])
+                    + (-6.0 / w ** 2) * (base ** 2)[:, None, None] * np.eye(n))
+            lap_x = (np.einsum("mij,mij->m", g_inv, hess)
+                     + np.einsum("mj,mj->m", drift, grad))
+            for tc in (-0.65 * T, -0.35 * T):
+                tww = 0.25 * T
+                tau = (times - tc) / tww
+                base_t = np.maximum(0.0, 1.0 - tau ** 2)
+                psi_t = base_t ** 3
+                dpsi_t = -6.0 * tau / tww * base_t ** 2
+                mass = float(np.sum(tw * psi_t) * np.dot(psi_x, dens) * cell)
+                if mass <= 0:
+                    continue
+                total = 0.0
+                for m in range(len(times)):
+                    integrand = (u_flat[m] * (lap_x * psi_t[m] + psi_x * dpsi_t[m])
+                                 + psi_x * psi_t[m])
+                    total += tw[m] * float(np.dot(integrand, dens)) * cell
+                worst = min(worst, total / mass)
+    return worst
+
+
+@pytest.mark.parametrize("case", ["numeric_pair", "sphere_wedge"])
+def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
+    """The stacked battery's two matrix products give the per-bump, per-frame
+    pairing on a grid pair and on a curved chart."""
+    grid = small_grid()
+    if case == "numeric_pair":
+        chart = euclid2
+        pair = make_family("NumericPair", {"seed": 11, "source_depth": 0.5},
+                           chart=chart, grid=grid)
+    else:
+        chart = sphere2
+        pair = make_family("PowerWedge", {"beta": 0.5}, chart=chart)
+    rec = supercaloric_residual_check(pair, chart, grid, tol=1e-8)
+    battery = checks._bump_battery(chart, grid)
+    for phase, weak in ((pair.plus, rec.weak_min_plus),
+                        (pair.minus, rec.weak_min_minus)):
+        u = checks._sample_on_grid(phase, grid)
+        ref = _reference_weak_pairing(u, chart, grid)
+        assert checks._weak_pairings(u, battery) == weak
+        assert weak == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_nan_phase_fails_the_certificate(euclid2):
+    """A NaN in a phase makes its margins NaN, and a NaN margin fails."""
+    grid = small_grid()
+    pair = make_family("TwoPlaneCaloric", {"alpha": 1.0, "beta": 1.0}, chart=euclid2)
+    value = pair.plus.value
+    pair.plus.value = lambda X, s: np.where(np.atleast_2d(X)[:, 1] > 0.5, np.nan,
+                                            value(X, s))
+    rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
+    assert np.isnan(rec.min_plus) and np.isnan(rec.weak_min_plus)
+    assert not rec.passed
 
 
 def test_rescale_pair_preserves_slack(euclid2):
