@@ -168,8 +168,9 @@ def _validate(cfg, name):
         raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r}", key="kernel.kind")
     if not 0 < cfg.delta_p <= 1.0:
         raise ConfigError("delta_p must lie in (0, 1]", key="manifold.delta_p")
-    if cfg.n < 1:
-        raise ConfigError("dimension must be >= 1", key="manifold.n")
+    if not 1 <= cfg.n <= 3:
+        # the annulus rule of the quadrature has polar rules for n <= 3 only
+        raise ConfigError("manifold.n must lie in 1..3", key="manifold.n")
     if cfg.k_max < cfg.k_min:
         raise ConfigError("k range is empty", key="ladder.k_max")
     if 4.0 ** (-cfg.k_min) > cfg.delta_p / 2.0:

@@ -17,9 +17,11 @@ integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
 (`positive`).  Each MonotonicityInput carries one slice table, keyed by
 (integrand kind, sign, s, QuadratureConfig) with the exact float time s, so a
 slice is integrated once per input however many checks, scales or blocks
-reach it.  The values do not depend on the order of evaluation, so a warm
-table returns exactly what a fresh input would compute.  `dataclasses.replace`
-and `rescaled_input` start with an empty table.
+reach it.  The table is filled per request: the time rules ask for a whole
+block of slices, and its misses are integrated in one `slice_integral` call.
+The values depend neither on the order of evaluation nor on the grouping into
+blocks, so a warm table returns exactly what a fresh input would compute.
+`dataclasses.replace` and `rescaled_input` start with an empty table.
 
 All fitted constants are reported, never asserted against the non-constructive
 ones; regression guards are explicit config inputs.
@@ -87,11 +89,10 @@ def _phase(input_, sign):
 
 
 def _grad_sq_sampler(input_, sign):
-    chart, profile = input_.chart, input_.profile
+    profile = input_.profile
     phase = _phase(input_, sign)
 
-    def f(X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
         out = np.zeros(X.shape[0])
         mask = rho < profile.outer
@@ -99,15 +100,14 @@ def _grad_sq_sampler(input_, sign):
             return out
         Xm = X[mask]
         rm = rho[mask]
-        u = np.asarray(phase.value(Xm, s), dtype=float)
-        du = np.asarray(phase.grad(Xm, s), dtype=float)
+        u = np.asarray(phase.value(Xm, s[mask]), dtype=float)
+        du = np.asarray(phase.grad(Xm, s[mask]), dtype=float)
         c = chi_of(profile, rm)
         d1 = dchi_of(profile, rm)
         with np.errstate(invalid="ignore"):
             xhat = np.where(rm[:, None] > 0, Xm / np.where(rm[:, None] > 0, rm[:, None], 1.0), 0.0)
         dw = c[:, None] * du + (u * d1)[:, None] * xhat
-        g_inv, _ = geometry.inverse_metric_and_density(chart, Xm)
-        out[mask] = np.einsum("mi,mij,mj->m", dw, g_inv, dw)
+        out[mask] = np.einsum("mi,mij,mj->m", dw, g_inv[mask], dw)
         return out
 
     return f
@@ -117,13 +117,12 @@ def _w_sq_sampler(input_, sign):
     profile = input_.profile
     phase = _phase(input_, sign)
 
-    def f(X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
         out = np.zeros(X.shape[0])
         mask = rho < profile.outer
         if np.any(mask):
-            u = np.asarray(phase.value(X[mask], s), dtype=float)
+            u = np.asarray(phase.value(X[mask], s[mask]), dtype=float)
             out[mask] = (u * chi_of(profile, rho[mask])) ** 2
         return out
 
@@ -134,13 +133,12 @@ def _positivity_sampler(input_, sign):
     profile = input_.profile
     phase = _phase(input_, sign)
 
-    def f(X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
         out = np.zeros(X.shape[0])
         mask = rho < profile.outer
         if np.any(mask):
-            u = np.asarray(phase.value(X[mask], s), dtype=float)
+            u = np.asarray(phase.value(X[mask], s[mask]), dtype=float)
             out[mask] = (u > 0.0).astype(float)
         return out
 
@@ -155,19 +153,21 @@ _SAMPLERS = {
 
 
 def _slice_at(input_, kind, sign, cfg):
-    """s -> slice integral of one integrand, read through the input's slice
-    table and integrated only on a miss."""
+    """Times s (1-D array) -> slice integrals of one integrand, read through
+    the input's slice table; the misses of one request are integrated in one
+    slice_integral call."""
     table = input_.slice_table
     f = _SAMPLERS[kind](input_, sign)
 
     def slice_at(s):
-        key = (kind, sign, float(s), cfg)
-        value = table.get(key)
-        if value is None:
-            value = quadrature.slice_integral(lambda X: f(X, s), input_.kernel,
-                                              s, cfg, cutoff_zone=input_.zone)
-            table[key] = value
-        return value
+        keys = [(kind, sign, float(t), cfg) for t in s]
+        misses = [key for key in dict.fromkeys(keys) if key not in table]
+        if misses:
+            values = quadrature.slice_integral(
+                f, input_.kernel, np.array([key[2] for key in misses]), cfg,
+                cutoff_zone=input_.zone)
+            table.update(zip(misses, values.tolist()))
+        return np.array([table[key] for key in keys])
 
     return slice_at
 
@@ -190,13 +190,13 @@ def phi(input_, r, cfg=None):
 def boundary_energy(input_, r, sign, cfg=None):
     """Single-slice energy at s = -r^2; dA/dr = 2 r B(r) up to quadrature."""
     cfg = cfg or input_.quad
-    return _slice_at(input_, "grad_sq", sign, cfg)(-r * r)
+    return float(_slice_at(input_, "grad_sq", sign, cfg)(np.array([-r * r]))[0])
 
 
 def slice_mass(input_, s, sign, cfg=None):
     """int w_pm^2(., s) dnu^s."""
     cfg = cfg or input_.quad
-    return _slice_at(input_, "w_sq", sign, cfg)(s)
+    return float(_slice_at(input_, "w_sq", sign, cfg)(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +355,9 @@ def energy_inequality_check(input_, r, cfg=None, n_inf_samples=9):
     for sign in (+1, -1):
         a = phase_energy(input_, r, sign, cfg)
         p = slice_mass(input_, -r * r, sign, cfg)
-        s_samples = -np.geomspace(r * r, 4 * r * r, n_inf_samples)
-        inf_mass = min(slice_mass(input_, s, sign, cfg) for s in s_samples)
-        ann = quadrature.time_range_integral(_slice_at(input_, "w_sq", sign, cfg),
-                                             -4 * r * r, -r * r,
+        masses = _slice_at(input_, "w_sq", sign, cfg)
+        inf_mass = min(masses(-np.geomspace(r * r, 4 * r * r, n_inf_samples)).tolist())
+        ann = quadrature.time_range_integral(masses, -4 * r * r, -r * r,
                                              cfg.slices_per_scale)
         c1 = max(0.0, a - 0.5 * p) / (r ** 4 + r ** 2 * np.sqrt(max(p, 0.0)))
         c2 = a / (r ** 4 + inf_mass)

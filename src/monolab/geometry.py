@@ -54,16 +54,18 @@ def _chi1_coeffs():
 _CHI1_C = _chi1_coeffs()
 
 
-def _chi1(w):
-    """chi1 and its first derivative, vectorized; valid for |w| <~ 40."""
+def _chi1(w, order):
+    """chi1 and, for order >= 1, its first derivative (else None), vectorized;
+    valid for |w| <~ 40."""
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 40.0):
         raise NumericalError("curvature series argument out of range (|K| r^2 too large)")
     v0 = np.zeros_like(w)
-    v1 = np.zeros_like(w)
+    v1 = np.zeros_like(w) if order >= 1 else None
     # Horner from the top coefficient down; v1 accumulates chi1' directly
     for j in range(_CHI1_TERMS - 1, -1, -1):
-        v1 = v1 * w + v0
+        if v1 is not None:
+            v1 = v1 * w + v0
         v0 = v0 * w + _CHI1_C[j]
     return v0, v1
 
@@ -154,7 +156,7 @@ def _phi_field(chart, Z, order):
     if chart.family == "const_curvature":
         K = chart.curvature
         u = np.sum(Z * Z, axis=1)
-        c0, c1 = _chi1(K * u)
+        c0, c1 = _chi1(K * u, order)
         dphi = (2.0 * K * K * c1)[:, None] * Z if order >= 1 else None
         return K * c0, dphi
     if chart.family == "perturbed":

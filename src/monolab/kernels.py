@@ -17,6 +17,7 @@ from .errors import DomainError
 __all__ = [
     "KernelSpec",
     "parametrix_phi0",
+    "gauss_values",
     "kernel_values",
 ]
 
@@ -37,7 +38,9 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {KINDS}")
 
 
-def _gauss_values(n, rho_sq, t):
+def gauss_values(n, rho_sq, t):
+    """Gauss kernel at squared radii rho_sq and time t > 0; the prefactor is
+    one scalar power per t."""
     return (4.0 * np.pi * t) ** (-n / 2.0) * np.exp(-rho_sq / (4.0 * t))
 
 
@@ -47,7 +50,7 @@ def kernel_values(spec, X, t):
         raise ValueError("kernel time must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rho_sq = np.sum(X * X, axis=1)
-    vals = _gauss_values(spec.chart.dim, rho_sq, t)
+    vals = gauss_values(spec.chart.dim, rho_sq, t)
     if spec.kind == "parametrix0":
         dens = geometry.volume_density(spec.chart, X)
         vals = vals * dens ** (-0.5)

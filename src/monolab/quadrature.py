@@ -8,16 +8,27 @@ split by a smooth radial partition of unity: the plateau part goes through the
 scaled rule, the cutoff-annulus part is integrated on a polar rule in physical
 coordinates, where the annulus is fixed.
 
+`slice_integral` evaluates a block of slice times at once: the integrand
+gets one time per point, the inverse metric and density are computed once per
+point and the inverse metric is handed to the integrand, and the annulus
+fields, which do not depend on time, are computed once per (chart, kernel
+kind, zone, config).  Slices of a block share integrand calls, but no call
+gets more points than the larger of the two rules of one slice, so memory per
+call stays that of one slice.
+
 Time integration over (-r^2, 0) uses geometric blocks shrinking toward 0
 (ratio `time_ratio`, `slices_per_scale` trapezoid cells per block) plus a
-rectangle for the final sliver.  The time rules integrate a scalar
-`slice_at(s)`, normally a slice integral or a table lookup of one, so the
-caller decides how often each slice is evaluated.  All reductions run in a
-fixed order, so equal inputs give bit-identical results.
+rectangle for the final sliver.  The time rules hand each block's nodes, and
+the sliver's time, to `slice_at(s)` as one array, normally slice integrals
+or table lookups of them, so the caller decides how often each slice is
+evaluated.  All reductions run in a fixed order, and each slice keeps its
+own dot product, so equal inputs give bit-identical results however the
+slices are grouped.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -133,9 +144,49 @@ def _eta(rho, zone):
     return 1.0 - smoothstep((np.asarray(rho) - a) / (b - a))
 
 
+# kernel -> {(zone, cfg): annulus fields}; an entry lives as long as its kernel
+_ANNULUS_FIELDS = weakref.WeakKeyDictionary()
+
+
+def _annulus_fields(kernel, zone, cfg):
+    """Time-independent fields of the annulus rule: points, weights, g_inv,
+    density, |x|^2, 1 - eta and the parametrix factor density^(-1/2) (None
+    for the Gauss kernel), computed once per (chart, kernel kind, zone, cfg)."""
+    per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
+    fields = per_kernel.get((zone, cfg))
+    if fields is None:
+        a, b = zone
+        P, w = annulus_rule(kernel.chart.dim, float(a), float(b),
+                            cfg.annulus_radial, cfg.annulus_angular)
+        g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
+        rho_sq = np.sum(P * P, axis=1)
+        kernel_factor = dens ** (-0.5) if kernel.kind == "parametrix0" else None
+        fields = (P, w, g_inv, dens, rho_sq, 1.0 - _eta(np.sqrt(rho_sq), zone),
+                  kernel_factor)
+        per_kernel[(zone, cfg)] = fields
+    return fields
+
+
+def _runs(indices, size):
+    """Consecutive runs of at most ``size`` slice indices."""
+    return [indices[i:i + size] for i in range(0, len(indices), size)]
+
+
 def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
-    """Approximate int f(x) K(x, -s) sqrt(det g) dx for a single time s < 0."""
-    if s >= 0:
+    """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
+    of the 1-D array ``s``; returns one value per time.
+
+    The integrand is called as f(X, S, g_inv) with points X (m, n), one time
+    per point S (m,) and the inverse metric g_inv (m, n, n) at X, and returns
+    (m,) values.  Slices of one rule share an integrand call, but no call gets
+    more points than the larger of the main and annulus rules for one slice.
+    Each slice keeps its own fixed-order dot product and scalar Gauss
+    prefactor, so a block gives bit-identical values to one call per slice.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("slice times must be a 1-D array")
+    if np.any(s >= 0):
         raise ValueError("slice time must be negative")
     chart = kernel.chart
     n = chart.dim
@@ -144,29 +195,45 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     if n > 3 and cutoff_zone is not None:
         cutoff_zone = None  # no polar rules beyond n = 3; reduced tolerance
     Y, w = _scaled_rule(n, cfg.nodes, cfg.r_tail)
-    X = c * Y
-    _, dens = geometry.inverse_metric_and_density(chart, X)
-    vals = np.asarray(f(X), dtype=float)
-    if kernel.kind == "parametrix0":
-        vals = vals * dens ** 0.5
-    else:
-        vals = vals * dens
-    if cutoff_zone is not None:
-        rho = c * np.sqrt(np.sum(Y * Y, axis=1))
-        vals = vals * _eta(rho, cutoff_zone)
-    total = float(np.dot(w, vals))
-
+    m = len(w)
+    bound = m
+    ann = []
     if cutoff_zone is not None:
         a, b = cutoff_zone
-        if a * a / (4.0 * t) < 200.0:
-            P, w_ann = annulus_rule(n, float(a), float(b), cfg.annulus_radial,
-                                    cfg.annulus_angular)
-            kv = kernels.kernel_values(kernel, P, t)
-            _, dens_ann = geometry.inverse_metric_and_density(chart, P)
-            rho = np.sqrt(np.sum(P * P, axis=1))
-            vals_ann = np.asarray(f(P), dtype=float) * kv * dens_ann * (1.0 - _eta(rho, cutoff_zone))
-            total += float(np.dot(w_ann, vals_ann))
-    return total
+        radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
+        bound = max(m, len(annulus_rule(n, float(a), float(b), cfg.annulus_radial,
+                                        cfg.annulus_angular)[1]))
+        ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
+    totals = np.zeros(len(s))
+
+    for run in _runs(list(range(len(s))), max(1, bound // m)):
+        X = (c[run, None, None] * Y).reshape(-1, n)
+        g_inv, dens = geometry.inverse_metric_and_density(chart, X)
+        vals = np.asarray(f(X, np.repeat(s[run], m), g_inv), dtype=float)
+        if kernel.kind == "parametrix0":
+            vals = vals * dens ** 0.5
+        else:
+            vals = vals * dens
+        for j, k in enumerate(run):
+            vals_k = vals[j * m:(j + 1) * m]
+            if cutoff_zone is not None:
+                vals_k = vals_k * _eta(c[k] * radius_Y, cutoff_zone)
+            totals[k] = float(np.dot(w, vals_k))
+
+    if ann:
+        P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
+            _annulus_fields(kernel, cutoff_zone, cfg))
+        m_ann = len(w_ann)
+        for run in _runs(ann, max(1, bound // m_ann)):
+            vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(s[run], m_ann),
+                                np.tile(g_inv, (len(run), 1, 1))), dtype=float)
+            for j, k in enumerate(run):
+                kv = kernels.gauss_values(n, rho_sq, float(t[k]))
+                if kernel_factor is not None:
+                    kv = kv * kernel_factor
+                vals_k = vals[j * m_ann:(j + 1) * m_ann] * kv * dens * one_minus_eta
+                totals[k] += float(np.dot(w_ann, vals_k))
+    return totals
 
 
 def _time_nodes(r_sq, cfg):
@@ -183,27 +250,28 @@ def _time_nodes(r_sq, cfg):
 def spacetime_integral(slice_at, r, cfg):
     """int_{-r^2}^0 slice_at(s) ds on the graded time mesh.
 
-    ``slice_at`` maps a slice time s < 0 to a float; deterministic fixed-order
-    sums.  Neighbouring blocks share their boundary time, and r and r/4 share
-    all but four blocks when time_ratio is 1/2.
+    ``slice_at`` maps a 1-D array of slice times s < 0 to one float each and
+    is called once per block with the block's nodes, and once with the
+    sliver's time; deterministic fixed-order sums.  Neighbouring blocks share
+    their boundary time, and r and r/4 share all but four blocks when
+    time_ratio is 1/2.
     """
     blocks, sliver = _time_nodes(r * r, cfg)
     total = 0.0
     for lo, hi in blocks:
         s_nodes = np.linspace(lo, hi, cfg.slices_per_scale + 1)
-        vals = np.array([slice_at(s) for s in s_nodes])
-        total += float(np.trapezoid(vals, s_nodes))
-    total += (-sliver) * slice_at(sliver)
+        total += float(np.trapezoid(slice_at(s_nodes), s_nodes))
+    total += (-sliver) * float(slice_at(np.array([sliver]))[0])
     return total
 
 
 def time_range_integral(slice_at, s_lo, s_hi, cells):
-    """Trapezoid of slice_at(s) over [s_lo, s_hi] with ``cells`` cells, s_hi < 0."""
+    """Trapezoid of slice_at over [s_lo, s_hi] with ``cells`` cells, s_hi < 0;
+    ``slice_at`` gets all the nodes in one call."""
     if not s_lo < s_hi < 0:
         raise ValueError("need s_lo < s_hi < 0")
     s_nodes = np.linspace(s_lo, s_hi, cells + 1)
-    vals = np.array([slice_at(s) for s in s_nodes])
-    return float(np.trapezoid(vals, s_nodes))
+    return float(np.trapezoid(slice_at(s_nodes), s_nodes))
 
 
 def gauss_weighted_integral(f, n, variance, cfg):

@@ -1,6 +1,7 @@
 """Admissible two-phase pairs: analytic families and evolved grid pairs.
 
-Every phase exposes vectorized ``value(X, s)`` and ``grad(X, s)`` samplers.
+Every phase exposes vectorized ``value(X, s)`` and ``grad(X, s)`` samplers;
+s is one time or one time per point.
 Families (direction e defaults to the first axis):
 
 * Null                  (0, 0)

@@ -130,6 +130,22 @@ def _interpolate(values, frames, flat, wgt):
     return out
 
 
+def _by_time(sample, X, s, shape):
+    """sample(X, t) for one time t, applied to each contiguous run of points
+    of equal time when s holds one time per point (a scalar s is one run);
+    each run is a view of X, so memory per call stays that of one run."""
+    if np.ndim(s) == 0:
+        return sample(X, s)
+    s = np.asarray(s)
+    bounds = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), len(s)]
+    if len(bounds) == 2:    # one time for every point
+        return sample(X, s[0])
+    out = np.empty((len(s),) + shape)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        out[a:b] = sample(X[a:b], s[a])
+    return out
+
+
 class GridPhaseSampler:
     """Callable value/gradient samplers backed by a GridFunction.
 
@@ -139,7 +155,8 @@ class GridPhaseSampler:
     one side, a one-sided difference from the clean side is used instead
     (interface stencils are biased).  ``grad`` stacks its 2n+1 stencil points,
     locates their cells once and reads both phases' frames from the shared
-    corners; ``other`` must live on the same grid.
+    corners; ``other`` must live on the same grid.  The time s is a scalar or
+    one time per point, with equal times in contiguous runs.
     """
 
     def __init__(self, gf, other=None):
@@ -170,10 +187,14 @@ class GridPhaseSampler:
         return v, frames, flat, wgt
 
     def value(self, X, s):
-        return self._at(np.atleast_2d(np.asarray(X, dtype=float)), s)[0]
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _by_time(lambda Xr, t: self._at(Xr, t)[0], X, s, ())
 
     def grad(self, X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _by_time(self._grad_at, X, s, (X.shape[1],))
+
+    def _grad_at(self, X, s):
         m, n = X.shape
         h = self.gf.grid.h
         # stencil rows: X, then X + h e_d and X - h e_d for each axis d

@@ -120,6 +120,8 @@ def test_parse_validation_errors():
     ("quad.time_blocks = 0\n", "quad.time_blocks"),
     ("grid.h = 5.0\n", "grid.h"),
     ("pair.family = NumericPair\npair.n_bumps = 0\n", "pair.n_bumps"),
+    ("manifold.n = 4\n", "manifold.n"),    # no polar annulus rule beyond n = 3
+    ("manifold.n = 0\n", "manifold.n"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys

@@ -321,7 +321,7 @@ def slice_calls(monkeypatch):
     original = quad.slice_integral
 
     def counted(f, kernel, s, cfg, cutoff_zone=None):
-        calls.append(s)
+        calls.extend(np.asarray(s).tolist())
         return original(f, kernel, s, cfg, cutoff_zone)
 
     monkeypatch.setattr(quad, "slice_integral", counted)
@@ -376,3 +376,58 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     assert copy.slice_table == {} and copy.slice_table is not inp.slice_table
     assert fn.boundary_energy(copy, 0.25, +1) == 0.0
     assert fn.rescaled_input(inp, 0.25).slice_table == {}
+
+
+# ---------------------------------------------------------------------------
+# block evaluation guards
+
+
+@pytest.mark.parametrize("nodes", [16, 48])
+def test_integrand_calls_stay_within_one_slice_rule(euclid2, monkeypatch, nodes):
+    """No integrand call of a block gets more points than the larger of the
+    main and annulus rules of one slice, yet slices share calls."""
+    cfg = quad.default_config(2, nodes=nodes, slices_per_scale=6, time_blocks=7)
+    inp = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=cfg)
+    sizes = []
+    original = quad.slice_integral
+
+    def sized(f, kernel, s, cfg, cutoff_zone=None):
+        def g(X, S, g_inv):
+            sizes.append(len(X))
+            return f(X, S, g_inv)
+
+        return original(g, kernel, s, cfg, cutoff_zone)
+
+    monkeypatch.setattr(quad, "slice_integral", sized)
+    fn.phase_energy(inp, 0.25, +1)
+    main = len(quad._scaled_rule(2, cfg.nodes, cfg.r_tail)[1])
+    annulus = len(quad.annulus_rule(2, *inp.zone, cfg.annulus_radial,
+                                    cfg.annulus_angular)[1])
+    assert max(sizes) == max(main, annulus)
+    assert len(sizes) < 2 * len(inp.slice_table)
+
+
+def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch):
+    """One phase energy evaluates the metric on no more points than the
+    integrand sees: each main-rule point once, the annulus once per input."""
+    inp = build_input(sphere2, "TwoPlaneCaloric", {}, kind="parametrix0",
+                      cfg=lean_quad2)
+    counts = {"metric": 0, "integrand": 0}
+    metric = geo.inverse_metric_and_density
+    original = quad.slice_integral
+
+    def counted_metric(chart, X):
+        counts["metric"] += len(np.atleast_2d(X))
+        return metric(chart, X)
+
+    def counted(f, kernel, s, cfg, cutoff_zone=None):
+        def g(X, S, g_inv):
+            counts["integrand"] += len(X)
+            return f(X, S, g_inv)
+
+        return original(g, kernel, s, cfg, cutoff_zone)
+
+    monkeypatch.setattr(geo, "inverse_metric_and_density", counted_metric)
+    monkeypatch.setattr(quad, "slice_integral", counted)
+    fn.phase_energy(inp, 0.25, +1)
+    assert 0 < counts["metric"] <= counts["integrand"]

@@ -175,6 +175,13 @@ def test_drift_against_symbolic_oracle(perturbed2):
     assert np.abs(b - b_sym).max() < 1e-12
 
 
+def test_chi1_value_does_not_depend_on_order():
+    w = np.linspace(-40.0, 40.0, 8001)
+    v0, d0 = geo._chi1(w, 0)
+    assert d0 is None
+    assert np.array_equal(v0, geo._chi1(w, 1)[0])
+
+
 def test_rescale_identity_and_exactness(sphere2):
     same = geo.rescale_chart(sphere2, 1.0)
     y = np.array([[0.21, -0.34]])

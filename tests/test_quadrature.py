@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from monolab import cutoff
 from monolab import functional as fn
 from monolab import geometry as geo
 from monolab import kernels as ker
 from monolab import quadrature as quad
+from monolab.solutions import SpaceTimeGrid, make_family
 
 
 @pytest.fixture(scope="module")
@@ -12,18 +14,24 @@ def gauss2(euclid2):
     return ker.KernelSpec("gauss", euclid2)
 
 
-def ones(X):
+def ones(X, *_):
     return np.ones(np.atleast_2d(X).shape[0])
 
 
+def one_slice(f, kernel, s, cfg, cutoff_zone=None):
+    """The slice integral of f(X) at the single time s."""
+    return quad.slice_integral(lambda X, S, g_inv: f(X), kernel, np.array([s]),
+                               cfg, cutoff_zone)[0]
+
+
 def slices(f, kernel, cfg):
-    """slice_at(s) for the time rules: the slice integral of f(., s)."""
-    return lambda s: quad.slice_integral(lambda X: f(X, s), kernel, s, cfg)
+    """slice_at(s) for the time rules: the slice integrals of f(., s)."""
+    return lambda s: quad.slice_integral(lambda X, S, g_inv: f(X, S), kernel, s, cfg)
 
 
 def test_slice_mass(gauss2, quad2):
     for s in (-0.9, -0.3, -0.01):
-        assert quad.slice_integral(ones, gauss2, s, quad2) == pytest.approx(
+        assert one_slice(ones, gauss2, s, quad2) == pytest.approx(
             1.0, abs=1e-6)
 
 
@@ -32,20 +40,19 @@ def test_slice_second_moment():
     spec = ker.KernelSpec("gauss", ch)
     cfg = quad.default_config(1)
     for t in (0.05, 0.3, 0.8):
-        val = quad.slice_integral(lambda X: X[:, 0] ** 2, spec, -t, cfg)
+        val = one_slice(lambda X: X[:, 0] ** 2, spec, -t, cfg)
         assert val == pytest.approx(2.0 * t, rel=1e-5)
 
 
 def test_slice_half_space(gauss2, quad2):
     for s in (-0.5, -0.07):
-        val = quad.slice_integral(lambda X: (X[:, 0] > 0).astype(float),
-                                  gauss2, s, quad2)
+        val = one_slice(lambda X: (X[:, 0] > 0).astype(float), gauss2, s, quad2)
         assert val == pytest.approx(0.5, abs=1e-6)
 
 
 def test_slice_time_validation(gauss2, quad2):
     with pytest.raises(ValueError):
-        quad.slice_integral(ones, gauss2, 0.0, quad2)
+        one_slice(ones, gauss2, 0.0, quad2)
 
 
 def test_spacetime_mass_and_zero(gauss2, quad2):
@@ -73,9 +80,9 @@ def test_linearity_exact(gauss2, quad2):
     f1 = lambda X: np.cos(X[:, 0])
     f2 = lambda X: X[:, 1] ** 2
     a, b = 2.3, -1.7
-    lhs = quad.slice_integral(lambda X: a * f1(X) + b * f2(X), gauss2, -0.15, quad2)
-    rhs = (a * quad.slice_integral(f1, gauss2, -0.15, quad2)
-           + b * quad.slice_integral(f2, gauss2, -0.15, quad2))
+    lhs = one_slice(lambda X: a * f1(X) + b * f2(X), gauss2, -0.15, quad2)
+    rhs = (a * one_slice(f1, gauss2, -0.15, quad2)
+           + b * one_slice(f2, gauss2, -0.15, quad2))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -84,7 +91,7 @@ def test_monotonicity_nonnegative(gauss2, quad2):
     centers = rng.uniform(-0.5, 0.5, size=(5, 2))
     for c in centers:
         f = lambda X: np.maximum(0.0, 0.2 - np.sum((X - c) ** 2, axis=1))
-        assert quad.slice_integral(f, gauss2, -0.2, quad2) >= 0.0
+        assert one_slice(f, gauss2, -0.2, quad2) >= 0.0
 
 
 def test_determinism_bitwise(gauss2):
@@ -127,7 +134,7 @@ def test_high_dimension_supported_slow():
     ch = geo.euclidean_chart(4)
     spec = ker.KernelSpec("gauss", ch)
     cfg = quad.default_config(4)
-    mass = quad.slice_integral(ones, spec, -0.05, cfg, cutoff_zone=(0.25, 0.5))
+    mass = one_slice(ones, spec, -0.05, cfg, cutoff_zone=(0.25, 0.5))
     assert mass == pytest.approx(1.0, abs=1e-4)
 
 
@@ -138,3 +145,76 @@ def test_config_validation():
         quad.QuadratureConfig(nodes=4)
     with pytest.raises(ValueError):
         quad.QuadratureConfig(time_ratio=1.0)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation
+
+# With the zone (0.25, 0.5), slices with a^2/4t < 200 (t > 7.8e-5) have the
+# annulus rule; the last three do not.
+BLOCK_TIMES = -np.array([0.2, 0.05, 0.01, 1e-3, 2e-4, 5e-5, 1e-5, 2e-6])
+
+
+def _per_slice_reference(f, kernel, s, cfg, zone):
+    """One slice time s per call, with its own metric and kernel evaluations
+    on both rules: the per-slice rule a block call must match bit for bit."""
+    chart = kernel.chart
+    n = chart.dim
+    t = -s
+    c = np.sqrt(t)
+    Y, w = quad._scaled_rule(n, cfg.nodes, cfg.r_tail)
+    X = c * Y
+    g_inv, dens = geo.inverse_metric_and_density(chart, X)
+    vals = f(X, np.full(len(X), s), g_inv)
+    vals = vals * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
+    vals = vals * quad._eta(c * np.sqrt(np.sum(Y * Y, axis=1)), zone)
+    total = float(np.dot(w, vals))
+    a, b = zone
+    if a * a / (4.0 * t) < 200.0:
+        P, w_ann = quad.annulus_rule(n, float(a), float(b), cfg.annulus_radial,
+                                     cfg.annulus_angular)
+        kv = ker.kernel_values(kernel, P, t)
+        g_ann, dens_ann = geo.inverse_metric_and_density(chart, P)
+        rho = np.sqrt(np.sum(P * P, axis=1))
+        vals_ann = (f(P, np.full(len(P), s), g_ann) * kv * dens_ann
+                    * (1.0 - quad._eta(rho, zone)))
+        total += float(np.dot(w_ann, vals_ann))
+    return total
+
+
+@pytest.mark.parametrize("family", ["DriftTwoPlane", "NumericPair"])
+@pytest.mark.parametrize("curvature, kind", [(0.0, "gauss"), (1.0, "parametrix0")])
+@pytest.mark.parametrize("nodes", [16, 48])   # 3 main / 3 annulus slices per call
+def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
+    chart = (geo.euclidean_chart(2) if curvature == 0.0
+             else geo.constant_curvature_chart(2, curvature, radius=1.0))
+    grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.8, dt0=0.25)
+    pair = make_family(family, {"seed": 5, "overlap": True}
+                       if family == "NumericPair" else {"c": 0.5},
+                       chart=chart, grid=grid)
+    cfg = quad.default_config(2, nodes=nodes)
+    inp = fn.MonotonicityInput(chart=chart, pair=pair,
+                               profile=cutoff.build_cutoff(chart),
+                               kernel=ker.KernelSpec(kind, chart), quad=cfg)
+    a = inp.zone[0]
+    assert [a * a / (4.0 * -s) < 200.0 for s in BLOCK_TIMES] == [True] * 5 + [False] * 3
+    for integrand in ("grad_sq", "w_sq", "positive"):
+        for sign in (+1, -1):
+            f = fn._SAMPLERS[integrand](inp, sign)
+            block = quad.slice_integral(f, inp.kernel, BLOCK_TIMES, cfg, inp.zone)
+            single = [quad.slice_integral(f, inp.kernel, BLOCK_TIMES[k:k + 1], cfg,
+                                          inp.zone)[0]
+                      for k in range(len(BLOCK_TIMES))]
+            reference = [_per_slice_reference(f, inp.kernel, s, cfg, inp.zone)
+                         for s in BLOCK_TIMES]
+            assert np.array_equal(block, single)
+            assert np.array_equal(block, reference)
+            if integrand == "grad_sq" and sign > 0:
+                assert np.all(block[:5] > 0.0)
+
+
+def test_slice_times_must_be_one_dimensional(gauss2, quad2):
+    with pytest.raises(ValueError):
+        quad.slice_integral(ones, gauss2, -0.1, quad2)
+    with pytest.raises(ValueError):
+        quad.slice_integral(ones, gauss2, np.array([-0.1, 0.0]), quad2)

@@ -185,6 +185,28 @@ def test_shared_corner_stencil_matches_per_direction_reference(n):
     assert one_sided > 0   # the interface rule was exercised
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_per_point_times_match_per_time_calls(n):
+    """value and grad with one time per point (contiguous runs of equal time,
+    as a block of slices stacks them) equal one call per time: before the
+    mesh, on a node (one frame), between nodes, at 0 and past the end."""
+    gf_p, gf_m = _random_pair(n, seed=n)
+    t = gf_p.grid.times
+    X = _stencil_probes(n, gf_p.grid.h, np.random.default_rng(20 + n))
+    times = [t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.5 * (t[4] + t[5]),
+             0.0, 0.5, t[3]]
+    XX = np.tile(X, (len(times), 1))
+    S = np.repeat(times, len(X))
+    for gf, other in ((gf_p, gf_m), (gf_m, gf_p), (gf_p, None)):
+        sampler = GridPhaseSampler(gf, other=other)
+        assert np.array_equal(sampler.value(XX, S),
+                              np.concatenate([sampler.value(X, s) for s in times]))
+        assert np.array_equal(sampler.grad(XX, S),
+                              np.concatenate([sampler.grad(X, s) for s in times]))
+        assert np.array_equal(sampler.value(X, np.full(len(X), t[4])),
+                              sampler.value(X, t[4]))
+
+
 # ---------------------------------------------------------------------------
 # families
 
