@@ -27,7 +27,7 @@ from .cutoff import build_cutoff
 from .errors import ConfigError, NumericalError
 from .report import CheckRecord, ReportDocument, environment_info, write_report
 from .solutions import (SpaceTimeGrid, make_family, pair_validity_check,
-                        supercaloric_residual_check)
+                        sample_pair, supercaloric_residual_check)
 
 __all__ = ["run_scenario", "check_suite", "write_report", "main",
            "shipped_scenario_paths"]
@@ -80,9 +80,11 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
 
     records = []
 
-    validity = pair_validity_check(pair, grid, tol=1e-10 * tol_scale)
+    frames = sample_pair(pair, grid)
+    validity = pair_validity_check(pair, grid, tol=1e-10 * tol_scale,
+                                   frames=frames)
     residual = supercaloric_residual_check(pair, chart, grid,
-                                           tol=1e-8 * tol_scale)
+                                           tol=1e-8 * tol_scale, frames=frames)
     admissible = bool(validity.passed and residual.passed)
     records.append(CheckRecord(
         name="admissibility",

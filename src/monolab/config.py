@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
+from .solutions.families import family_params
 
 __all__ = ["ScenarioConfig", "parse_config", "parse_config_text", "ALL_CHECKS"]
 
@@ -213,8 +214,7 @@ def _validate(cfg, name):
         # the curvature series in geometry holds for |K| rho^2 <= 40
         if abs(K) * cfg.delta_p ** 2 > 40.0:
             raise ConfigError("|K| delta_p^2 must not exceed 40", key="manifold.K")
-    if cfg.pair_params.get("n_bumps", 1) < 1:
-        raise ConfigError("pair.n_bumps must be >= 1", key="pair.n_bumps")
+    family_params(cfg.pair_family, cfg.pair_params)
     if cfg.manifold_family == "perturbed" and not 0.0 <= cfg.epsilon <= 0.1:
         raise ConfigError("manifold.epsilon must lie in [0, 0.1]",
                           key="manifold.epsilon")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported with the package, not on first use)
 
 from . import functional, geometry, kernels, quadrature
 from .cutoff import smoothstep

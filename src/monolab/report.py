@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
+
 __all__ = ["CheckRecord", "ReportDocument", "write_report", "environment_info"]
 
 LADDER_HEADER = ("k,r,A_plus,A_minus,b_plus,b_minus,delta_k,phi,"
@@ -46,27 +48,15 @@ class ReportDocument:
 
 
 def environment_info(workers=1, extra=None):
-    import scipy
-
     info = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "package": _package_version(),
+        "package": __version__,
         "workers": int(workers),
     }
     if extra:
         info.update(extra)
     return info
-
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-
-        return version("monolab")
-    except Exception:
-        return "0.1.0+source"
 
 
 def _num(x):

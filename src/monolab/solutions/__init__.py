@@ -4,6 +4,7 @@ from .solver import solve_heat, assemble_laplacian
 from .checks import (
     ValidityRecord,
     ResidualRecord,
+    sample_pair,
     pair_validity_check,
     supercaloric_residual_check,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "assemble_laplacian",
     "ValidityRecord",
     "ResidualRecord",
+    "sample_pair",
     "pair_validity_check",
     "supercaloric_residual_check",
 ]

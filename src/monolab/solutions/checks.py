@@ -3,12 +3,16 @@
 The weak inequality (Delta_g - d_t) u >= -1 is verified two ways, since no
 single numerical criterion captures "in the weak sense":
 
-* pointwise with slack, via the discrete operator, restricted to nodes whose
-  full stencil avoids the other phase's positivity set (one-sided stencils at
-  the interface are biased); and
+* pointwise with slack, via the discrete operator applied matrix-free from
+  its triplets, restricted to nodes whose full stencil avoids the other
+  phase's positivity set (one-sided stencils at the interface are biased);
+  and
 * pairings against a fixed battery of nonnegative smooth space-time bumps,
   integrating by parts onto the bump.  The battery is built once per grid,
   so each phase's pairings are two matrix products with its sampled frames.
+
+Both checks read the phases sampled on every space-time node; ``sample_pair``
+samples them once, and a caller running both checks passes its frames to each.
 
 u_pm(0, 0) = 0 is NOT enforced; the records carry the origin values as a flag.
 """
@@ -18,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .. import geometry
-from .solver import assemble_laplacian
+from .solver import apply_laplacian, assemble_laplacian
 
 __all__ = [
     "ValidityRecord",
     "ResidualRecord",
+    "sample_pair",
     "pair_validity_check",
     "supercaloric_residual_check",
 ]
@@ -61,10 +65,16 @@ def _sample_on_grid(phase, grid):
     return np.stack(frames)
 
 
-def pair_validity_check(pair, grid, tol=1e-10):
-    """max u_+ u_- <= tol * scale^2 and min u_pm >= -tol * max(1, scale)."""
-    up = _sample_on_grid(pair.plus, grid)
-    um = _sample_on_grid(pair.minus, grid)
+def sample_pair(pair, grid):
+    """(u_+, u_-) on every space-time node, each (len(grid.times), *grid.shape())."""
+    return _sample_on_grid(pair.plus, grid), _sample_on_grid(pair.minus, grid)
+
+
+def pair_validity_check(pair, grid, tol=1e-10, frames=None):
+    """max u_+ u_- <= tol * scale^2 and min u_pm >= -tol * max(1, scale).
+
+    ``frames`` is ``sample_pair(pair, grid)``, sampled here when omitted."""
+    up, um = frames if frames is not None else sample_pair(pair, grid)
     scale = max(float(np.max(np.abs(up))), float(np.max(np.abs(um))), 0.0)
     product_max = float(np.max(up * um))
     min_plus = float(np.min(up))
@@ -134,36 +144,44 @@ def _weak_pairings(u_frames, battery):
     return float(np.min(total[ok] / mass[ok], initial=np.inf))
 
 
-def supercaloric_residual_check(pair, chart, grid, tol=1e-8):
+def _dilate(mask):
+    """Binary dilation of each frame of ``mask`` (frames, *shape) by the full
+    3^n cube, with nothing outside the grid: a max over shifted slices, one
+    spatial axis at a time."""
+    out = mask.copy()
+    for axis in range(1, mask.ndim):
+        src = out.copy()
+        head = [slice(None)] * mask.ndim
+        tail = list(head)
+        head[axis], tail[axis] = slice(None, -1), slice(1, None)
+        out[tuple(tail)] |= src[tuple(head)]
+        out[tuple(head)] |= src[tuple(tail)]
+    return out
+
+
+def supercaloric_residual_check(pair, chart, grid, tol=1e-8, frames=None):
     """Certificate for (Delta_g - d_t) u_pm >= -1.
 
     Pointwise: min over checkable space-time nodes of the discrete residual
     plus one; pass needs min >= -tol - sqrt(h).  Weak form: the minimum
     normalized bump pairing must clear the same threshold.  A NaN margin fails.
+    ``frames`` is ``sample_pair(pair, grid)``, sampled here when omitted.
     """
-    L, act = assemble_laplacian(chart, grid)
+    triplets, act = assemble_laplacian(chart, grid)
     slack = np.sqrt(grid.h)
     battery = _bump_battery(chart, grid)
-    up, um = _sample_on_grid(pair.plus, grid), _sample_on_grid(pair.minus, grid)
-    times = grid.times
+    up, um = frames if frames is not None else sample_pair(pair, grid)
+    dt = np.diff(grid.times)[:, None]
     results = {}
     for sign, u, v in (("plus", up, um), ("minus", um, up)):
         pos_tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-        worst = np.inf
-        checkable_total = 0
-        for m in range(1, len(times)):
-            dt = times[m] - times[m - 1]
-            clean = ~ndi.binary_dilation(v[m] > pos_tol,
-                                         structure=np.ones((3,) * grid.dim, dtype=bool))
-            mask = clean.ravel() & act
-            count = int(np.count_nonzero(mask))
-            if count == 0:
-                continue
-            checkable_total += count
-            lap = L @ u[m].ravel()
-            resid = lap - (u[m].ravel() - u[m - 1].ravel()) / dt + 1.0
-            worst = float(np.minimum(worst, np.min(resid[mask])))   # NaN propagates
-        results[sign] = (worst, _weak_pairings(u, battery), checkable_total)
+        mask = ~_dilate(v[1:] > pos_tol).reshape(len(dt), -1) & act
+        flat = u.reshape(len(u), -1)
+        resid = (apply_laplacian(triplets, flat[1:]) - (flat[1:] - flat[:-1]) / dt
+                 + 1.0)
+        worst = float(np.min(resid[mask], initial=np.inf))   # NaN propagates
+        results[sign] = (worst, _weak_pairings(u, battery),
+                         int(np.count_nonzero(mask)))
 
     wp, wkp, cp = results["plus"]
     wm, wkm, cm = results["minus"]

@@ -19,13 +19,29 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported with the package, not on first use)
 
+from ..errors import ConfigError
 from .grids import GridPhaseSampler
 from .solver import solve_heat
 
-__all__ = ["Phase", "TwoPhasePair", "make_family", "rescale_pair", "FAMILY_NAMES"]
+__all__ = ["Phase", "TwoPhasePair", "make_family", "rescale_pair", "family_params",
+           "FAMILY_NAMES"]
 
 FAMILY_NAMES = ("Null", "TwoPlaneCaloric", "PowerWedge", "DriftTwoPlane", "NumericPair")
+
+# family -> numeric parameter -> (default, admissible, the admissible range)
+_PARAMS = {
+    "TwoPlaneCaloric": {"alpha": (1.0, lambda v: v >= 0.0, ">= 0"),
+                        "beta": (1.0, lambda v: v >= 0.0, ">= 0")},
+    "PowerWedge": {"beta": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]")},
+    "DriftTwoPlane": {"c": (0.5, lambda v: 0.0 <= v <= 0.5,
+                            "in [0, 1/2] (the residual -c (x.e)_pm must stay "
+                            ">= -1 on the chart)")},
+    "NumericPair": {"source_depth": (0.5, lambda v: 0.0 <= v <= 1.0,
+                                     "in [0, 1] (keeps the residual >= -1)"),
+                    "n_bumps": (2, lambda v: v >= 1, ">= 1")},
+}
 
 
 @dataclass(eq=False)
@@ -77,13 +93,24 @@ def _bump(X, center, width):
     return np.maximum(0.0, 1.0 - r2) ** 3
 
 
+def family_params(name, params):
+    """The numeric parameters of family ``name`` from ``params``, defaults
+    filled in; one outside its range raises ConfigError (a ValueError) keyed
+    ``pair.<parameter>``."""
+    out = {}
+    for key, (default, admissible, what) in _PARAMS.get(name, {}).items():
+        value = params.get(key, default)
+        if not admissible(value):
+            raise ConfigError(f"{key} must be {what}", key=f"pair.{key}")
+        out[key] = value
+    return out
+
+
 def _numeric_pair(n, params, chart, grid):
     seed = int(params.get("seed", 0))
     overlap = bool(params.get("overlap", False))
-    depth = float(params.get("source_depth", 0.5))
-    n_bumps = int(params.get("n_bumps", 2))
-    if not 0.0 <= depth <= 1.0:
-        raise ValueError("source_depth must lie in [0, 1] (keeps the residual >= -1)")
+    depth = float(params["source_depth"])
+    n_bumps = int(params["n_bumps"])
     if chart is None or grid is None:
         raise ValueError("NumericPair needs a chart and a SpaceTimeGrid")
     rng = np.random.default_rng(seed)
@@ -134,38 +161,29 @@ def make_family(name, params=None, chart=None, grid=None):
     """Build an admissible two-phase pair; unknown names or bad parameters raise."""
     params = dict(params or {})
     n = chart.dim if chart is not None else int(params.get("dim", 2))
+    values = family_params(name, params)
     if name == "Null":
         return TwoPhasePair(plus=_null_phase(n), minus=_null_phase(n),
                             family=name, params=params)
     if name == "TwoPlaneCaloric":
-        alpha = float(params.get("alpha", 1.0))
-        beta = float(params.get("beta", 1.0))
-        if alpha < 0 or beta < 0:
-            raise ValueError("plane slopes must be nonnegative")
         e = _unit_direction(n, params)
-        return TwoPhasePair(plus=_plane_phase(e, alpha, +1.0),
-                            minus=_plane_phase(e, beta, -1.0),
+        return TwoPhasePair(plus=_plane_phase(e, float(values["alpha"]), +1.0),
+                            minus=_plane_phase(e, float(values["beta"]), -1.0),
                             family=name, params=params)
     if name == "PowerWedge":
-        beta = float(params.get("beta", 0.5))
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("wedge exponent beta must lie in (0, 1]")
         e = _unit_direction(n, params)
-        p = 1.0 + beta
+        p = 1.0 + float(values["beta"])
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, power=p),
                             minus=_plane_phase(e, 1.0, -1.0, power=p),
                             family=name, params=params)
     if name == "DriftTwoPlane":
-        c = float(params.get("c", 0.5))
-        if not 0.0 <= c <= 0.5:
-            raise ValueError("drift coefficient must lie in [0, 1/2] "
-                             "(residual -c (x.e)_pm must stay >= -1 on the chart)")
+        c = float(values["c"])
         e = _unit_direction(n, params)
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=c),
                             minus=_plane_phase(e, 1.0, -1.0, drift=c),
                             family=name, params=params)
     if name == "NumericPair":
-        plus, minus, extra = _numeric_pair(n, params, chart, grid)
+        plus, minus, extra = _numeric_pair(n, {**params, **values}, chart, grid)
         pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params)
         pair.admissibility.update(extra)
         return pair

@@ -120,6 +120,8 @@ def test_parse_validation_errors():
     ("quad.time_blocks = 0\n", "quad.time_blocks"),
     ("grid.h = 5.0\n", "grid.h"),
     ("pair.family = NumericPair\npair.n_bumps = 0\n", "pair.n_bumps"),
+    ("pair.family = TwoPlaneCaloric\npair.alpha = -1\n", "pair.alpha"),
+    ("pair.family = NumericPair\npair.source_depth = -1\n", "pair.source_depth"),
     ("manifold.n = 4\n", "manifold.n"),    # no polar annulus rule beyond n = 3
     ("manifold.n = 0\n", "manifold.n"),
 ])
@@ -348,6 +350,39 @@ def test_python_m_monolab_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "[tiny_null:ladder]" in proc.stdout
     assert (tmp_path / "o" / "tiny_null" / "ladder.csv").exists()
+
+
+def test_each_phase_sampled_once_per_scenario(monkeypatch):
+    """Both admissibility certificates read one sampling of each phase."""
+    from monolab.solutions import checks
+
+    calls = []
+    sample = checks._sample_on_grid
+    monkeypatch.setattr(checks, "_sample_on_grid",
+                        lambda phase, grid: calls.append(phase) or sample(phase, grid))
+    doc = cli.run_scenario(parse_config_text(FAST_NULL + "checks = ladder\n"))
+    assert doc.record("admissibility").passed
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_leaves_scipy_out_and_pins_blas_threads(preset):
+    """``import monolab.cli`` loads no scipy module, and sets
+    OPENBLAS_NUM_THREADS to 1 only when the user has not set it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monolab.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import json, os, sys; import monolab.cli; "
+             "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+             " os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, threads = json.loads(proc.stdout)
+    assert scipy_modules == []
+    assert threads == (preset or "1")
 
 
 def test_shipped_scenarios_present_and_parse():

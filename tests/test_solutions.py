@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from monolab import geometry as geo
-from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, make_family,
-                               pair_validity_check, rescale_pair, solve_heat,
-                               supercaloric_residual_check)
+
+from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplacian,
+                               make_family, pair_validity_check, rescale_pair,
+                               solve_heat, supercaloric_residual_check)
 from monolab.solutions import checks
 from monolab.solutions.grids import GridFunction
 
@@ -346,6 +349,22 @@ def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
         assert weak == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dilation_is_the_full_cube(n):
+    """The separable dilation equals an OR over all 3^n offsets, nothing
+    entering from outside the grid, frame by frame."""
+    rng = np.random.default_rng(40 + n)
+    mask = rng.uniform(size=(3,) + (7,) * n) > 0.85
+    mask[0] = False
+    mask[1].flat[0] = mask[1].flat[-1] = True    # corners reach the faces
+    ref = np.zeros_like(mask)
+    for off in itertools.product((-1, 0, 1), repeat=n):
+        dst = tuple(slice(max(o, 0), 7 + min(o, 0)) for o in off)
+        src = tuple(slice(max(-o, 0), 7 + min(-o, 0)) for o in off)
+        ref[(slice(None),) + dst] |= mask[(slice(None),) + src]
+    np.testing.assert_array_equal(checks._dilate(mask), ref)
+
+
 def test_nan_phase_fails_the_certificate(euclid2):
     """A NaN in a phase makes its margins NaN, and a NaN margin fails."""
     grid = small_grid()
@@ -444,6 +463,61 @@ def test_heat_manufactured_two_level():
                         method="crank_nicolson")
         errs.append(np.abs(gf.values[-1].ravel() - u_star(grid.points(), 0.0)).max())
     assert errs[1] < errs[0] / 3.0
+
+
+def _dense_reference(chart, source, initial, boundary, grid, method, active):
+    """solve_heat's scheme on the full node set: the dense matrix with
+    identity rows on pinned nodes, one np.linalg.solve per step."""
+    (rows, cols, vals), act = assemble_laplacian(chart, grid, active)
+    size = act.size
+    L = np.zeros((size, size))
+    np.add.at(L, (rows, cols), vals)
+    theta = 1.0 if method == "backward_euler" else 0.5
+    pts = grid.points()
+    times = grid.times
+    u = np.asarray(initial(pts), dtype=float).copy()
+    u[~act] = boundary(pts[~act], times[0])
+    frames = [u]
+    for m in range(1, len(times)):
+        dt = times[m] - times[m - 1]
+        A = np.where(act[:, None], np.eye(size) - theta * dt * L, np.eye(size))
+        t_src = times[m] if theta == 1.0 else 0.5 * (times[m] + times[m - 1])
+        rhs = u + (1.0 - theta) * dt * (L @ u)
+        rhs[act] -= dt * source(pts[act], t_src)
+        rhs[~act] = boundary(pts[~act], times[m])
+        u = np.linalg.solve(A, rhs)
+        frames.append(u)
+    return np.stack(frames).reshape((len(times),) + grid.shape())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("method", ["backward_euler", "crank_nicolson"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_block_solver_matches_dense_solve(n, method, masked):
+    """The slab-by-slab sweep equals a dense solve of the whole system, on a
+    curved chart, with pinned faces, a pinned half-space and a hole."""
+    chart = geo.perturbed_chart(n, 0.05)
+    grid = SpaceTimeGrid.geometric(n, 1.0, {1: 0.1, 2: 0.2, 3: 0.4}[n],
+                                   ratio=0.8, dt0=0.3)
+    pts = grid.points()
+    active = None
+    if masked:
+        active = (pts[:, 0] > -0.3) & (np.linalg.norm(pts - 0.4, axis=1) > 0.25)
+
+    def source(X, t):
+        return (1.0 + t) * np.cos(2.0 * X[:, 0]) - 0.5 * np.sum(X, axis=1)
+
+    def initial(X):
+        return np.exp(-np.sum((X - 0.1) ** 2, axis=1))
+
+    def boundary(X, t):
+        return 0.2 * np.sin(X[:, -1] + t) + 0.1
+
+    gf = solve_heat(chart, source, initial, boundary, grid, method=method,
+                    active=active)
+    ref = _dense_reference(chart, source, initial, boundary, grid, method,
+                           np.ones(len(pts), dtype=bool) if active is None else active)
+    np.testing.assert_allclose(gf.values, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_solver_method_validation(euclid2):
