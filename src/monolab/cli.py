@@ -21,13 +21,13 @@ import numpy as np
 
 from . import functional as fn
 from . import gauss_transforms as gt
-from . import geometry, kernels, quadrature
-from .config import ScenarioConfig, parse_config
+from . import kernels
+from .config import parse_config
 from .cutoff import build_cutoff
 from .errors import ConfigError, NumericalError
 from .report import CheckRecord, ReportDocument, environment_info, write_report
-from .solutions import (SpaceTimeGrid, make_family, pair_validity_check,
-                        sample_pair, supercaloric_residual_check)
+from .solutions import (make_family, pair_validity_check, sample_pair,
+                        supercaloric_residual_check)
 
 __all__ = ["run_scenario", "check_suite", "write_report", "main",
            "shipped_scenario_paths"]
@@ -37,28 +37,6 @@ def shipped_scenario_paths():
     """The six shipped scenario configs, sorted by name."""
     base = os.path.join(os.path.dirname(__file__), "scenarios")
     return sorted(glob.glob(os.path.join(base, "*.cfg")))
-
-
-def _build_chart(cfg):
-    if cfg.manifold_family == "euclidean":
-        return geometry.euclidean_chart(cfg.n, cfg.delta_p)
-    if cfg.manifold_family == "const_curvature":
-        return geometry.constant_curvature_chart(cfg.n, cfg.curvature, cfg.delta_p)
-    return geometry.perturbed_chart(cfg.n, cfg.epsilon, cfg.shape, cfg.delta_p)
-
-
-def _build_grid(cfg):
-    return SpaceTimeGrid.geometric(cfg.n, cfg.delta_p, cfg.grid_h,
-                                   ratio=cfg.grid_q, dt0=cfg.grid_dt0)
-
-
-def _quad_config(cfg):
-    base = quadrature.default_config(cfg.n)
-    nodes = cfg.quad_nodes if cfg.quad_nodes else base.nodes
-    return dataclasses.replace(
-        base, r_tail=cfg.quad_r_tail, nodes=nodes,
-        slices_per_scale=cfg.quad_slices_per_scale,
-        time_blocks=cfg.quad_time_blocks)
 
 
 def _ladder_rs(cfg):
@@ -71,11 +49,9 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
     ``workers`` is the suite's worker count, recorded in the environment."""
     tol_scale = (tol_scale if tol_scale is not None else cfg.tol_scale)
     kind = kernel_override or cfg.kernel_kind
-    chart = _build_chart(cfg)
-    qcfg = _quad_config(cfg)
+    chart, grid, qcfg = cfg.chart, cfg.grid, cfg.quad
     profile = build_cutoff(chart)
     kernel = kernels.KernelSpec(kind, chart)
-    grid = _build_grid(cfg)
     pair = make_family(cfg.pair_family, cfg.pair_params, chart=chart, grid=grid)
 
     records = []
@@ -271,14 +247,14 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--tol-scale", type=float, default=None)
-    p_run.add_argument("--kernel", choices=["gauss", "parametrix0"], default=None)
+    p_run.add_argument("--kernel", choices=kernels.KINDS, default=None)
 
     p_suite = sub.add_parser("suite", help="run a glob of scenario configs")
     p_suite.add_argument("--glob", required=True)
     p_suite.add_argument("--out", default=None)
     p_suite.add_argument("--workers", type=int, default=1)
     p_suite.add_argument("--tol-scale", type=float, default=None)
-    p_suite.add_argument("--kernel", choices=["gauss", "parametrix0"], default=None)
+    p_suite.add_argument("--kernel", choices=kernels.KINDS, default=None)
 
     args = parser.parse_args(argv)
     out_root = args.out or _default_out()

@@ -2,16 +2,20 @@
 
 The format is deliberately diff-friendly: one key per line, `#` comments,
 case-sensitive keys, commas for lists.  Unknown keys and malformed values are
-reported with their line number.
+reported with their line number.  Parsing builds the scenario's chart, solver
+grid and quadrature rule through their own constructors, which hold the
+limits on their keys; an error names its key, and the line that sets it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from . import geometry, kernels, quadrature
 from .errors import ConfigError
-from .solutions.families import family_params
+from .solutions.families import family_params, param_types
+from .solutions.grids import SpaceTimeGrid
 
 __all__ = ["ScenarioConfig", "parse_config", "parse_config_text", "ALL_CHECKS"]
 
@@ -20,11 +24,6 @@ ALL_CHECKS = (
     "poincare", "bkp", "bkp_perturbed", "pushforward", "scale_derivative",
     "positivity",
 )
-
-_MANIFOLDS = ("euclidean", "const_curvature", "perturbed")
-_PAIRS = ("Null", "TwoPlaneCaloric", "PowerWedge", "DriftTwoPlane", "NumericPair")
-_KERNELS = ("gauss", "parametrix0")
-_SHAPES = ("const", "radial", "wave")
 
 
 @dataclass
@@ -56,8 +55,18 @@ class ScenarioConfig:
     sd_r: float = 0.0625
     positivity_r: float = 0.0625
     bkp_rs: tuple = (0.2, 0.1, 0.05, 0.025)
-    out_dir: str = ""
     tol_scale: float = 1.0
+    # built from the keys above by parse_config_text
+    chart: geometry.NormalChart | None = None
+    grid: SpaceTimeGrid | None = None
+    quad: quadrature.QuadratureConfig | None = None
+
+
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_bool(raw):
@@ -70,7 +79,7 @@ def _parse_bool(raw):
 
 
 def _parse_float_list(raw):
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _parse_str_list(raw):
@@ -82,42 +91,55 @@ _KEYS = {
     "scenario.id": ("scenario_id", str),
     "manifold.family": ("manifold_family", str),
     "manifold.n": ("n", int),
-    "manifold.delta_p": ("delta_p", float),
-    "manifold.K": ("curvature", float),
-    "manifold.epsilon": ("epsilon", float),
+    "manifold.delta_p": ("delta_p", _parse_float),
+    "manifold.K": ("curvature", _parse_float),
+    "manifold.epsilon": ("epsilon", _parse_float),
     "manifold.shape": ("shape", str),
     "pair.family": ("pair_family", str),
     "kernel.kind": ("kernel_kind", str),
-    "grid.h": ("grid_h", float),
-    "grid.q": ("grid_q", float),
-    "grid.dt0": ("grid_dt0", float),
-    "quad.r_tail": ("quad_r_tail", float),
+    "grid.h": ("grid_h", _parse_float),
+    "grid.q": ("grid_q", _parse_float),
+    "grid.dt0": ("grid_dt0", _parse_float),
+    "quad.r_tail": ("quad_r_tail", _parse_float),
     "quad.nodes": ("quad_nodes", int),
     "quad.slices_per_scale": ("quad_slices_per_scale", int),
     "quad.time_blocks": ("quad_time_blocks", int),
     "ladder.k_min": ("k_min", int),
     "ladder.k_max": ("k_max", int),
-    "ladder.C0": ("c0", float),
-    "ladder.C1": ("c1", float),
+    "ladder.C0": ("c0", _parse_float),
+    "ladder.C1": ("c1", _parse_float),
     "checks": ("checks", _parse_str_list),
-    "thm1.guard": ("thm1_guard", float),
-    "thm2.eps": ("thm2_eps", float),
-    "sd.r": ("sd_r", float),
-    "positivity.r": ("positivity_r", float),
+    "thm1.guard": ("thm1_guard", _parse_float),
+    "thm2.eps": ("thm2_eps", _parse_float),
+    "sd.r": ("sd_r", _parse_float),
+    "positivity.r": ("positivity_r", _parse_float),
     "bkp.rs": ("bkp_rs", _parse_float_list),
-    "output.dir": ("out_dir", str),
-    "tol.scale": ("tol_scale", float),
+    "tol.scale": ("tol_scale", _parse_float),
 }
 
-_PAIR_PARAM_TYPES = {
-    "alpha": float, "beta": float, "c": float, "seed": int,
-    "source_depth": float, "n_bumps": int, "overlap": _parse_bool,
+# pair parameter type (families.param_types) -> its text converter
+_PAIR_PARSERS = {float: _parse_float, int: int, bool: _parse_bool}
+
+# manifold.family -> its chart, through the family's constructor
+_CHARTS = {
+    "euclidean": lambda cfg: geometry.euclidean_chart(cfg.n, cfg.delta_p),
+    "const_curvature": lambda cfg: geometry.constant_curvature_chart(
+        cfg.n, cfg.curvature, cfg.delta_p),
+    "perturbed": lambda cfg: geometry.perturbed_chart(
+        cfg.n, cfg.epsilon, cfg.shape, cfg.delta_p),
 }
+
+
+def _convert(conv, raw, line=None, key=None):
+    try:
+        return conv(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {raw!r}: {exc}", line=line, key=key)
 
 
 def parse_config_text(text, name="<config>"):
     cfg = ScenarioConfig()
-    pair_params = {}
+    lines, pair_text = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,22 +151,25 @@ def parse_config_text(text, name="<config>"):
         raw_val = raw_val.strip()
         if key in _KEYS:
             attr, conv = _KEYS[key]
-            try:
-                setattr(cfg, attr, conv(raw_val))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value {raw_val!r}: {exc}", line=lineno, key=key)
+            setattr(cfg, attr, _convert(conv, raw_val, line=lineno, key=key))
         elif key.startswith("pair."):
-            sub = key[len("pair."):]
-            if sub not in _PAIR_PARAM_TYPES:
-                raise ConfigError("unknown pair parameter", line=lineno, key=key)
-            try:
-                pair_params[sub] = _PAIR_PARAM_TYPES[sub](raw_val)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value {raw_val!r}: {exc}", line=lineno, key=key)
+            pair_text[key[len("pair."):]] = raw_val
         else:
             raise ConfigError("unknown key", line=lineno, key=key)
-    cfg.pair_params = pair_params
-    _validate(cfg, name)
+        lines[key] = lineno
+    try:
+        types = param_types(cfg.pair_family)
+        for sub, raw_val in pair_text.items():
+            if sub not in types:
+                raise ConfigError(f"pair family {cfg.pair_family} reads no "
+                                  f"parameter {sub!r}", key=f"pair.{sub}")
+            cfg.pair_params[sub] = _convert(_PAIR_PARSERS[types[sub]], raw_val,
+                                            key=f"pair.{sub}")
+        _validate(cfg)
+    except ConfigError as exc:
+        if exc.line is None and exc.key in lines:
+            raise ConfigError(exc.message, line=lines[exc.key], key=exc.key) from None
+        raise
     return cfg
 
 
@@ -158,20 +183,26 @@ def parse_config(path):
     return cfg
 
 
-def _validate(cfg, name):
-    if cfg.manifold_family not in _MANIFOLDS:
-        raise ConfigError(f"unknown manifold family {cfg.manifold_family!r} "
-                          f"(known: {_MANIFOLDS})", key="manifold.family")
-    if cfg.pair_family not in _PAIRS:
-        raise ConfigError(f"unknown pair family {cfg.pair_family!r} "
-                          f"(known: {_PAIRS})", key="pair.family")
-    if cfg.kernel_kind not in _KERNELS:
-        raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r}", key="kernel.kind")
-    if not 0 < cfg.delta_p <= 1.0:
-        raise ConfigError("delta_p must lie in (0, 1]", key="manifold.delta_p")
-    if not 1 <= cfg.n <= 3:
+def _validate(cfg):
+    """Check the limits no constructor holds and build the chart, the grid
+    and the quadrature rule, whose constructors hold the rest."""
+    if not cfg.n <= 3:
         # the annulus rule of the quadrature has polar rules for n <= 3 only
         raise ConfigError("manifold.n must lie in 1..3", key="manifold.n")
+    if cfg.manifold_family not in _CHARTS:
+        raise ConfigError(f"unknown manifold family {cfg.manifold_family!r} "
+                          f"(known: {', '.join(_CHARTS)})", key="manifold.family")
+    cfg.chart = _CHARTS[cfg.manifold_family](cfg)
+    cfg.grid = SpaceTimeGrid.geometric(cfg.n, cfg.delta_p, cfg.grid_h,
+                                       ratio=cfg.grid_q, dt0=cfg.grid_dt0)
+    cfg.quad = quadrature.default_config(
+        cfg.n, nodes=cfg.quad_nodes, r_tail=cfg.quad_r_tail,
+        slices_per_scale=cfg.quad_slices_per_scale,
+        time_blocks=cfg.quad_time_blocks)
+    if cfg.kernel_kind not in kernels.KINDS:
+        raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r} "
+                          f"(known: {', '.join(kernels.KINDS)})", key="kernel.kind")
+    family_params(cfg.pair_family, cfg.pair_params)
     if cfg.k_max < cfg.k_min:
         raise ConfigError("k range is empty", key="ladder.k_max")
     if 4.0 ** (-cfg.k_min) > cfg.delta_p / 2.0:
@@ -186,35 +217,3 @@ def _validate(cfg, name):
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
     if cfg.tol_scale <= 0:
         raise ConfigError("tol.scale must be positive", key="tol.scale")
-    # values the quadrature, grid and chart constructors would reject later
-    if cfg.quad_nodes != 0 and cfg.quad_nodes < 8:
-        raise ConfigError("quad.nodes must be >= 8 (0 picks the default)",
-                          key="quad.nodes")
-    for key, count in (("quad.slices_per_scale", cfg.quad_slices_per_scale),
-                       ("quad.time_blocks", cfg.quad_time_blocks)):
-        if count < 1:
-            raise ConfigError(f"{key} must be >= 1", key=key)
-    if cfg.quad_r_tail < 4.0:
-        raise ConfigError("quad.r_tail must be >= 4", key="quad.r_tail")
-    if not 0.0 < cfg.grid_q < 1.0:
-        raise ConfigError("grid.q must lie in (0, 1)", key="grid.q")
-    if not cfg.grid_h > 0.0 or round(cfg.delta_p / cfg.grid_h) < 1:
-        raise ConfigError("grid.h must be positive with round(delta_p / h) >= 1",
-                          key="grid.h")
-    if not cfg.grid_dt0 > 0.0:
-        raise ConfigError("grid.dt0 must be positive", key="grid.dt0")
-    if cfg.shape not in _SHAPES:
-        raise ConfigError(f"unknown perturbation shape {cfg.shape!r} "
-                          f"(known: {_SHAPES})", key="manifold.shape")
-    if cfg.manifold_family == "const_curvature":
-        K = cfg.curvature
-        if K > 0 and cfg.delta_p >= math.pi / math.sqrt(K):
-            raise ConfigError("delta_p must stay below the conjugate radius "
-                              "pi/sqrt(K)", key="manifold.K")
-        # the curvature series in geometry holds for |K| rho^2 <= 40
-        if abs(K) * cfg.delta_p ** 2 > 40.0:
-            raise ConfigError("|K| delta_p^2 must not exceed 40", key="manifold.K")
-    family_params(cfg.pair_family, cfg.pair_params)
-    if cfg.manifold_family == "perturbed" and not 0.0 <= cfg.epsilon <= 0.1:
-        raise ConfigError("manifold.epsilon must lie in [0, 0.1]",
-                          key="manifold.epsilon")

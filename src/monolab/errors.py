@@ -18,9 +18,11 @@ class NumericalError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Scenario configuration is invalid; carries line/key diagnostics."""
+    """Scenario configuration is invalid; carries line/key diagnostics.
+    Constructors raise it with the key they reject; the parser adds the line."""
 
     def __init__(self, message, line=None, key=None):
+        self.message = message
         self.line = line
         self.key = key
         where = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "NormalChart",
@@ -39,6 +39,8 @@ __all__ = [
 # Series coefficients for chi1(w) = ((sin sqrt(w)/sqrt(w))^2 - 1)/w, entire in w.
 # chi1(w) = sum_{j>=0} b_j w^j with b_j = (-1)^{j+1} 2^{2j+3} / (2j+4)!.
 _CHI1_TERMS = 40
+# The range of w on which the series holds.
+_CHI1_RANGE = 40.0
 
 
 def _chi1_coeffs():
@@ -56,9 +58,9 @@ _CHI1_C = _chi1_coeffs()
 
 def _chi1(w, order):
     """chi1 and, for order >= 1, its first derivative (else None), vectorized;
-    valid for |w| <~ 40."""
+    valid for |w| <= _CHI1_RANGE."""
     w = np.asarray(w, dtype=float)
-    if np.any(np.abs(w) > 40.0):
+    if np.any(np.abs(w) > _CHI1_RANGE):
         raise NumericalError("curvature series argument out of range (|K| r^2 too large)")
     v0 = np.zeros_like(w)
     v1 = np.zeros_like(w) if order >= 1 else None
@@ -73,20 +75,24 @@ def _chi1(w, order):
 _PERTURBED_WAVE_DIR = np.array([1.0, 0.7, 0.4, 0.25, 0.15])
 
 
-def _shape_q(shape, n, X):
-    """Scalar field q with its gradient for the perturbed family."""
-    m = X.shape[0]
-    if shape == "const":
-        return np.ones(m), np.zeros((m, n))
-    if shape == "radial":
-        u = np.sum(X * X, axis=1)
-        f = 1.0 / (1.0 + u)
-        return f, -2.0 * X * (f * f)[:, None]
-    if shape == "wave":
-        a = _PERTURBED_WAVE_DIR[:n]
-        phase = X @ a
-        return np.cos(phase), -np.sin(phase)[:, None] * a
-    raise ValueError(f"unknown perturbation shape {shape!r}")
+def _const_q(X):
+    return np.ones(X.shape[0]), np.zeros(X.shape)
+
+
+def _radial_q(X):
+    u = np.sum(X * X, axis=1)
+    f = 1.0 / (1.0 + u)
+    return f, -2.0 * X * (f * f)[:, None]
+
+
+def _wave_q(X):
+    a = _PERTURBED_WAVE_DIR[:X.shape[1]]
+    phase = X @ a
+    return np.cos(phase), -np.sin(phase)[:, None] * a
+
+
+# perturbation shape -> scalar field q(X), |q| <= 1, with its gradient
+_SHAPE_FIELDS = {"const": _const_q, "radial": _radial_q, "wave": _wave_q}
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +124,13 @@ def constant_curvature_chart(n, K, radius=None):
             radius = min(1.0, 0.9 * np.pi / np.sqrt(K))
     _check_new_chart(n, radius)
     if K > 0 and radius >= np.pi / np.sqrt(K):
-        raise ValueError("chart radius exceeds the conjugate radius pi/sqrt(K)")
+        raise ConfigError("chart radius exceeds the conjugate radius pi/sqrt(K)",
+                          key="manifold.K")
+    # grids sample the cube [-radius, radius]^n, whose corners have
+    # |x|^2 = n radius^2
+    if abs(K) * n * radius ** 2 > _CHI1_RANGE:
+        raise ConfigError(f"|K| n radius^2 must not exceed {_CHI1_RANGE:g}, the "
+                          "range of the curvature series", key="manifold.K")
     return NormalChart(dim=n, radius=float(radius), family="const_curvature",
                        curvature=float(K))
 
@@ -126,7 +138,11 @@ def constant_curvature_chart(n, K, radius=None):
 def perturbed_chart(n, eps, shape="wave", radius=1.0):
     _check_new_chart(n, radius)
     if not 0.0 <= eps <= 0.1:
-        raise ValueError("perturbation amplitude must lie in [0, 0.1] (keeps g SPD)")
+        raise ConfigError("perturbation amplitude must lie in [0, 0.1] (keeps g SPD)",
+                          key="manifold.epsilon")
+    if shape not in _SHAPE_FIELDS:
+        raise ConfigError(f"unknown perturbation shape {shape!r} "
+                          f"(known: {', '.join(_SHAPE_FIELDS)})", key="manifold.shape")
     return NormalChart(dim=n, radius=float(radius), family="perturbed",
                        epsilon=float(eps), shape=shape)
 
@@ -135,9 +151,9 @@ def _check_new_chart(n, radius):
     # n = 1 is allowed for flat sanity cases even though curved geometry
     # only makes sense for n >= 2
     if int(n) != n or n < 1:
-        raise ValueError("dimension must be a positive integer")
+        raise ConfigError("dimension must be a positive integer", key="manifold.n")
     if not 0.0 < radius <= 1.0:
-        raise ValueError("chart radius must lie in (0, 1]")
+        raise ConfigError("chart radius must lie in (0, 1]", key="manifold.delta_p")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +176,7 @@ def _phi_field(chart, Z, order):
         dphi = (2.0 * K * K * c1)[:, None] * Z if order >= 1 else None
         return K * c0, dphi
     if chart.family == "perturbed":
-        q, dq = _shape_q(chart.shape, n, Z)
+        q, dq = _SHAPE_FIELDS[chart.shape](Z)
         return chart.epsilon * q, (chart.epsilon * dq if order >= 1 else None)
     raise ValueError(f"unknown chart family {chart.family!r}")
 

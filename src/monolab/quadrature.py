@@ -29,13 +29,14 @@ slices are grouped.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import geometry, kernels
 from .cutoff import smoothstep
+from .errors import ConfigError
 
 __all__ = [
     "QuadratureConfig",
@@ -62,19 +63,36 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.r_tail < 4.0:
-            raise ValueError("r_tail must be >= 4")
+            raise ConfigError("r_tail must be >= 4", key="quad.r_tail")
         if self.nodes < 8:
-            raise ValueError("need at least 8 nodes per axis")
+            raise ConfigError("need at least 8 nodes per axis", key="quad.nodes")
+        for name, count in (("slices_per_scale", self.slices_per_scale),
+                            ("time_blocks", self.time_blocks)):
+            if count < 1:
+                raise ConfigError(f"{name} must be >= 1", key=f"quad.{name}")
         if not 0.0 < self.time_ratio < 1.0:
             raise ValueError("time grading ratio must lie in (0, 1)")
 
 
 _DEFAULT_NODES = {1: 128, 2: 64, 3: 24}
 
+# Points of the scaled rule per slice.  An integrand call gets up to one
+# slice's points, at about 330 bytes each (measured at n = 2, 256 nodes), so
+# 2^18 points keep a call under 100 MB; the defaults use at most 24^3 = 13824.
+_MAX_SLICE_POINTS = 2 ** 18
 
-def default_config(n, **overrides):
-    cfg = QuadratureConfig(nodes=_DEFAULT_NODES.get(n, 16))
-    return replace(cfg, **overrides) if overrides else cfg
+
+def default_config(n, nodes=0, **overrides):
+    """The rule for dimension n; nodes = 0 picks the per-dimension default.
+    A rule with more than _MAX_SLICE_POINTS points per slice raises
+    ConfigError keyed ``quad.nodes``, before any rule array exists."""
+    cfg = QuadratureConfig(nodes=nodes or _DEFAULT_NODES.get(n, 16), **overrides)
+    points = (cfg.nodes + cfg.nodes % 2) ** n
+    if points > _MAX_SLICE_POINTS:
+        raise ConfigError(f"{cfg.nodes} nodes per axis make {points} points per "
+                          f"slice, over the budget of {_MAX_SLICE_POINTS}",
+                          key="quad.nodes")
+    return cfg
 
 
 @lru_cache(maxsize=64)

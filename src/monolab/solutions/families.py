@@ -26,22 +26,26 @@ from .grids import GridPhaseSampler
 from .solver import solve_heat
 
 __all__ = ["Phase", "TwoPhasePair", "make_family", "rescale_pair", "family_params",
-           "FAMILY_NAMES"]
+           "param_types", "FAMILY_NAMES"]
 
-FAMILY_NAMES = ("Null", "TwoPlaneCaloric", "PowerWedge", "DriftTwoPlane", "NumericPair")
-
-# family -> numeric parameter -> (default, admissible, the admissible range)
+# family -> parameter it reads -> (type, default, admissible, the admissible
+# range); admissible None takes every value of the type
 _PARAMS = {
-    "TwoPlaneCaloric": {"alpha": (1.0, lambda v: v >= 0.0, ">= 0"),
-                        "beta": (1.0, lambda v: v >= 0.0, ">= 0")},
-    "PowerWedge": {"beta": (0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]")},
-    "DriftTwoPlane": {"c": (0.5, lambda v: 0.0 <= v <= 0.5,
+    "Null": {},
+    "TwoPlaneCaloric": {"alpha": (float, 1.0, lambda v: v >= 0.0, ">= 0"),
+                        "beta": (float, 1.0, lambda v: v >= 0.0, ">= 0")},
+    "PowerWedge": {"beta": (float, 0.5, lambda v: 0.0 < v <= 1.0, "in (0, 1]")},
+    "DriftTwoPlane": {"c": (float, 0.5, lambda v: 0.0 <= v <= 0.5,
                             "in [0, 1/2] (the residual -c (x.e)_pm must stay "
                             ">= -1 on the chart)")},
-    "NumericPair": {"source_depth": (0.5, lambda v: 0.0 <= v <= 1.0,
+    "NumericPair": {"seed": (int, 0, None, ""),
+                    "overlap": (bool, False, None, ""),    # negative control
+                    "source_depth": (float, 0.5, lambda v: 0.0 <= v <= 1.0,
                                      "in [0, 1] (keeps the residual >= -1)"),
-                    "n_bumps": (2, lambda v: v >= 1, ">= 1")},
+                    "n_bumps": (int, 2, lambda v: v >= 1, ">= 1")},
 }
+
+FAMILY_NAMES = tuple(_PARAMS)
 
 
 @dataclass(eq=False)
@@ -93,24 +97,32 @@ def _bump(X, center, width):
     return np.maximum(0.0, 1.0 - r2) ** 3
 
 
+def param_types(name):
+    """Parameter -> type of each parameter family ``name`` reads; an unknown
+    family raises ConfigError (a ValueError) keyed ``pair.family``."""
+    if name not in _PARAMS:
+        raise ConfigError(f"unknown two-phase family {name!r} (known: "
+                          f"{', '.join(FAMILY_NAMES)})", key="pair.family")
+    return {key: spec[0] for key, spec in _PARAMS[name].items()}
+
+
 def family_params(name, params):
-    """The numeric parameters of family ``name`` from ``params``, defaults
-    filled in; one outside its range raises ConfigError (a ValueError) keyed
-    ``pair.<parameter>``."""
+    """The parameters family ``name`` reads from ``params``, as their types,
+    defaults filled in; an unknown family or a value outside its range raises
+    ConfigError keyed ``pair.family`` or ``pair.<parameter>``."""
+    param_types(name)
     out = {}
-    for key, (default, admissible, what) in _PARAMS.get(name, {}).items():
-        value = params.get(key, default)
-        if not admissible(value):
+    for key, (kind, default, admissible, what) in _PARAMS[name].items():
+        value = kind(params.get(key, default))
+        if admissible is not None and not admissible(value):
             raise ConfigError(f"{key} must be {what}", key=f"pair.{key}")
         out[key] = value
     return out
 
 
-def _numeric_pair(n, params, chart, grid):
-    seed = int(params.get("seed", 0))
-    overlap = bool(params.get("overlap", False))
-    depth = float(params["source_depth"])
-    n_bumps = int(params["n_bumps"])
+def _numeric_pair(n, values, chart, grid):
+    seed, overlap = values["seed"], values["overlap"]
+    depth, n_bumps = values["source_depth"], values["n_bumps"]
     if chart is None or grid is None:
         raise ValueError("NumericPair needs a chart and a SpaceTimeGrid")
     rng = np.random.default_rng(seed)
@@ -158,7 +170,8 @@ def _numeric_pair(n, params, chart, grid):
 
 
 def make_family(name, params=None, chart=None, grid=None):
-    """Build an admissible two-phase pair; unknown names or bad parameters raise."""
+    """Build an admissible two-phase pair; unknown names or bad parameters
+    raise ConfigError (a ValueError)."""
     params = dict(params or {})
     n = chart.dim if chart is not None else int(params.get("dim", 2))
     values = family_params(name, params)
@@ -167,27 +180,24 @@ def make_family(name, params=None, chart=None, grid=None):
                             family=name, params=params)
     if name == "TwoPlaneCaloric":
         e = _unit_direction(n, params)
-        return TwoPhasePair(plus=_plane_phase(e, float(values["alpha"]), +1.0),
-                            minus=_plane_phase(e, float(values["beta"]), -1.0),
+        return TwoPhasePair(plus=_plane_phase(e, values["alpha"], +1.0),
+                            minus=_plane_phase(e, values["beta"], -1.0),
                             family=name, params=params)
     if name == "PowerWedge":
         e = _unit_direction(n, params)
-        p = 1.0 + float(values["beta"])
+        p = 1.0 + values["beta"]
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, power=p),
                             minus=_plane_phase(e, 1.0, -1.0, power=p),
                             family=name, params=params)
     if name == "DriftTwoPlane":
-        c = float(values["c"])
         e = _unit_direction(n, params)
-        return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=c),
-                            minus=_plane_phase(e, 1.0, -1.0, drift=c),
+        return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=values["c"]),
+                            minus=_plane_phase(e, 1.0, -1.0, drift=values["c"]),
                             family=name, params=params)
-    if name == "NumericPair":
-        plus, minus, extra = _numeric_pair(n, {**params, **values}, chart, grid)
-        pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params)
-        pair.admissibility.update(extra)
-        return pair
-    raise ValueError(f"unknown two-phase family {name!r}; known: {FAMILY_NAMES}")
+    plus, minus, extra = _numeric_pair(n, values, chart, grid)   # NumericPair
+    pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params)
+    pair.admissibility.update(extra)
+    return pair
 
 
 def rescale_pair(pair, r):

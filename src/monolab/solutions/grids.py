@@ -16,7 +16,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
+
 __all__ = ["SpaceTimeGrid", "GridFunction", "GridPhaseSampler"]
+
+
+# Values per array of a grid-backed solve, with nodes the grid's nodes: a
+# field holds nodes x frames, and each dense slab block set of the heat
+# solver (solver._slab_blocks) about nodes x (nodes per slab).  2^22 keeps
+# either near 32 MB and admits the largest grid in use, acceptance 7's
+# (141^2 nodes, 49 frames, 141 nodes per slab: 2.8 M).
+_MAX_GRID_VALUES = 2 ** 22
+
+
+def _axis_nodes(half_width, h):
+    """Nodes per axis of a step h on [-L, L]."""
+    if not h > 0.0 or round(half_width / h) < 1:
+        raise ConfigError("the step h must be positive with round(L / h) >= 1 "
+                          "on [-L, L]", key="grid.h")
+    return 2 * int(round(half_width / h)) + 1
+
+
+def _check_size(dim, n_axis, frames):
+    """Raise before any array of a grid of this shape exists, if one of its
+    arrays would pass _MAX_GRID_VALUES."""
+    nodes = n_axis ** dim
+    values = nodes * max(frames, nodes // n_axis)
+    if values > _MAX_GRID_VALUES:
+        raise ConfigError(f"{n_axis}^{dim} nodes with {frames} time frames need "
+                          f"{values} values per array, over the budget of "
+                          f"{_MAX_GRID_VALUES}", key="grid.h")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,28 +74,32 @@ class SpaceTimeGrid:
         Requires dt0 > T (1 - ratio) so the geometric sum reaches 0.
         """
         if not 0.0 < ratio < 1.0:
-            raise ValueError("grading ratio must lie in (0, 1)")
+            raise ConfigError("grading ratio must lie in (0, 1)", key="grid.q")
         T = half_width ** 2 if depth is None else float(depth)
         if dt0 <= T * (1.0 - ratio):
-            raise ValueError("coarsest step too small: geometric steps never reach 0")
+            raise ConfigError(f"coarsest step must exceed T (1 - ratio) = "
+                              f"{T * (1.0 - ratio):g}: geometric steps never reach 0",
+                              key="grid.dt0")
+        n_nodes = _axis_nodes(half_width, h)
         times = [-T]
         step = float(dt0)
         floor = 1e-9 * T
         while True:
+            _check_size(dim, n_nodes, len(times) + 1)
             nxt = times[-1] + step
             if nxt > -max(step * ratio * 0.5, floor):
                 break
             times.append(nxt)
             step *= ratio
         times.append(0.0)
-        n_nodes = 2 * int(round(half_width / h)) + 1
         h_eff = 2.0 * half_width / (n_nodes - 1)
         return cls(dim=dim, half_width=float(half_width), h=h_eff,
                    times=np.array(times), ratio=float(ratio))
 
     @classmethod
     def from_times(cls, dim, half_width, h, times):
-        n_nodes = 2 * int(round(half_width / h)) + 1
+        n_nodes = _axis_nodes(half_width, h)
+        _check_size(dim, n_nodes, len(times))
         h_eff = 2.0 * half_width / (n_nodes - 1)
         return cls(dim=dim, half_width=float(half_width), h=h_eff,
                    times=np.asarray(times, dtype=float))

@@ -124,18 +124,60 @@ def test_parse_validation_errors():
     ("pair.family = NumericPair\npair.source_depth = -1\n", "pair.source_depth"),
     ("manifold.n = 4\n", "manifold.n"),    # no polar annulus rule beyond n = 3
     ("manifold.n = 0\n", "manifold.n"),
+    ("grid.dt0 = 0.15\n", "grid.dt0"),     # = delta_p^2 (1 - q): never reaches 0
+    # |K| delta_p^2 = 21, but the grid cube's corners have |K| |x|^2 = 42
+    ("manifold.family = const_curvature\nmanifold.K = -21\n", "manifold.K"),
+    ("output.dir = x\n", "output.dir"),    # deleted key: unknown now
+    ("pair.family = PowerWedge\npair.alpha = 2\n", "pair.alpha"),  # not read
+    ("quad.r_tail = inf\n", "quad.r_tail"),
+    ("tol.scale = nan\n", "tol.scale"),
+    ("grid.h = 0.0001\n", "grid.h"),        # size budget: 20001^2 nodes
+    ("quad.nodes = 100000\n", "quad.nodes"),  # size budget: 10^10 points a slice
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
-    that no longer exist, are config errors naming their key, not
-    tracebacks."""
+    that no longer exist, are config errors naming their key and the line
+    that sets it, not tracebacks.  Each is caught by the parser, before any
+    array of the scenario exists."""
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert err.value.key == key
+    setters = [i for i, line in enumerate(text.splitlines(), start=1)
+               if line.partition("=")[0].strip() == key]
+    assert err.value.line == setters[-1]
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST_NULL + text)
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def test_parse_builds_chart_grid_and_rule():
+    cfg = parse_config_text(FAST_CALORIC)
+    assert (cfg.chart.family, cfg.chart.dim, cfg.chart.radius) == ("euclidean", 2, 1.0)
+    assert (cfg.grid.h, cfg.grid.ratio) == (0.25, 0.85)
+    assert (cfg.quad.nodes, cfg.quad.slices_per_scale, cfg.quad.time_blocks) == (32, 10, 10)
+    assert parse_config_text("manifold.n = 3\nquad.nodes = 0\n").quad.nodes == 24
+
+
+def test_readme_lists_every_config_key():
+    """The README's key table and the parser know the same keys."""
+    from monolab import config
+    from monolab.solutions.families import FAMILY_NAMES, param_types
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Scenario configs", 1)[1]
+    table = next(block for block in section.split("\n\n")
+                 if block.startswith("| key |"))
+    documented = set()
+    for row in table.splitlines()[2:]:
+        first = row.split("|")[1]
+        documented.update(first.replace("`", "").replace("/", ",").split(","))
+    documented = {key.strip() for key in documented}
+    parsed = set(config._KEYS) | {f"pair.{p}" for family in FAMILY_NAMES
+                                  for p in param_types(family)}
+    assert documented == parsed
 
 
 def test_all_checks_known():

@@ -235,3 +235,15 @@ def test_factory_validation():
         geo.perturbed_chart(2, eps=0.5)
     with pytest.raises(ValueError):
         geo.constant_curvature_chart(2, K=12.0, radius=1.0)
+    with pytest.raises(ValueError):
+        geo.perturbed_chart(2, eps=0.05, shape="zigzag")
+
+
+def test_curvature_range_holds_on_the_grid_cube():
+    """|K| n radius^2 <= 40 keeps the curvature series valid at the corners
+    of the cube [-radius, radius]^n that grids sample."""
+    chart = geo.constant_curvature_chart(3, K=-13.0, radius=1.0)     # 39
+    corner = np.ones((1, 3))
+    assert np.isfinite(geo.inverse_metric_and_density(chart, corner)[1]).all()
+    with pytest.raises(ValueError):
+        geo.constant_curvature_chart(3, K=-14.0, radius=1.0)        # 42

@@ -145,6 +145,19 @@ def test_config_validation():
         quad.QuadratureConfig(nodes=4)
     with pytest.raises(ValueError):
         quad.QuadratureConfig(time_ratio=1.0)
+    for count in ("slices_per_scale", "time_blocks"):
+        with pytest.raises(ValueError):
+            quad.QuadratureConfig(**{count: 0})
+
+
+def test_points_per_slice_budget():
+    """The budget is checked from the node count; no rule is built here."""
+    assert quad.default_config(2, nodes=512).nodes == 512       # 2^18 points
+    assert quad.default_config(3).nodes == 24
+    with pytest.raises(ValueError):
+        quad.default_config(2, nodes=513)                       # 514^2 points
+    with pytest.raises(ValueError):
+        quad.default_config(3, nodes=66)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,23 @@ def test_from_times_validation():
         SpaceTimeGrid.from_times(2, 1.0, 0.1, [-1.0, -0.5, -0.1])  # no 0
     with pytest.raises(ValueError):
         SpaceTimeGrid.from_times(2, 1.0, 0.1, [-1.0, -1.0, 0.0])
+    with pytest.raises(ValueError):
+        SpaceTimeGrid.from_times(2, 1.0, 0.0, [-1.0, 0.0])
+
+
+def test_grid_size_budget():
+    """Checked from the shapes; the grids here build no node array."""
+    times = np.linspace(-1.0, 0.0, 49)
+    # acceptance 7: 141^2 nodes x max(49 frames, 141 per slab)
+    assert SpaceTimeGrid.from_times(2, 0.525, 0.0075, times).n_axis == 141
+    # 3-D h = 0.1: 21^3 nodes x 441 per slab
+    assert SpaceTimeGrid.geometric(3, 1.0, 0.1, ratio=0.85, dt0=0.2).n_axis == 21
+    with pytest.raises(ValueError):   # 1001 nodes: dense slab blocks of 1001^3
+        SpaceTimeGrid.geometric(2, 1.0, 0.002, ratio=0.85, dt0=2.0)
+    with pytest.raises(ValueError):   # 101^2 nodes x 500 frames
+        SpaceTimeGrid.from_times(2, 1.0, 0.02, np.linspace(-1.0, 0.0, 500))
+    with pytest.raises(ValueError):   # frames beyond the budget: stops early
+        SpaceTimeGrid.geometric(1, 1.0, 0.1, ratio=1.0 - 1e-9, dt0=1.001e-9)
 
 
 def test_grid_function_shape_guard():
