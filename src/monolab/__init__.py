@@ -9,9 +9,9 @@ Gauss measure and the Gaussian inequalities), config/report/cli (scenario
 runner).
 
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set: every matrix monolab factors is small, parallelism spans scenarios, and
-an idle OpenBLAS worker thread spins on a CPU after numpy is imported.  It
-must happen before numpy's first import to take effect.
+set: every matrix monolab factors is small, and an idle OpenBLAS worker
+thread spins on a CPU after numpy is imported.  It must happen before numpy's
+first import to take effect.
 """
 
 import os

@@ -4,8 +4,8 @@ requested checks, write reports, return machine-readable pass/fail.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 configuration / unusable arguments.  A check that raises a ValueError or
 NumericalError is recorded as failed with the error and the scenario goes on.
-Worker parallelism spans scenarios; each scenario computes serially in a
-fixed order, so its artifacts are byte-identical for any worker count.
+Every setting comes from the config; the suite runs its scenarios one after
+another in the calling thread.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import dataclasses
 import glob
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,6 +31,11 @@ from .solutions import (make_family, pair_validity_check, sample_pair,
 __all__ = ["run_scenario", "check_suite", "write_report", "main",
            "shipped_scenario_paths"]
 
+# column headers of the ladder.csv and phi_curve.csv artifacts
+LADDER_HEADER = ("k,r,A_plus,A_minus,b_plus,b_minus,delta_k,phi,"
+                 "prop1_ratio,prop1_pass,prop2_active,prop2_ratio")
+PHI_CURVE_HEADER = "r,phi,A_plus,A_minus,err_est"
+
 
 def shipped_scenario_paths():
     """The six shipped scenario configs, sorted by name."""
@@ -43,24 +47,28 @@ def _ladder_rs(cfg):
     return [4.0 ** (-k) for k in range(cfg.k_min, cfg.k_max + 1)]
 
 
-def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
-    """Execute every requested check; failures are recorded, never fatal.
+def _table(rows, header, csv=False):
+    """A CheckRecord table: the columns of the comma-separated ``header``,
+    the cells of ``rows`` (dicts keyed by the lower-cased column names), and
+    whether a .csv is written beside the .dat."""
+    columns = header.split(",")
+    return columns, [tuple(row[col.lower()] for col in columns) for row in rows], csv
 
-    ``workers`` is the suite's worker count, recorded in the environment."""
-    tol_scale = (tol_scale if tol_scale is not None else cfg.tol_scale)
-    kind = kernel_override or cfg.kernel_kind
-    chart, grid, qcfg = cfg.chart, cfg.grid, cfg.quad
+
+def run_scenario(cfg):
+    """Execute every requested check; failures are recorded, never fatal."""
+    chart, grid = cfg.chart, cfg.grid
     profile = build_cutoff(chart)
-    kernel = kernels.KernelSpec(kind, chart)
+    kernel = kernels.KernelSpec(cfg.kernel_kind, chart)
     pair = make_family(cfg.pair_family, cfg.pair_params, chart=chart, grid=grid)
 
     records = []
 
     frames = sample_pair(pair, grid)
-    validity = pair_validity_check(pair, grid, tol=1e-10 * tol_scale,
+    validity = pair_validity_check(pair, grid, tol=1e-10 * cfg.tol_scale,
                                    frames=frames)
     residual = supercaloric_residual_check(pair, chart, grid,
-                                           tol=1e-8 * tol_scale, frames=frames)
+                                           tol=1e-8 * cfg.tol_scale, frames=frames)
     admissible = bool(validity.passed and residual.passed)
     records.append(CheckRecord(
         name="admissibility",
@@ -69,10 +77,10 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
 
     if admissible:
         inp = fn.MonotonicityInput(chart=chart, pair=pair, profile=profile,
-                                   kernel=kernel, quad=qcfg)
+                                   kernel=kernel, quad=cfg.quad)
         for check in cfg.checks:
             try:
-                rec = _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale)
+                rec = _run_check(check, cfg, inp)
             except ConfigError:
                 raise
             except (ValueError, NumericalError) as exc:
@@ -88,8 +96,8 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
     doc = ReportDocument(
         scenario_id=cfg.scenario_id,
         records=records,
-        environment=environment_info(workers=workers, extra={
-            "kernel": kind,
+        environment=environment_info(extra={
+            "kernel": cfg.kernel_kind,
             "pair": cfg.pair_family,
             "manifold": cfg.manifold_family,
             # check constants depend on the cutoff profile; record its bounds
@@ -100,8 +108,9 @@ def run_scenario(cfg, kernel_override=None, tol_scale=None, workers=1):
     return doc
 
 
-def _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale):
+def _run_check(check, cfg, inp):
     rs = _ladder_rs(cfg)
+    chart, qcfg, tol_scale = cfg.chart, cfg.quad, cfg.tol_scale
     if check in ("ladder", "prop1", "prop2"):
         # repeated ladders are slice-table lookups on inp
         lad = fn.dyadic_ladder(inp, cfg.k_min, cfg.k_max, cfg.c0, cfg.c1)
@@ -118,11 +127,14 @@ def _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale):
             rough = fn.phi(inp, r, cfg=coarse)
             rows.append({"r": r, "phi": value, "a_plus": a_p, "a_minus": a_m,
                          "err_est": abs(value - rough) / 1.5})
-        return CheckRecord(name=check, passed=None, values={"rows": rows})
+        return CheckRecord(name=check, passed=None, values={"rows": rows},
+                           tables={"phi_curve": _table(rows, PHI_CURVE_HEADER,
+                                                       csv=True)})
     if check == "ladder":
         rows = [dataclasses.asdict(row) for row in lad.rows]
         return CheckRecord(name=check, passed=None,
-                           values={"rows": rows, "C0": lad.c0, "C1": lad.c1})
+                           values={"rows": rows, "C0": lad.c0, "C1": lad.c1},
+                           tables={"ladder": _table(rows, LADDER_HEADER, csv=True)})
     if check == "prop1":
         ok = all(row.prop1_pass for row in lad.rows)
         return CheckRecord(name=check, passed=bool(ok), values={
@@ -180,12 +192,17 @@ def _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale):
         usable = [r for r in cfg.bkp_rs if r <= chart.radius / 4.0]
         rec = gt.bkp_deficit_ladder(inp, usable)
         ok = rec["all_nonnegative"] or rec["negative_part_slope"] >= 1.8
-        return CheckRecord(name=check, passed=bool(ok), values=rec)
+        return CheckRecord(name=check, passed=bool(ok), values=rec,
+                           tables={"bkp_deficit": _table(
+                               rec["records"], "r,sum,deficit,negative_part")})
     if check == "pushforward":
         usable = [r for r in cfg.bkp_rs if r <= chart.radius / 4.0]
-        rec = gt.pushforward_ladder(chart, usable, kind, s=-0.5, cfg=qcfg)
+        rec = gt.pushforward_ladder(chart, usable, cfg.kernel_kind, s=-0.5,
+                                    cfg=qcfg)
         ok = (rec["sup_slope"] >= 1.8 and np.isfinite(rec["fitted_mass_constant"]))
-        return CheckRecord(name=check, passed=bool(ok), values=rec)
+        return CheckRecord(name=check, passed=bool(ok), values=rec,
+                           tables={"pushforward": _table(
+                               rec["records"], "r,sup_deviation,mass,mass_defect")})
     if check == "scale_derivative":
         rec = fn.scale_derivative(inp, cfg.sd_r)
         gap = abs(rec.direct - rec.finite_difference)
@@ -201,29 +218,17 @@ def _run_check(check, cfg, inp, chart, kind, qcfg, tol_scale):
     raise ConfigError(f"unknown check {check!r}", key="checks")
 
 
-def check_suite(config_paths, out_root, workers=1, tol_scale=None,
-                kernel_override=None, stream=None):
-    """Run every config; write each report; exit 0 iff every check passes."""
+def check_suite(config_paths, out_root, workers=1, stream=None):
+    """Run every config in order; write each report; exit 0 iff every check
+    passes.  ``workers`` is unused: the scenarios run one after another in
+    the calling thread."""
     stream = stream or sys.stdout
     if not config_paths:
         raise ConfigError("empty scenario suite")
-    configs = [parse_config(p) for p in config_paths]
-    workers = max(1, min(workers, len(configs)))
-
-    def one(cfg):
-        doc = run_scenario(cfg, kernel_override=kernel_override,
-                           tol_scale=tol_scale, workers=workers)
-        write_report(doc, os.path.join(out_root, cfg.scenario_id))
-        return doc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(one, configs))
-    else:
-        docs = [one(cfg) for cfg in configs]
-
     any_failed = False
-    for doc in docs:
+    for cfg in [parse_config(p) for p in config_paths]:
+        doc = run_scenario(cfg)
+        write_report(doc, os.path.join(out_root, cfg.scenario_id))
         for rec in doc.records:
             status = ("INFO" if rec.passed is None
                       else "PASS" if rec.passed else "FAIL")
@@ -246,27 +251,18 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--tol-scale", type=float, default=None)
-    p_run.add_argument("--kernel", choices=kernels.KINDS, default=None)
 
     p_suite = sub.add_parser("suite", help="run a glob of scenario configs")
     p_suite.add_argument("--glob", required=True)
     p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--workers", type=int, default=1)
-    p_suite.add_argument("--tol-scale", type=float, default=None)
-    p_suite.add_argument("--kernel", choices=kernels.KINDS, default=None)
 
     args = parser.parse_args(argv)
     out_root = args.out or _default_out()
 
     try:
-        if args.command == "run":
-            paths, workers = [args.config], 1
-        else:
-            paths, workers = sorted(glob.glob(args.glob)), args.workers
-        return check_suite(paths, out_root, workers=workers,
-                           tol_scale=args.tol_scale,
-                           kernel_override=args.kernel)
+        paths = ([args.config] if args.command == "run"
+                 else sorted(glob.glob(args.glob)))
+        return check_suite(paths, out_root)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

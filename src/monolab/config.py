@@ -4,7 +4,9 @@ The format is deliberately diff-friendly: one key per line, `#` comments,
 case-sensitive keys, commas for lists.  Unknown keys and malformed values are
 reported with their line number.  Parsing builds the scenario's chart, solver
 grid and quadrature rule through their own constructors, which hold the
-limits on their keys; an error names its key, and the line that sets it.
+limits on their keys; an error names its file, its key, and the line that
+sets it.  A pair parameter or a manifold key that the chosen family does not
+read is an error too.
 """
 
 from __future__ import annotations
@@ -120,14 +122,17 @@ _KEYS = {
 # pair parameter type (families.param_types) -> its text converter
 _PAIR_PARSERS = {float: _parse_float, int: int, bool: _parse_bool}
 
-# manifold.family -> its chart, through the family's constructor
+# manifold.family -> (the manifold keys it reads beyond manifold.n and
+# manifold.delta_p, its chart through the family's constructor)
 _CHARTS = {
-    "euclidean": lambda cfg: geometry.euclidean_chart(cfg.n, cfg.delta_p),
-    "const_curvature": lambda cfg: geometry.constant_curvature_chart(
-        cfg.n, cfg.curvature, cfg.delta_p),
-    "perturbed": lambda cfg: geometry.perturbed_chart(
-        cfg.n, cfg.epsilon, cfg.shape, cfg.delta_p),
+    "euclidean": ((), lambda cfg: geometry.euclidean_chart(cfg.n, cfg.delta_p)),
+    "const_curvature": (("manifold.K",), lambda cfg: geometry.constant_curvature_chart(
+        cfg.n, cfg.curvature, cfg.delta_p)),
+    "perturbed": (("manifold.epsilon", "manifold.shape"),
+                  lambda cfg: geometry.perturbed_chart(
+                      cfg.n, cfg.epsilon, cfg.shape, cfg.delta_p)),
 }
+_CHART_KEYS = {key for reads, _ in _CHARTS.values() for key in reads}
 
 
 def _convert(conv, raw, line=None, key=None):
@@ -137,27 +142,29 @@ def _convert(conv, raw, line=None, key=None):
         raise ConfigError(f"bad value {raw!r}: {exc}", line=line, key=key)
 
 
-def parse_config_text(text, name="<config>"):
+def parse_config_text(text, name=None):
+    """The scenario config in ``text``; an error names ``name`` (the file the
+    text came from), the line and the key."""
     cfg = ScenarioConfig()
     lines, pair_text = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, raw_val = line.partition("=")
-        key = key.strip()
-        raw_val = raw_val.strip()
-        if key in _KEYS:
-            attr, conv = _KEYS[key]
-            setattr(cfg, attr, _convert(conv, raw_val, line=lineno, key=key))
-        elif key.startswith("pair."):
-            pair_text[key[len("pair."):]] = raw_val
-        else:
-            raise ConfigError("unknown key", line=lineno, key=key)
-        lines[key] = lineno
     try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'", line=lineno)
+            key, _, raw_val = line.partition("=")
+            key = key.strip()
+            raw_val = raw_val.strip()
+            if key in _KEYS:
+                attr, conv = _KEYS[key]
+                setattr(cfg, attr, _convert(conv, raw_val, line=lineno, key=key))
+            elif key.startswith("pair."):
+                pair_text[key[len("pair."):]] = raw_val
+            else:
+                raise ConfigError("unknown key", line=lineno, key=key)
+            lines[key] = lineno
         types = param_types(cfg.pair_family)
         for sub, raw_val in pair_text.items():
             if sub not in types:
@@ -165,11 +172,10 @@ def parse_config_text(text, name="<config>"):
                                   f"parameter {sub!r}", key=f"pair.{sub}")
             cfg.pair_params[sub] = _convert(_PAIR_PARSERS[types[sub]], raw_val,
                                             key=f"pair.{sub}")
-        _validate(cfg)
+        _validate(cfg, set_keys=lines)
     except ConfigError as exc:
-        if exc.line is None and exc.key in lines:
-            raise ConfigError(exc.message, line=lines[exc.key], key=exc.key) from None
-        raise
+        line = exc.line if exc.line is not None else lines.get(exc.key)
+        raise ConfigError(exc.message, line=line, key=exc.key, source=name) from None
     return cfg
 
 
@@ -179,20 +185,26 @@ def parse_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    cfg = parse_config_text(text, name=str(path))
-    return cfg
+    return parse_config_text(text, name=str(path))
 
 
-def _validate(cfg):
+def _validate(cfg, set_keys):
     """Check the limits no constructor holds and build the chart, the grid
-    and the quadrature rule, whose constructors hold the rest."""
+    and the quadrature rule, whose constructors hold the rest.  ``set_keys``
+    are the keys the text sets."""
     if not cfg.n <= 3:
         # the annulus rule of the quadrature has polar rules for n <= 3 only
         raise ConfigError("manifold.n must lie in 1..3", key="manifold.n")
     if cfg.manifold_family not in _CHARTS:
         raise ConfigError(f"unknown manifold family {cfg.manifold_family!r} "
                           f"(known: {', '.join(_CHARTS)})", key="manifold.family")
-    cfg.chart = _CHARTS[cfg.manifold_family](cfg)
+    reads, build_chart = _CHARTS[cfg.manifold_family]
+    unread = sorted(_CHART_KEYS.difference(reads).intersection(set_keys),
+                    key=set_keys.get)
+    if unread:
+        raise ConfigError(f"manifold family {cfg.manifold_family} reads no "
+                          f"{unread[0]}", key=unread[0])
+    cfg.chart = build_chart(cfg)
     cfg.grid = SpaceTimeGrid.geometric(cfg.n, cfg.delta_p, cfg.grid_h,
                                        ratio=cfg.grid_q, dt0=cfg.grid_dt0)
     cfg.quad = quadrature.default_config(

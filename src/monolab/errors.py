@@ -18,14 +18,16 @@ class NumericalError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Scenario configuration is invalid; carries line/key diagnostics.
-    Constructors raise it with the key they reject; the parser adds the line."""
+    """Scenario configuration is invalid; carries file/line/key diagnostics.
+    Constructors raise it with the key they reject; the parser adds the file
+    and the line."""
 
-    def __init__(self, message, line=None, key=None):
+    def __init__(self, message, line=None, key=None, source=None):
         self.message = message
         self.line = line
         self.key = key
-        where = []
+        self.source = source
+        where = [] if source is None else [str(source)]
         if line is not None:
             where.append(f"line {line}")
         if key is not None:

@@ -1,8 +1,9 @@
 """Report documents and deterministic file emission.
 
-CSV artifacts use full double precision (shortest round-trip repr), `.` as the
+A check's record carries the artifact tables it writes.  CSV and .dat
+artifacts use full double precision (shortest round-trip repr), `.` as the
 decimal separator and newline-terminated rows; writes are idempotent and
-byte-identical for identical documents regardless of worker count.
+byte-identical for identical documents.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from . import __version__
 
 __all__ = ["CheckRecord", "ReportDocument", "write_report", "environment_info"]
 
-LADDER_HEADER = ("k,r,A_plus,A_minus,b_plus,b_minus,delta_k,phi,"
-                 "prop1_ratio,prop1_pass,prop2_active,prop2_ratio")
-PHI_CURVE_HEADER = "r,phi,A_plus,A_minus,err_est"
-
 
 @dataclass
 class CheckRecord:
     name: str
     passed: bool | None          # None: informational only
     values: dict = field(default_factory=dict)
+    # file stem -> (columns, rows, also written as .csv); never in report.json
+    tables: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -47,12 +46,11 @@ class ReportDocument:
         return [rec.name for rec in self.records if rec.passed is False]
 
 
-def environment_info(workers=1, extra=None):
+def environment_info(extra=None):
     info = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "package": __version__,
-        "workers": int(workers),
     }
     if extra:
         info.update(extra)
@@ -92,22 +90,14 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _csv_lines(header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_num(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _dat_lines(header_cols, rows):
-    lines = ["# " + " ".join(header_cols)]
-    for row in rows:
-        lines.append(" ".join(_num(v) for v in row))
+def _table_text(head, sep, rows):
+    lines = [head] + [sep.join(_num(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def write_report(doc, out_dir):
-    """Emit report.json plus per-check CSV and plot-ready .dat artifacts."""
+    """Emit report.json plus every table the records carry, as a plot-ready
+    .dat file and, where the table asks for it, a .csv."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -124,44 +114,12 @@ def write_report(doc, out_dir):
     paths.append(p)
 
     for rec in doc.records:
-        if rec.name == "ladder" and "rows" not in rec.values:
-            continue
-        if rec.name == "phi_curve" and "rows" not in rec.values:
-            continue
-        if rec.name in ("bkp_perturbed", "pushforward") and "records" not in rec.values:
-            continue
-        if rec.name == "ladder":
-            rows = [
-                (row["k"], row["r"], row["a_plus"], row["a_minus"], row["b_plus"],
-                 row["b_minus"], row["delta_k"], row["phi"], row["prop1_ratio"],
-                 row["prop1_pass"], row["prop2_active"], row["prop2_ratio"])
-                for row in rec.values["rows"]
-            ]
-            p = os.path.join(out_dir, "ladder.csv")
-            _write_text(p, _csv_lines(LADDER_HEADER, rows))
-            paths.append(p)
-            p = os.path.join(out_dir, "ladder.dat")
-            _write_text(p, _dat_lines(LADDER_HEADER.split(","), rows))
-            paths.append(p)
-        elif rec.name == "phi_curve":
-            rows = [(row["r"], row["phi"], row["a_plus"], row["a_minus"],
-                     row["err_est"]) for row in rec.values["rows"]]
-            p = os.path.join(out_dir, "phi_curve.csv")
-            _write_text(p, _csv_lines(PHI_CURVE_HEADER, rows))
-            paths.append(p)
-            p = os.path.join(out_dir, "phi_curve.dat")
-            _write_text(p, _dat_lines(PHI_CURVE_HEADER.split(","), rows))
-            paths.append(p)
-        elif rec.name == "bkp_perturbed":
-            rows = [(r["r"], r["sum"], r["deficit"], r["negative_part"])
-                    for r in rec.values["records"]]
-            p = os.path.join(out_dir, "bkp_deficit.dat")
-            _write_text(p, _dat_lines(["r", "sum", "deficit", "negative_part"], rows))
-            paths.append(p)
-        elif rec.name == "pushforward":
-            rows = [(r["r"], r["sup_deviation"], r["mass"], r["mass_defect"])
-                    for r in rec.values["records"]]
-            p = os.path.join(out_dir, "pushforward.dat")
-            _write_text(p, _dat_lines(["r", "sup_deviation", "mass", "mass_defect"], rows))
+        for stem, (columns, rows, csv) in rec.tables.items():
+            if csv:
+                p = os.path.join(out_dir, stem + ".csv")
+                _write_text(p, _table_text(",".join(columns), ",", rows))
+                paths.append(p)
+            p = os.path.join(out_dir, stem + ".dat")
+            _write_text(p, _table_text("# " + " ".join(columns), " ", rows))
             paths.append(p)
     return paths

@@ -7,9 +7,10 @@ import pytest
 
 import monolab
 from monolab import cli
+from monolab.cli import LADDER_HEADER, PHI_CURVE_HEADER
 from monolab.config import ALL_CHECKS, parse_config, parse_config_text
 from monolab.errors import ConfigError
-from monolab.report import LADDER_HEADER, PHI_CURVE_HEADER, write_report
+from monolab.report import write_report
 
 FAST_NULL = """
 scenario.id = tiny_null
@@ -133,6 +134,11 @@ def test_parse_validation_errors():
     ("tol.scale = nan\n", "tol.scale"),
     ("grid.h = 0.0001\n", "grid.h"),        # size budget: 20001^2 nodes
     ("quad.nodes = 100000\n", "quad.nodes"),  # size budget: 10^10 points a slice
+    # manifold keys the chart family does not read
+    ("manifold.K = 99\n", "manifold.K"),
+    ("manifold.epsilon = 0.1\n", "manifold.epsilon"),
+    ("manifold.family = const_curvature\nmanifold.shape = wave\n", "manifold.shape"),
+    ("manifold.family = perturbed\nmanifold.K = 1.0\n", "manifold.K"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -231,6 +237,7 @@ def test_raising_check_is_recorded_not_fatal(tmp_path, capsys):
     assert failed["passed"] is False
     assert failed["values"]["error"].startswith("DegenerateInputError: ")
     assert (out / "tiny_null" / "ladder.csv").exists()
+    assert not (out / "tiny_null" / "bkp_deficit.dat").exists()
 
 
 def test_every_requested_check_reported_once(null_doc):
@@ -270,12 +277,6 @@ def test_caloric_scenario_values():
     rows = doc.record("ladder").values["rows"]
     for row in rows:
         assert row["phi"] == pytest.approx(0.25, rel=0.03)
-
-
-def test_kernel_override_recorded():
-    doc = cli.run_scenario(parse_config_text(FAST_CALORIC),
-                           kernel_override="parametrix0")
-    assert doc.environment["kernel"] == "parametrix0"
 
 
 def test_report_carries_fitted_constants(tmp_path):
@@ -327,6 +328,38 @@ def test_suite_empty_is_config_error():
         cli.check_suite([], "out")
 
 
+def test_suite_runs_serially_in_config_order(tmp_path, monkeypatch):
+    """check_suite runs each scenario in the calling thread, in the order of
+    its configs, whatever worker count it is passed."""
+    import io
+    import threading
+
+    calls = []
+    run = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: calls.append(
+        (threading.get_ident(), cfg.scenario_id)) or run(cfg))
+    paths = _write_cfgs(tmp_path, FAST_CALORIC, FAST_NULL)
+    assert cli.check_suite(paths, str(tmp_path / "out"), workers=2,
+                           stream=io.StringIO()) == 0
+    assert calls == [(threading.get_ident(), "tiny_caloric"),
+                     (threading.get_ident(), "tiny_null")]
+
+
+def test_suite_config_error_names_file(tmp_path, capsys):
+    """A config error in a suite names the file, the line and the key, and
+    no scenario runs."""
+    bad = FAST_NULL.replace("scenario.id = tiny_null", "scenario.id = bad") \
+        + "grid.h = 0\n"
+    paths = _write_cfgs(tmp_path, FAST_CALORIC, bad)
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--glob", str(tmp_path / "s*.cfg"),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    line = len(bad.splitlines())
+    assert f"[{paths[1]}, line {line}, key 'grid.h']" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
@@ -338,9 +371,16 @@ def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(FAST_NULL)
     assert cli.main(["run", "--config", str(good), "--out", str(tmp_path / "o")]) == 0
-    with pytest.raises(SystemExit) as err:   # one config: run takes no workers
-        cli.main(["run", "--config", str(good), "--workers", "2"])
-    assert err.value.code == 2
+    # settings come from the config only: no override flags, no worker count
+    for argv in (["run", "--config", str(good), "--tol-scale", "nan"],
+                 ["run", "--config", str(good), "--kernel", "gauss"],
+                 ["run", "--config", str(good), "--workers", "2"],
+                 ["suite", "--glob", str(good), "--tol-scale", "1"],
+                 ["suite", "--glob", str(good), "--kernel", "gauss"],
+                 ["suite", "--glob", str(good), "--workers", "2"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
 
 
 def test_main_unwritable_output(tmp_path, capsys):
@@ -372,10 +412,6 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         a = tmp_path / "w1" / sid / "ladder.csv"
         b = tmp_path / "w4" / sid / "ladder.csv"
         assert a.read_bytes() == b.read_bytes()
-        # the worker count actually used: min(requested, number of configs)
-        for run, used in (("w1", 1), ("w4", 2)):
-            payload = json.loads((tmp_path / run / sid / "report.json").read_text())
-            assert payload["environment"]["workers"] == used
 
 
 def test_python_m_monolab_run(tmp_path):
