@@ -43,7 +43,6 @@ class ScenarioConfig:
     grid_h: float = 0.1
     grid_q: float = 0.85
     grid_dt0: float = 0.2
-    quad_r_tail: float = 8.0
     quad_nodes: int = 0              # 0: pick the per-dimension default
     quad_slices_per_scale: int = 40
     quad_time_blocks: int = 16
@@ -57,7 +56,6 @@ class ScenarioConfig:
     sd_r: float = 0.0625
     positivity_r: float = 0.0625
     bkp_rs: tuple = (0.2, 0.1, 0.05, 0.025)
-    tol_scale: float = 1.0
     # built from the keys above by parse_config_text
     chart: geometry.NormalChart | None = None
     grid: SpaceTimeGrid | None = None
@@ -102,7 +100,6 @@ _KEYS = {
     "grid.h": ("grid_h", _parse_float),
     "grid.q": ("grid_q", _parse_float),
     "grid.dt0": ("grid_dt0", _parse_float),
-    "quad.r_tail": ("quad_r_tail", _parse_float),
     "quad.nodes": ("quad_nodes", int),
     "quad.slices_per_scale": ("quad_slices_per_scale", int),
     "quad.time_blocks": ("quad_time_blocks", int),
@@ -116,7 +113,6 @@ _KEYS = {
     "sd.r": ("sd_r", _parse_float),
     "positivity.r": ("positivity_r", _parse_float),
     "bkp.rs": ("bkp_rs", _parse_float_list),
-    "tol.scale": ("tol_scale", _parse_float),
 }
 
 # pair parameter type (families.param_types) -> its text converter
@@ -208,8 +204,7 @@ def _validate(cfg, set_keys):
     cfg.grid = SpaceTimeGrid.geometric(cfg.n, cfg.delta_p, cfg.grid_h,
                                        ratio=cfg.grid_q, dt0=cfg.grid_dt0)
     cfg.quad = quadrature.default_config(
-        cfg.n, nodes=cfg.quad_nodes, r_tail=cfg.quad_r_tail,
-        slices_per_scale=cfg.quad_slices_per_scale,
+        cfg.n, nodes=cfg.quad_nodes, slices_per_scale=cfg.quad_slices_per_scale,
         time_blocks=cfg.quad_time_blocks)
     if cfg.kernel_kind not in kernels.KINDS:
         raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r} "
@@ -227,5 +222,3 @@ def _validate(cfg, set_keys):
                           key="checks")
     if not 0.0 < cfg.thm2_eps <= 1.0:
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
-    if cfg.tol_scale <= 0:
-        raise ConfigError("tol.scale must be positive", key="tol.scale")

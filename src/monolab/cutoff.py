@@ -17,7 +17,6 @@ from . import geometry
 __all__ = [
     "CutoffProfile",
     "build_cutoff",
-    "cutoff_fields",
     "smoothstep",
     "smoothstep_d1",
     "smoothstep_d2",
@@ -99,16 +98,3 @@ def build_cutoff(chart, n_bound_samples=200, seed=20240118):
     lap_bound = float(np.max(np.abs(lap))) if lap.size else 0.0
     return CutoffProfile(inner=a, outer=b, grad_bound=grad_bound,
                          laplace_bound=lap_bound)
-
-
-def cutoff_fields(profile, chart, X):
-    """(chi, grad chi covector (m,n), Delta_g chi) on a batch of points."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    rho = np.sqrt(np.sum(X * X, axis=1))
-    c = chi(profile, rho)
-    d1 = dchi(profile, rho)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-    grad = d1[:, None] * xhat
-    lap = _laplace_chi(profile, chart, X, rho)
-    return c, grad, lap

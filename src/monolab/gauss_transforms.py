@@ -302,15 +302,14 @@ def pushforward_ladder(chart, rs, kernel_kind="parametrix0", s=-0.5, cfg=None):
 # curved-chart two-phase lower bound
 
 
-def manifold_bkp_deficit(input_, r, cfg=None):
+def manifold_bkp_deficit(input_, r):
     """Rayleigh quotients of the rescaled truncated phases on the s = -1 slice
     under the rescaled kernel measure; their sum against 1."""
     rin = functional.rescaled_input(input_, r)
-    cfg = cfg or rin.quad
     out = {}
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        num = functional.boundary_energy(rin, 1.0, sign, cfg)
-        den = functional.slice_mass(rin, -1.0, sign, cfg)
+        num = functional.boundary_energy(rin, 1.0, sign)
+        den = functional.slice_mass(rin, -1.0, sign)
         if den <= 0:
             raise DegenerateInputError(
                 f"phase {name} vanishes on the s = -1 slice (its energy is "
@@ -328,8 +327,8 @@ def manifold_bkp_deficit(input_, r, cfg=None):
     }
 
 
-def bkp_deficit_ladder(input_, rs, cfg=None, noise_floor=1e-10):
-    recs = [manifold_bkp_deficit(input_, r, cfg) for r in rs]
+def bkp_deficit_ladder(input_, rs, noise_floor=1e-10):
+    recs = [manifold_bkp_deficit(input_, r) for r in rs]
     devs = [abs(rec["deficit"]) for rec in recs]
     negs = [rec["negative_part"] for rec in recs]
     return {

@@ -45,7 +45,6 @@ __all__ = [
     "spacetime_integral",
     "time_range_integral",
     "gauss_weighted_integral",
-    "ball_rule",
     "annulus_rule",
     "plain_spacetime_integral",
 ]
@@ -63,7 +62,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.r_tail < 4.0:
-            raise ConfigError("r_tail must be >= 4", key="quad.r_tail")
+            raise ValueError("r_tail must be >= 4")
         if self.nodes < 8:
             raise ConfigError("need at least 8 nodes per axis", key="quad.nodes")
         for name, count in (("slices_per_scale", self.slices_per_scale),
@@ -149,12 +148,6 @@ def annulus_rule(n, a, b, n_r, n_ang):
     P.setflags(write=False)
     w.setflags(write=False)
     return P, w
-
-
-@lru_cache(maxsize=64)
-def ball_rule(n, radius, n_r, n_ang):
-    """Polar rule for the ball |x| <= radius (flat measure)."""
-    return annulus_rule(n, 0.0, radius, n_r, n_ang)
 
 
 def _eta(rho, zone):
@@ -307,8 +300,8 @@ def gauss_weighted_integral(f, n, variance, cfg):
 def plain_spacetime_integral(f, chart, radius, t_depth, cfg, time_cells=24):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight."""
     n = chart.dim
-    P, w = ball_rule(n, float(radius), max(cfg.annulus_radial, 24),
-                     cfg.annulus_angular)
+    P, w = annulus_rule(n, 0.0, float(radius), max(cfg.annulus_radial, 24),
+                        cfg.annulus_angular)
     _, dens = geometry.inverse_metric_and_density(chart, P)
     wd = w * dens
     dt = t_depth / time_cells

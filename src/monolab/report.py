@@ -42,9 +42,6 @@ class ReportDocument:
                 return rec
         raise KeyError(name)
 
-    def failed_checks(self):
-        return [rec.name for rec in self.records if rec.passed is False]
-
 
 def environment_info(extra=None):
     info = {

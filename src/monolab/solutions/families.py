@@ -2,7 +2,7 @@
 
 Every phase exposes vectorized ``value(X, s)`` and ``grad(X, s)`` samplers;
 s is one time or one time per point.
-Families (direction e defaults to the first axis):
+Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
 * TwoPlaneCaloric       (alpha (x.e)_+, beta (x.e)_-), caloric on flat charts
@@ -61,13 +61,6 @@ class TwoPhasePair:
     family: str
     params: dict = field(default_factory=dict)
     admissibility: dict = field(default_factory=dict)
-
-
-def _unit_direction(n, params):
-    e = np.asarray(params.get("direction", np.eye(n)[0]), dtype=float)
-    if e.shape != (n,) or not np.linalg.norm(e) > 0:
-        raise ValueError("direction must be a nonzero vector of the chart dimension")
-    return e / np.linalg.norm(e)
 
 
 def _null_phase(n):
@@ -178,19 +171,17 @@ def make_family(name, params=None, chart=None, grid=None):
     if name == "Null":
         return TwoPhasePair(plus=_null_phase(n), minus=_null_phase(n),
                             family=name, params=params)
+    e = np.eye(n)[0]
     if name == "TwoPlaneCaloric":
-        e = _unit_direction(n, params)
         return TwoPhasePair(plus=_plane_phase(e, values["alpha"], +1.0),
                             minus=_plane_phase(e, values["beta"], -1.0),
                             family=name, params=params)
     if name == "PowerWedge":
-        e = _unit_direction(n, params)
         p = 1.0 + values["beta"]
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, power=p),
                             minus=_plane_phase(e, 1.0, -1.0, power=p),
                             family=name, params=params)
     if name == "DriftTwoPlane":
-        e = _unit_direction(n, params)
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=values["c"]),
                             minus=_plane_phase(e, 1.0, -1.0, drift=values["c"]),
                             family=name, params=params)

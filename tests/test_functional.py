@@ -249,13 +249,6 @@ def test_theorem2_caloric_and_wedge(euclid2, lean_quad2):
     assert rec_w["passed"] and rec_w["c_m"] <= 1e-3
 
 
-def test_theorem2_precondition_violation(euclid2, lean_quad2):
-    inp = build_input(euclid2, "TwoPlaneCaloric", {"alpha": 5.0, "beta": 1.0},
-                      cfg=lean_quad2)
-    with pytest.raises(PreconditionError):
-        fn.theorem2_check(inp, 1.0, [0.0625], c_eps=0.1)
-
-
 def test_theorem2_eps_validation(caloric_input):
     with pytest.raises(ValueError):
         fn.theorem2_check(caloric_input, 1.5, [0.0625])
@@ -349,6 +342,8 @@ def test_slice_table_one_energy_slice_count(euclid2, lean_quad2, slice_calls):
     expected = lean_quad2.time_blocks * lean_quad2.slices_per_scale + 1
     assert len(slice_calls) == expected
     assert len(inp.slice_table) == expected
+    assert {key[:2] for key in inp.slice_table} == {("grad_sq", +1)}
+    assert {len(key) for key in inp.slice_table} == {3}   # (kind, sign, s)
 
 
 def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):

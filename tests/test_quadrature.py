@@ -119,7 +119,7 @@ def test_polar_rules_measure():
     assert np.sum(w) == pytest.approx(np.pi * (0.5 ** 2 - 0.25 ** 2), rel=1e-12)
     P, w = quad.annulus_rule(1, 0.25, 0.5, 24, 2)
     assert np.sum(w) == pytest.approx(2 * 0.25, rel=1e-12)
-    P, w = quad.ball_rule(3, 0.5, 24, 16)
+    P, w = quad.annulus_rule(3, 0.0, 0.5, 24, 16)   # the ball |x| <= 0.5
     assert np.sum(w) == pytest.approx(4.0 / 3.0 * np.pi * 0.5 ** 3, rel=1e-3)
 
 
