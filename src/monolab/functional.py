@@ -17,8 +17,9 @@ integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
 (`positive`).  Each MonotonicityInput owns its quadrature rule and one slice
 table, keyed by (integrand kind, sign, s) with the exact float time s, so a
 slice is integrated once per input however many checks, scales or blocks
-reach it.  The table is filled per request: the time rules ask for a whole
-block of slices, and its misses are integrated in one `slice_integral` call.
+reach it.  The table is filled per request: a space-time integral asks for
+every slice of its scale at once, and the misses are integrated in one
+`slice_integral` call.
 The values depend neither on the order of evaluation nor on the grouping into
 blocks, so a warm table returns exactly what a fresh input would compute.
 `dataclasses.replace` and `rescaled_input` start with an empty table, so a

@@ -12,18 +12,22 @@ coordinates, where the annulus is fixed.
 gets one time per point, the inverse metric and density are computed once per
 point and the inverse metric is handed to the integrand, and the annulus
 fields, which do not depend on time, are computed once per (chart, kernel
-kind, zone, config).  Slices of a block share integrand calls, but no call
-gets more points than the larger of the two rules of one slice, so memory per
-call stays that of one slice.
+kind, zone, config).  Slices of a block share integrand calls of at most
+`_CALL_POINTS` points each (one slice's rule when that is larger), so memory
+per call stays bounded whatever the block size.
 
-Time integration over (-r^2, 0) uses geometric blocks shrinking toward 0
-(ratio `time_ratio`, `slices_per_scale` trapezoid cells per block) plus a
-rectangle for the final sliver.  The time rules hand each block's nodes, and
-the sliver's time, to `slice_at(s)` as one array, normally slice integrals
-or table lookups of them, so the caller decides how often each slice is
-evaluated.  All reductions run in a fixed order, and each slice keeps its
-own dot product, so equal inputs give bit-identical results however the
-slices are grouped.
+Time integration over (-r^2, 0) uses one absolute mesh for every scale:
+geometric blocks (-ratio^k, -ratio^(k+1)) shrinking toward 0 (ratio
+`time_ratio`, `slices_per_scale` trapezoid cells per block), starting at the
+largest power of the ratio not above r^2, plus a rectangle for the final
+sliver.  A scale whose r^2 is no such power gets one partial block
+(-r^2, -ratio^k) of `slices_per_scale` cells above its full blocks, so any two
+scales share every slice below the top block of the smaller one.  The time
+rules hand all their nodes to `slice_at(s)` as one array, normally slice
+integrals or table lookups of them, so the caller decides how often each
+slice is evaluated.  All reductions run in a fixed order, and each slice
+keeps its own dot product, so equal inputs give bit-identical results
+however the slices are grouped.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ _DEFAULT_NODES = {1: 128, 2: 64, 3: 24}
 # slice's points, at about 330 bytes each (measured at n = 2, 256 nodes), so
 # 2^18 points keep a call under 100 MB; the defaults use at most 24^3 = 13824.
 _MAX_SLICE_POINTS = 2 ** 18
+
+# Points per integrand call when slices share one: about 1.4 MB at the same
+# 330 bytes per point, and 16 slices of the 16^2 rule.
+_CALL_POINTS = 4096
 
 
 def default_config(n, nodes=0, **overrides):
@@ -189,10 +197,11 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
 
     The integrand is called as f(X, S, g_inv) with points X (m, n), one time
     per point S (m,) and the inverse metric g_inv (m, n, n) at X, and returns
-    (m,) values.  Slices of one rule share an integrand call, but no call gets
-    more points than the larger of the main and annulus rules for one slice.
-    Each slice keeps its own fixed-order dot product and scalar Gauss
-    prefactor, so a block gives bit-identical values to one call per slice.
+    (m,) values.  Slices of one rule share an integrand call in runs of
+    max(1, _CALL_POINTS // rule size), so no call gets more than _CALL_POINTS
+    points or one slice's rule.  Each slice keeps its own fixed-order dot
+    product and scalar Gauss prefactor, so a block gives bit-identical values
+    to one call per slice.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
@@ -207,17 +216,14 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
         cutoff_zone = None  # no polar rules beyond n = 3; reduced tolerance
     Y, w = _scaled_rule(n, cfg.nodes, cfg.r_tail)
     m = len(w)
-    bound = m
     ann = []
     if cutoff_zone is not None:
-        a, b = cutoff_zone
+        a, _ = cutoff_zone
         radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
-        bound = max(m, len(annulus_rule(n, float(a), float(b), cfg.annulus_radial,
-                                        cfg.annulus_angular)[1]))
         ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
     totals = np.zeros(len(s))
 
-    for run in _runs(list(range(len(s))), max(1, bound // m)):
+    for run in _runs(list(range(len(s))), max(1, _CALL_POINTS // m)):
         X = (c[run, None, None] * Y).reshape(-1, n)
         g_inv, dens = geometry.inverse_metric_and_density(chart, X)
         vals = np.asarray(f(X, np.repeat(s[run], m), g_inv), dtype=float)
@@ -225,17 +231,17 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
             vals = vals * dens ** 0.5
         else:
             vals = vals * dens
+        vals = vals.reshape(len(run), m)
+        if cutoff_zone is not None:
+            vals = vals * _eta(c[run, None] * radius_Y, cutoff_zone)
         for j, k in enumerate(run):
-            vals_k = vals[j * m:(j + 1) * m]
-            if cutoff_zone is not None:
-                vals_k = vals_k * _eta(c[k] * radius_Y, cutoff_zone)
-            totals[k] = float(np.dot(w, vals_k))
+            totals[k] = float(np.dot(w, vals[j]))
 
     if ann:
         P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
             _annulus_fields(kernel, cutoff_zone, cfg))
         m_ann = len(w_ann)
-        for run in _runs(ann, max(1, bound // m_ann)):
+        for run in _runs(ann, max(1, _CALL_POINTS // m_ann)):
             vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(s[run], m_ann),
                                 np.tile(g_inv, (len(run), 1, 1))), dtype=float)
             for j, k in enumerate(run):
@@ -248,31 +254,44 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
 
 
 def _time_nodes(r_sq, cfg):
-    """Geometric blocks of (-r^2, 0), deepest first, plus the final sliver."""
-    blocks = []
-    lo = -r_sq
+    """Blocks of (-r^2, 0), deepest first, and the start of the final sliver.
+
+    The ``time_blocks`` full blocks start at -ratio^k, the largest power of
+    the ratio not above r^2, found by repeated multiplication from 1.0 (exact
+    for ratio 1/2).  Unless r^2 is that power, a partial block (-r^2, -ratio^k)
+    comes first."""
+    ratio = cfg.time_ratio
+    top = 1.0
+    while top > r_sq:
+        top *= ratio
+    while top / ratio <= r_sq:
+        top /= ratio
+    blocks = [] if top == r_sq else [(-r_sq, -top)]
+    lo = -top
     for _ in range(cfg.time_blocks):
-        hi = lo * cfg.time_ratio
+        hi = lo * ratio
         blocks.append((lo, hi))
         lo = hi
-    return blocks, lo  # lo = -r_sq * ratio^blocks, start of the sliver
+    return blocks, lo  # lo = -ratio^(k + time_blocks), start of the sliver
 
 
 def spacetime_integral(slice_at, r, cfg):
     """int_{-r^2}^0 slice_at(s) ds on the graded time mesh.
 
     ``slice_at`` maps a 1-D array of slice times s < 0 to one float each and
-    is called once per block with the block's nodes, and once with the
-    sliver's time; deterministic fixed-order sums.  Neighbouring blocks share
-    their boundary time, and r and r/4 share all but four blocks when
-    time_ratio is 1/2.
+    is called once, with every block's nodes followed by the sliver's time;
+    each block then gets its own trapezoid, in a fixed order.  Neighbouring
+    blocks share their boundary time, and since the mesh is absolute, two
+    scales share every slice below the top block of the smaller one.
     """
     blocks, sliver = _time_nodes(r * r, cfg)
+    size = cfg.slices_per_scale + 1
+    nodes = [np.linspace(lo, hi, size) for lo, hi in blocks]
+    values = slice_at(np.concatenate(nodes + [np.array([sliver])]))
     total = 0.0
-    for lo, hi in blocks:
-        s_nodes = np.linspace(lo, hi, cfg.slices_per_scale + 1)
-        total += float(np.trapezoid(slice_at(s_nodes), s_nodes))
-    total += (-sliver) * float(slice_at(np.array([sliver]))[0])
+    for i, s_nodes in enumerate(nodes):
+        total += float(np.trapezoid(values[i * size:(i + 1) * size], s_nodes))
+    total += (-sliver) * float(values[-1])
     return total
 
 
@@ -298,15 +317,23 @@ def gauss_weighted_integral(f, n, variance, cfg):
 
 
 def plain_spacetime_integral(f, chart, radius, t_depth, cfg, time_cells=24):
-    """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight."""
+    """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight.
+
+    ``f(X, S)`` gets one time per point; time cells share integrand calls of
+    at most _CALL_POINTS points (one cell's rule when that is larger), and
+    each cell keeps its own dot product."""
     n = chart.dim
     P, w = annulus_rule(n, 0.0, float(radius), max(cfg.annulus_radial, 24),
                         cfg.annulus_angular)
     _, dens = geometry.inverse_metric_and_density(chart, P)
     wd = w * dens
+    m = len(w)
     dt = t_depth / time_cells
     s_nodes = -t_depth + (np.arange(time_cells) + 0.5) * dt
     total = 0.0
-    for s in s_nodes:
-        total += float(np.dot(wd, np.asarray(f(P, s), dtype=float))) * dt
+    for run in _runs(s_nodes, max(1, _CALL_POINTS // m)):
+        vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(run, m)),
+                          dtype=float).reshape(len(run), m)
+        for row in vals:
+            total += float(np.dot(wd, row)) * dt
     return total

@@ -362,6 +362,30 @@ def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
         fresh, -1.0 / 256.0, +1)
 
 
+def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
+                                                   slice_calls):
+    """1 + 1/16 adds only its partial block to the unit scale's slices;
+    1 - 1/16 adds its partial block and one full block at the bottom."""
+    rin = fn.rescaled_input(build_input(euclid2, "TwoPlaneCaloric", {},
+                                        cfg=lean_quad2), 1.0 / 16.0)
+
+    def per_sign():
+        return [sum(key[1] == sign for key in rin.slice_table)
+                for sign in (+1, -1)]
+
+    fn.phase_energy(rin, 1.0, +1)
+    fn.phase_energy(rin, 1.0, -1)
+    before = per_sign()
+    fn.phi(rin, 1.0 + 1.0 / 16.0)
+    after_up = per_sign()
+    fn.phi(rin, 1.0 - 1.0 / 16.0)
+    after_down = per_sign()
+    spp = lean_quad2.slices_per_scale
+    assert [b - a for a, b in zip(before, after_up)] == [spp, spp]
+    assert [b - a for a, b in zip(after_up, after_down)] == [2 * spp, 2 * spp]
+    assert len(slice_calls) == len(rin.slice_table)
+
+
 def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     fn.boundary_energy(inp, 0.25, +1)
@@ -377,10 +401,16 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
 # block evaluation guards
 
 
+# Integrand calls of the phase energy below, for both rules, under the
+# per-block requests and the one-slice cap that preceded the point budget.
+_CALLS_UNDER_ONE_SLICE_CAP = 58
+
+
 @pytest.mark.parametrize("nodes", [16, 48])
-def test_integrand_calls_stay_within_one_slice_rule(euclid2, monkeypatch, nodes):
-    """No integrand call of a block gets more points than the larger of the
-    main and annulus rules of one slice, yet slices share calls."""
+def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, nodes):
+    """No integrand call gets more points than quadrature._CALL_POINTS or one
+    slice's larger rule, and a bench-size phase energy makes fewer calls than
+    under one request per block and calls capped at one slice's larger rule."""
     cfg = quad.default_config(2, nodes=nodes, slices_per_scale=6, time_blocks=7)
     inp = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=cfg)
     sizes = []
@@ -398,8 +428,8 @@ def test_integrand_calls_stay_within_one_slice_rule(euclid2, monkeypatch, nodes)
     main = len(quad._scaled_rule(2, cfg.nodes, cfg.r_tail)[1])
     annulus = len(quad.annulus_rule(2, *inp.zone, cfg.annulus_radial,
                                     cfg.annulus_angular)[1])
-    assert max(sizes) == max(main, annulus)
-    assert len(sizes) < 2 * len(inp.slice_table)
+    assert max(sizes) <= max(quad._CALL_POINTS, main, annulus)
+    assert len(sizes) < _CALLS_UNDER_ONE_SLICE_CAP
 
 
 def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch):

@@ -197,7 +197,7 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
 
 @pytest.mark.parametrize("family", ["DriftTwoPlane", "NumericPair"])
 @pytest.mark.parametrize("curvature, kind", [(0.0, "gauss"), (1.0, "parametrix0")])
-@pytest.mark.parametrize("nodes", [16, 48])   # 3 main / 3 annulus slices per call
+@pytest.mark.parametrize("nodes", [16, 48])   # 16 or 1 main, 5 annulus slices per call
 def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
     chart = (geo.euclidean_chart(2) if curvature == 0.0
              else geo.constant_curvature_chart(2, curvature, radius=1.0))
@@ -226,8 +226,76 @@ def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
                 assert np.all(block[:5] > 0.0)
 
 
+@pytest.mark.parametrize("call_points", [600, 2000])
+def test_block_runs_split_at_the_call_budget(monkeypatch, call_points):
+    """Runs of 2 or 7 main and 1 or 2 annulus slices: a block split into
+    several integrand calls still matches one call per slice bit for bit."""
+    monkeypatch.setattr(quad, "_CALL_POINTS", call_points)
+    test_block_equals_per_slice_calls("DriftTwoPlane", 1.0, "parametrix0", 16)
+
+
 def test_slice_times_must_be_one_dimensional(gauss2, quad2):
     with pytest.raises(ValueError):
         quad.slice_integral(ones, gauss2, -0.1, quad2)
     with pytest.raises(ValueError):
         quad.slice_integral(ones, gauss2, np.array([-0.1, 0.0]), quad2)
+
+
+# ---------------------------------------------------------------------------
+# time mesh
+
+
+def _time_nodes_anchored(r_sq, cfg):
+    """The mesh anchored at -r^2 that every scale used before the mesh became
+    absolute: dyadic scales must keep exactly these nodes."""
+    blocks = []
+    lo = -r_sq
+    for _ in range(cfg.time_blocks):
+        hi = lo * cfg.time_ratio
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks, lo
+
+
+def _node_bytes(blocks, sliver, cfg):
+    return b"".join([np.linspace(lo, hi, cfg.slices_per_scale + 1).tobytes()
+                     for lo, hi in blocks] + [np.float64(sliver).tobytes()])
+
+
+@pytest.mark.parametrize("r", [4.0 ** -k for k in range(5)]
+                         + [2.0 ** -j for j in (1, 3, 5, 7)] + [2.0])
+def test_dyadic_scales_keep_their_nodes(r, lean_quad2):
+    blocks, sliver = quad._time_nodes(r * r, lean_quad2)
+    old_blocks, old_sliver = _time_nodes_anchored(r * r, lean_quad2)
+    assert len(blocks) == lean_quad2.time_blocks
+    assert (_node_bytes(blocks, sliver, lean_quad2)
+            == _node_bytes(old_blocks, old_sliver, lean_quad2))
+
+
+@pytest.mark.parametrize("r_sq, top", [(0.87890625, 0.5), (1.12890625, 1.0),
+                                       (0.09, 0.0625), (5.0, 4.0)])
+def test_partial_block_above_the_absolute_mesh(r_sq, top, lean_quad2):
+    """r^2 between powers of the ratio: one partial block (-r^2, -top), then
+    the full blocks of the absolute mesh from -top; the blocks tile
+    (-r^2, sliver) without gaps."""
+    blocks, sliver = quad._time_nodes(r_sq, lean_quad2)
+    assert blocks[0] == (-r_sq, -top)
+    full, _ = _time_nodes_anchored(top, lean_quad2)
+    assert blocks[1:] == full
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert sliver == blocks[-1][1]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_spacetime_integral_asks_for_every_slice_at_once(gauss2, lean_quad2, r):
+    requests = []
+    f = slices(lambda X, s: ones(X), gauss2, lean_quad2)
+
+    def slice_at(s):
+        requests.append(len(s))
+        return f(s)
+
+    mass = quad.spacetime_integral(slice_at, r, lean_quad2)
+    blocks, _ = quad._time_nodes(r * r, lean_quad2)
+    assert requests == [len(blocks) * (lean_quad2.slices_per_scale + 1) + 1]
+    assert mass == pytest.approx(r * r, rel=1e-6)
