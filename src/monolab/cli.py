@@ -186,15 +186,13 @@ def _run_check(check, cfg, inp):
         ok = all(r["passed"] for r in recs.values())
         return CheckRecord(name=check, passed=bool(ok), values=recs)
     if check == "bkp_perturbed":
-        usable = [r for r in cfg.bkp_rs if r <= chart.radius / 4.0]
-        rec = gt.bkp_deficit_ladder(inp, usable)
+        rec = gt.bkp_deficit_ladder(inp, cfg.bkp_rs)
         ok = rec["all_nonnegative"] or rec["negative_part_slope"] >= 1.8
         return CheckRecord(name=check, passed=bool(ok), values=rec,
                            tables={"bkp_deficit": _table(
                                rec["records"], "r,sum,deficit,negative_part")})
     if check == "pushforward":
-        usable = [r for r in cfg.bkp_rs if r <= chart.radius / 4.0]
-        rec = gt.pushforward_ladder(chart, usable, cfg.kernel_kind, s=-0.5,
+        rec = gt.pushforward_ladder(chart, cfg.bkp_rs, cfg.kernel_kind, s=-0.5,
                                     cfg=cfg.quad)
         ok = (rec["sup_slope"] >= 1.8 and np.isfinite(rec["fitted_mass_constant"]))
         return CheckRecord(name=check, passed=bool(ok), values=rec,

@@ -222,3 +222,9 @@ def _validate(cfg, set_keys):
                           key="checks")
     if not 0.0 < cfg.thm2_eps <= 1.0:
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
+    if not cfg.thm1_guard > 0.0:
+        raise ConfigError("thm1.guard must be positive", key="thm1.guard")
+    for key, value in ([("sd.r", cfg.sd_r), ("positivity.r", cfg.positivity_r)]
+                       + [("bkp.rs", r) for r in cfg.bkp_rs]):
+        if not 0.0 < value <= cfg.delta_p / 4.0:
+            raise ConfigError(f"{key} must lie in (0, delta_p/4]", key=key)

@@ -107,10 +107,9 @@ def _grad_sq_sampler(input_, sign):
         du = np.asarray(phase.grad(Xm, s[mask]), dtype=float)
         c = chi_of(profile, rm)
         d1 = dchi_of(profile, rm)
-        with np.errstate(invalid="ignore"):
-            xhat = np.where(rm[:, None] > 0, Xm / np.where(rm[:, None] > 0, rm[:, None], 1.0), 0.0)
+        xhat = Xm / np.where(rm > 0, rm, 1.0)[:, None]
         dw = c[:, None] * du + (u * d1)[:, None] * xhat
-        out[mask] = np.einsum("mi,mij,mj->m", dw, g_inv[mask], dw)
+        out[mask] = g_inv[mask].form(dw)
         return out
 
     return f
@@ -381,13 +380,13 @@ def constants_stable(values, floor=1e-3, factor=4.0):
 
 def theorem1_check(input_, rs, guard=100.0):
     """ratio = sup_r phi(r) / (1 + ||u_+||^2 + ||u_-||^2)^2 against a guard."""
-    chart, cfg = input_.chart, input_.quad
+    chart = input_.chart
     T = chart.radius ** 2
     pair = input_.pair
     q_p = quadrature.plain_spacetime_integral(
-        lambda X, s: np.asarray(pair.plus.value(X, s)) ** 2, chart, chart.radius, T, cfg)
+        lambda X, s: np.asarray(pair.plus.value(X, s)) ** 2, chart, chart.radius, T)
     q_m = quadrature.plain_spacetime_integral(
-        lambda X, s: np.asarray(pair.minus.value(X, s)) ** 2, chart, chart.radius, T, cfg)
+        lambda X, s: np.asarray(pair.minus.value(X, s)) ** 2, chart, chart.radius, T)
     q = (1.0 + q_p + q_m) ** 2
     phis = {r: phi(input_, r) for r in rs}
     sup_phi = max(phis.values())

@@ -173,7 +173,7 @@ class RayTransform:
             vals, vecs = np.linalg.eigh(g)
             if np.any(vals <= 0):
                 raise DomainError("metric not SPD along a ray")
-            root = np.einsum("mik,mk,mjk->mij", vecs, np.sqrt(vals), vecs)
+            root = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
             out += w * np.einsum("mij,mj->mi", root, X)
         return out
 

@@ -30,6 +30,7 @@ __all__ = [
     "constant_curvature_chart",
     "perturbed_chart",
     "rescale_chart",
+    "InverseMetric",
     "metric_fields",
     "inverse_metric_and_density",
     "radial_log_density_derivative",
@@ -160,18 +161,15 @@ def _check_new_chart(n, radius):
 # field evaluation
 
 
-def _phi_field(chart, Z, order):
-    """Scalar coefficient phi in g = I + phi (u I - x x^T), with its gradient.
+def _phi_field(chart, Z, u, order):
+    """Scalar coefficient phi in g = I + phi (u I - z z^T), with its gradient.
 
     Returns (phi, dphi); dphi is None for order 0.
     """
-    n = chart.dim
-    m = Z.shape[0]
     if chart.family == "euclidean":
-        return np.zeros(m), (np.zeros((m, n)) if order >= 1 else None)
+        return np.zeros(len(Z)), (np.zeros(Z.shape) if order >= 1 else None)
     if chart.family == "const_curvature":
         K = chart.curvature
-        u = np.sum(Z * Z, axis=1)
         c0, c1 = _chi1(K * u, order)
         dphi = (2.0 * K * K * c1)[:, None] * Z if order >= 1 else None
         return K * c0, dphi
@@ -181,58 +179,66 @@ def _phi_field(chart, Z, order):
     raise ValueError(f"unknown chart family {chart.family!r}")
 
 
+def _dot(a, b):
+    """Row dot products of two (m, n) arrays, summed over the columns in order."""
+    return sum(a[:, i] * b[:, i] for i in range(a.shape[1]))
+
+
+@dataclass(frozen=True, eq=False)
+class InverseMetric:
+    """g^{-1} = (I + phi z z^T) / lam at m points, z = scale x (m, n) and
+    lam = 1 + phi |z|^2: the Gauss lemma makes the inverse of every built-in
+    metric rank one over the identity, so no (m, n, n) array is needed."""
+
+    z: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
+
+    def form(self, v):
+        """v^T g^{-1} v for rows v (m, n)."""
+        return (_dot(v, v) + self.phi * _dot(self.z, v) ** 2) / self.lam
+
+    def entry(self, i, j):
+        """g^{ij} at every point (m,)."""
+        return (float(i == j) + self.phi * (self.z[:, i] * self.z[:, j])) / self.lam
+
+    def __getitem__(self, index):
+        return InverseMetric(self.z[index], self.phi[index], self.lam[index])
+
+
+def _rank_one(chart, X, order):
+    """(z, phi, dphi, |z|^2, lam) at points X: z = scale x, phi with its gradient
+    (None for order 0) and the tangential eigenvalue lam = 1 + phi |z|^2."""
+    Z = chart.scale * np.atleast_2d(np.asarray(X, dtype=float))
+    u = _dot(Z, Z)
+    phi, dphi = _phi_field(chart, Z, u, order)
+    return Z, phi, dphi, u, 1.0 + phi * u
+
+
 def metric_fields(chart, X):
     """Vectorized metric at points X (m, n) in chart coordinates, as a dict
     with ``g`` (m,n,n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = chart.scale * X
-    phi, _ = _phi_field(chart, Z, 0)
-    u = np.sum(Z * Z, axis=1)
+    Z, phi, _, u, _ = _rank_one(chart, X, 0)
     eye = np.eye(chart.dim)
     T = u[:, None, None] * eye - Z[:, :, None] * Z[:, None, :]
     return {"g": eye[None] + phi[:, None, None] * T}
 
 
 def inverse_metric_and_density(chart, X):
-    """(g_inv (m,n,n), sqrt_det (m,)) on a batch of points; hot path."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = chart.dim
-    if chart.family == "euclidean":
-        m = X.shape[0]
-        return np.broadcast_to(np.eye(n), (m, n, n)), np.ones(m)
-    Z = chart.scale * X
-    phi, _ = _phi_field(chart, Z, 0)
-    u = np.sum(Z * Z, axis=1)
-    lam = 1.0 + phi * u          # tangential eigenvalue
+    """(InverseMetric g_inv, sqrt_det (m,)) on a batch of points; hot path."""
+    Z, phi, _, _, lam = _rank_one(chart, X, 0)
     if np.any(lam <= 0.0):
         raise NumericalError("metric not positive definite at a sample point")
-    ZZ = Z[:, :, None] * Z[:, None, :]
-    g_inv = (np.eye(n)[None] + phi[:, None, None] * ZZ) / lam[:, None, None]
-    dens = lam ** ((n - 1) / 2.0)
-    return g_inv, dens
-
-
-def volume_density(chart, X):
-    return inverse_metric_and_density(chart, X)[1]
+    return InverseMetric(Z, phi, lam), lam ** ((chart.dim - 1) / 2.0)
 
 
 def radial_log_density_derivative(chart, X):
-    """d/drho of log sqrt(det g) along the ray through each sample (m,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = chart.dim
-    if chart.family == "euclidean":
-        return np.zeros(X.shape[0])
-    s = chart.scale
-    Z = s * X
-    phi, dphi = _phi_field(chart, Z, 1)
-    u = np.sum(Z * Z, axis=1)
-    rho = np.sqrt(np.sum(X * X, axis=1))
-    lam = 1.0 + phi * u
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-    dphi_r = np.einsum("mk,mk->m", dphi, zhat) * s
-    du_r = 2.0 * np.einsum("mk,mk->m", Z, zhat) * s
-    return (n - 1) / 2.0 * (dphi_r * u + phi * du_r) / lam
+    """d/drho of log sqrt(det g) along the ray through each sample (m,), 0 at
+    the origin: (n-1)/2 scale (dlam . z/|z|) / lam, dlam = |z|^2 dphi + 2 phi z."""
+    Z, phi, dphi, u, lam = _rank_one(chart, X, 1)
+    dlam = u[:, None] * dphi + 2.0 * phi[:, None] * Z
+    zhat = Z / np.sqrt(np.where(u > 0, u, 1.0))[:, None]
+    return (chart.dim - 1) / 2.0 * chart.scale * _dot(dlam, zhat) / lam
 
 
 def divergence_drift(chart, X):
@@ -245,15 +251,12 @@ def divergence_drift(chart, X):
     b = scale ((n-1)/2 g^{-1} dlam / lam + d_i g^{ij}),
     d_i g^{ij} = ((z.dphi + (n+1) phi) z - g^{-1} dlam) / lam.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     n = chart.dim
-    Z = chart.scale * X
-    phi, dphi = _phi_field(chart, Z, 1)
-    u = np.sum(Z * Z, axis=1)
-    lam = (1.0 + phi * u)[:, None]
+    Z, phi, dphi, u, lam = _rank_one(chart, X, 1)
+    lam = lam[:, None]
     dlam = u[:, None] * dphi + 2.0 * phi[:, None] * Z
-    ginv_dlam = (dlam + (phi * np.sum(Z * dlam, axis=1))[:, None] * Z) / lam
-    div_ginv = ((np.sum(Z * dphi, axis=1) + (n + 1) * phi)[:, None] * Z - ginv_dlam) / lam
+    ginv_dlam = (dlam + (phi * _dot(Z, dlam))[:, None] * Z) / lam
+    div_ginv = ((_dot(Z, dphi) + (n + 1) * phi)[:, None] * Z - ginv_dlam) / lam
     return chart.scale * ((n - 1) / 2.0 * ginv_dlam / lam + div_ginv)
 
 

@@ -52,7 +52,7 @@ def kernel_values(spec, X, t):
     rho_sq = np.sum(X * X, axis=1)
     vals = gauss_values(spec.chart.dim, rho_sq, t)
     if spec.kind == "parametrix0":
-        dens = geometry.volume_density(spec.chart, X)
+        dens = geometry.inverse_metric_and_density(spec.chart, X)[1]
         vals = vals * dens ** (-0.5)
     return vals
 
@@ -61,5 +61,5 @@ def parametrix_phi0(chart, x):
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
         raise DomainError("point outside chart ball")
-    dens = geometry.volume_density(chart, x[None])[0]
+    dens = geometry.inverse_metric_and_density(chart, x[None])[1][0]
     return float(dens ** (-0.5))

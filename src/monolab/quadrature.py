@@ -10,15 +10,15 @@ coordinates, where the annulus is fixed.
 
 `slice_integral` evaluates a block of slice times at once: the integrand
 gets one time per point, the inverse metric and density are computed once per
-point and the inverse metric is handed to the integrand, and the annulus
-fields, which do not depend on time, are computed once per (chart, kernel
-kind, zone, config).  Slices of a block share integrand calls of at most
-`_CALL_POINTS` points each (one slice's rule when that is larger), so memory
-per call stays bounded whatever the block size.
+point and the inverse metric, a `geometry.InverseMetric`, is handed to the
+integrand, and the annulus fields, which do not depend on time, are computed
+once per (chart, kernel kind, zone).  Slices of a block share integrand calls
+of at most `_CALL_POINTS` points each (one slice's rule when that is larger),
+so memory per call stays bounded whatever the block size.
 
 Time integration over (-r^2, 0) uses one absolute mesh for every scale:
 geometric blocks (-ratio^k, -ratio^(k+1)) shrinking toward 0 (ratio
-`time_ratio`, `slices_per_scale` trapezoid cells per block), starting at the
+`_TIME_RATIO`, `slices_per_scale` trapezoid cells per block), starting at the
 largest power of the ratio not above r^2, plus a rectangle for the final
 sliver.  A scale whose r^2 is no such power gets one partial block
 (-r^2, -ratio^k) of `slices_per_scale` cells above its full blocks, so any two
@@ -58,11 +58,8 @@ __all__ = [
 class QuadratureConfig:
     r_tail: float = 8.0
     nodes: int = 64                 # per-axis midpoint count, forced even
-    time_ratio: float = 0.5
     slices_per_scale: int = 40      # trapezoid cells per geometric block
     time_blocks: int = 16
-    annulus_radial: int = 24
-    annulus_angular: int = 32       # multiples of 4 keep x1 = 0 on cell edges
 
     def __post_init__(self):
         if self.r_tail < 4.0:
@@ -73,11 +70,16 @@ class QuadratureConfig:
                             ("time_blocks", self.time_blocks)):
             if count < 1:
                 raise ConfigError(f"{name} must be >= 1", key=f"quad.{name}")
-        if not 0.0 < self.time_ratio < 1.0:
-            raise ValueError("time grading ratio must lie in (0, 1)")
 
 
 _DEFAULT_NODES = {1: 128, 2: 64, 3: 24}
+
+# Time block ratio, annulus rule cells (multiples of 4 angular cells keep
+# x1 = 0 on cell edges) and the time cells of plain_spacetime_integral.
+_TIME_RATIO = 0.5
+_ANNULUS_RADIAL = 24
+_ANNULUS_ANGULAR = 32
+_PLAIN_TIME_CELLS = 24
 
 # Points of the scaled rule per slice.  An integrand call gets up to one
 # slice's points, at about 330 bytes each (measured at n = 2, 256 nodes), so
@@ -163,26 +165,26 @@ def _eta(rho, zone):
     return 1.0 - smoothstep((np.asarray(rho) - a) / (b - a))
 
 
-# kernel -> {(zone, cfg): annulus fields}; an entry lives as long as its kernel
+# kernel -> {zone: annulus fields}; an entry lives as long as its kernel
 _ANNULUS_FIELDS = weakref.WeakKeyDictionary()
 
 
-def _annulus_fields(kernel, zone, cfg):
+def _annulus_fields(kernel, zone):
     """Time-independent fields of the annulus rule: points, weights, g_inv,
     density, |x|^2, 1 - eta and the parametrix factor density^(-1/2) (None
-    for the Gauss kernel), computed once per (chart, kernel kind, zone, cfg)."""
+    for the Gauss kernel), computed once per (chart, kernel kind, zone)."""
     per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
-    fields = per_kernel.get((zone, cfg))
+    fields = per_kernel.get(zone)
     if fields is None:
         a, b = zone
         P, w = annulus_rule(kernel.chart.dim, float(a), float(b),
-                            cfg.annulus_radial, cfg.annulus_angular)
+                            _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
         g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
         rho_sq = np.sum(P * P, axis=1)
         kernel_factor = dens ** (-0.5) if kernel.kind == "parametrix0" else None
         fields = (P, w, g_inv, dens, rho_sq, 1.0 - _eta(np.sqrt(rho_sq), zone),
                   kernel_factor)
-        per_kernel[(zone, cfg)] = fields
+        per_kernel[zone] = fields
     return fields
 
 
@@ -196,12 +198,12 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     of the 1-D array ``s``; returns one value per time.
 
     The integrand is called as f(X, S, g_inv) with points X (m, n), one time
-    per point S (m,) and the inverse metric g_inv (m, n, n) at X, and returns
-    (m,) values.  Slices of one rule share an integrand call in runs of
-    max(1, _CALL_POINTS // rule size), so no call gets more than _CALL_POINTS
-    points or one slice's rule.  Each slice keeps its own fixed-order dot
-    product and scalar Gauss prefactor, so a block gives bit-identical values
-    to one call per slice.
+    per point S (m,) and the ``geometry.InverseMetric`` g_inv at X, and
+    returns (m,) values.  Slices of one rule share an integrand call in runs
+    of max(1, _CALL_POINTS // rule size), so no call gets more than
+    _CALL_POINTS points or one slice's rule.  Each slice keeps its own
+    fixed-order dot product and scalar Gauss prefactor, so a block gives
+    bit-identical values to one call per slice.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
@@ -239,11 +241,12 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
 
     if ann:
         P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
-            _annulus_fields(kernel, cutoff_zone, cfg))
+            _annulus_fields(kernel, cutoff_zone))
         m_ann = len(w_ann)
         for run in _runs(ann, max(1, _CALL_POINTS // m_ann)):
-            vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(s[run], m_ann),
-                                np.tile(g_inv, (len(run), 1, 1))), dtype=float)
+            tiled = np.tile(np.arange(m_ann), len(run))
+            vals = np.asarray(f(P[tiled], np.repeat(s[run], m_ann), g_inv[tiled]),
+                              dtype=float)
             for j, k in enumerate(run):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k]))
                 if kernel_factor is not None:
@@ -260,7 +263,7 @@ def _time_nodes(r_sq, cfg):
     the ratio not above r^2, found by repeated multiplication from 1.0 (exact
     for ratio 1/2).  Unless r^2 is that power, a partial block (-r^2, -ratio^k)
     comes first."""
-    ratio = cfg.time_ratio
+    ratio = _TIME_RATIO
     top = 1.0
     while top > r_sq:
         top *= ratio
@@ -280,19 +283,17 @@ def spacetime_integral(slice_at, r, cfg):
 
     ``slice_at`` maps a 1-D array of slice times s < 0 to one float each and
     is called once, with every block's nodes followed by the sliver's time;
-    each block then gets its own trapezoid, in a fixed order.  Neighbouring
+    each block then gets its own trapezoid, and the block totals are summed
+    deepest first, then the sliver's rectangle is added.  Neighbouring
     blocks share their boundary time, and since the mesh is absolute, two
     scales share every slice below the top block of the smaller one.
     """
     blocks, sliver = _time_nodes(r * r, cfg)
-    size = cfg.slices_per_scale + 1
-    nodes = [np.linspace(lo, hi, size) for lo, hi in blocks]
-    values = slice_at(np.concatenate(nodes + [np.array([sliver])]))
-    total = 0.0
-    for i, s_nodes in enumerate(nodes):
-        total += float(np.trapezoid(values[i * size:(i + 1) * size], s_nodes))
-    total += (-sliver) * float(values[-1])
-    return total
+    lo, hi = np.array(blocks).T
+    nodes = np.linspace(lo, hi, cfg.slices_per_scale + 1, axis=1)
+    values = slice_at(np.append(nodes.ravel(), sliver))
+    totals = np.trapezoid(values[:-1].reshape(nodes.shape), nodes, axis=1)
+    return sum(totals.tolist()) + (-sliver) * float(values[-1])
 
 
 def time_range_integral(slice_at, s_lo, s_hi, cells):
@@ -316,20 +317,19 @@ def gauss_weighted_integral(f, n, variance, cfg):
     return float(np.dot(w, vals))
 
 
-def plain_spacetime_integral(f, chart, radius, t_depth, cfg, time_cells=24):
+def plain_spacetime_integral(f, chart, radius, t_depth):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight.
 
     ``f(X, S)`` gets one time per point; time cells share integrand calls of
     at most _CALL_POINTS points (one cell's rule when that is larger), and
     each cell keeps its own dot product."""
     n = chart.dim
-    P, w = annulus_rule(n, 0.0, float(radius), max(cfg.annulus_radial, 24),
-                        cfg.annulus_angular)
+    P, w = annulus_rule(n, 0.0, float(radius), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
     _, dens = geometry.inverse_metric_and_density(chart, P)
     wd = w * dens
     m = len(w)
-    dt = t_depth / time_cells
-    s_nodes = -t_depth + (np.arange(time_cells) + 0.5) * dt
+    dt = t_depth / _PLAIN_TIME_CELLS
+    s_nodes = -t_depth + (np.arange(_PLAIN_TIME_CELLS) + 0.5) * dt
     total = 0.0
     for run in _runs(s_nodes, max(1, _CALL_POINTS // m)):
         vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(run, m)),

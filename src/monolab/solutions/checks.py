@@ -110,7 +110,7 @@ def _bump_battery(chart, grid):
     pts = grid.points()
     g_inv, dens = geometry.inverse_metric_and_density(chart, pts)
     drift = geometry.divergence_drift(chart, pts)
-    tr_ginv = np.trace(g_inv, axis1=1, axis2=2)
+    tr_ginv = sum(g_inv.entry(d, d) for d in range(n))
     weight = dens * grid.h ** n
     centers = [np.zeros(n)] + [s * 0.35 * L * e for e in np.eye(n) for s in (-1.0, 1.0)]
     psi_x, lap_x = [], []
@@ -121,7 +121,7 @@ def _bump_battery(chart, grid):
             D = pts - c
             base = np.maximum(0.0, 1.0 - np.sum(D * D, axis=1) / w ** 2)
             # grad psi = -6/w^2 base^2 D ; hess psi = 24/w^4 base D D^T - 6/w^2 base^2 I
-            lap = ((24.0 / w ** 4) * base * np.einsum("mi,mij,mj->m", D, g_inv, D)
+            lap = ((24.0 / w ** 4) * base * g_inv.form(D)
                    - (6.0 / w ** 2) * base ** 2 * (tr_ginv + np.sum(drift * D, axis=1)))
             psi_x.append(base ** 3 * weight)
             lap_x.append(lap * weight)

@@ -51,7 +51,7 @@ def assemble_laplacian(chart, grid, active=None):
     if idx.size == 0:
         raise ValueError("no active interior nodes")
     X = pts[idx]
-    g_inv_c, dens_c = geometry.inverse_metric_and_density(chart, X)
+    _, dens_c = geometry.inverse_metric_and_density(chart, X)
 
     strides = np.empty(n, dtype=int)
     strides[-1] = 1
@@ -71,14 +71,14 @@ def assemble_laplacian(chart, grid, active=None):
         e[d] = 0.5 * h
         for sgn in (+1, -1):
             g_inv_f, dens_f = geometry.inverse_metric_and_density(chart, X + sgn * e)
-            a_dd = dens_f * g_inv_f[:, d, d]
+            a_dd = dens_f * g_inv_f.entry(d, d)
             coef = a_dd * inv_dens / (h * h)
             add(idx, idx + sgn * strides[d], coef)
             add(idx, idx, -coef)
             for d2 in range(n):
                 if d2 == d:
                     continue
-                a_de = dens_f * g_inv_f[:, d, d2]
+                a_de = dens_f * g_inv_f.entry(d, d2)
                 coef2 = sgn * a_de * inv_dens / (4.0 * h * h)
                 add(idx, idx + strides[d2], coef2)
                 add(idx, idx - strides[d2], -coef2)

@@ -174,7 +174,7 @@ def test_08_solver_convergence_orders():
         X = np.atleast_2d(X)
         ginv, _ = geo.inverse_metric_and_density(chp2, X)
         drift = geo.divergence_drift(chp2, X)
-        lap = (-ginv[:, 0, 0] * np.cos(X[:, 0])
+        lap = (-ginv.entry(0, 0) * np.cos(X[:, 0])
                - drift[:, 0] * np.sin(X[:, 0])) * np.exp(t)
         return lap - u_star(X, t)
 
@@ -194,7 +194,7 @@ def test_08_solver_convergence_orders():
         X = np.atleast_2d(X)
         ginv, _ = geo.inverse_metric_and_density(chp1, X)
         drift = geo.divergence_drift(chp1, X)
-        lap = (-ginv[:, 0, 0] * np.cos(X[:, 0])
+        lap = (-ginv.entry(0, 0) * np.cos(X[:, 0])
                - drift[:, 0] * np.sin(X[:, 0])) * np.exp(t)
         return lap - u_star(X, t)
 

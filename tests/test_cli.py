@@ -139,6 +139,13 @@ def test_parse_validation_errors():
     ("manifold.epsilon = 0.1\n", "manifold.epsilon"),
     ("manifold.family = const_curvature\nmanifold.shape = wave\n", "manifold.shape"),
     ("manifold.family = perturbed\nmanifold.K = 1.0\n", "manifold.K"),
+    # scales outside (0, delta_p/4] and a guard that no ratio can pass
+    ("sd.r = -1\n", "sd.r"),
+    ("sd.r = 0.5\n", "sd.r"),
+    ("positivity.r = 0\n", "positivity.r"),
+    ("bkp.rs = -0.1, 0.05\n", "bkp.rs"),
+    ("bkp.rs = 0.9\n", "bkp.rs"),          # emptied both ladders before
+    ("thm1.guard = -1\n", "thm1.guard"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys

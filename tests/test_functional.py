@@ -283,7 +283,7 @@ def test_kernel_swap_sandwich(sphere2, lean_quad2):
     dirs = rng.standard_normal((16, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = (np.linspace(0.0, 0.45, 12)[:, None, None] * dirs[None]).reshape(-1, 2)
-    phi0 = geo.volume_density(sphere2, pts) ** -0.5
+    phi0 = geo.inverse_metric_and_density(sphere2, pts)[1] ** -0.5
     lo, hi = float(phi0.min()), float(phi0.max())
     assert lo * a_g * (1 - 1e-9) <= a_u <= hi * a_g * (1 + 1e-9)
 
@@ -426,8 +426,8 @@ def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, node
     monkeypatch.setattr(quad, "slice_integral", sized)
     fn.phase_energy(inp, 0.25, +1)
     main = len(quad._scaled_rule(2, cfg.nodes, cfg.r_tail)[1])
-    annulus = len(quad.annulus_rule(2, *inp.zone, cfg.annulus_radial,
-                                    cfg.annulus_angular)[1])
+    annulus = len(quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL,
+                                    quad._ANNULUS_ANGULAR)[1])
     assert max(sizes) <= max(quad._CALL_POINTS, main, annulus)
     assert len(sizes) < _CALLS_UNDER_ONE_SLICE_CAP
 

@@ -215,7 +215,7 @@ def test_first_transform_gradient_norm_reduction(sphere2):
     X = np.array([[1.0, 0.2], [0.5, -1.5], [2.0, 0.0]])
     g_inv, _ = geo.inverse_metric_and_density(chart_r, X)
     w = np.array([0.3, -0.8])
-    curved = np.einsum("i,mij,j->m", w, g_inv, w)
+    curved = g_inv.form(np.broadcast_to(w, X.shape))
     flat = float(w @ w)
     bound = 2.0 * r ** 2 * np.sum(X * X, axis=1) * flat
     assert np.all(np.abs(curved - flat) <= bound + 1e-12)

@@ -19,8 +19,8 @@ def _dg(chart, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = chart.scale * X
     eye = np.eye(chart.dim)
-    phi, dphi = geo._phi_field(chart, Z, 1)
     u = np.sum(Z * Z, axis=1)
+    phi, dphi = geo._phi_field(chart, Z, u, 1)
     T = u[:, None, None] * eye - Z[:, :, None] * Z[:, None, :]
     # dT[k,i,j] = 2 z_k d_ij - d_ik z_j - z_i d_jk
     dT = (2.0 * Z[:, :, None, None] * eye[None, None, :, :]
@@ -75,9 +75,98 @@ def test_metric_inverse_consistency(sphere2, perturbed2):
         X = rng.uniform(-0.4, 0.4, size=(5, 2))
         g = geo.metric_fields(chart, X)["g"]
         g_inv, dens = geo.inverse_metric_and_density(chart, X)
+        g_inv = np.moveaxis([[g_inv.entry(i, j) for j in range(2)] for i in range(2)], -1, 0)
         assert np.abs(g @ g_inv - np.eye(2)).max() < 1e-12
         assert np.all(dens > 0)
         assert np.abs(dens - np.sqrt(np.linalg.det(g))).max() < 1e-12
+
+
+def _rank_one_charts():
+    """Every chart family at n = 1..3, each also rescaled by 0.1."""
+    for n in (1, 2, 3):
+        charts = [geo.euclidean_chart(n), geo.constant_curvature_chart(n, 1.0),
+                  geo.constant_curvature_chart(n, -1.0)]
+        charts += [geo.perturbed_chart(n, 0.1, shape) for shape in ("const", "radial", "wave")]
+        for chart in charts:
+            yield chart
+            yield geo.rescale_chart(chart, 0.1)
+
+
+def _sample(chart, rng, m=40):
+    """m points inside the chart ball, the origin first."""
+    X = rng.standard_normal((m, chart.dim))
+    X *= (0.9 * chart.radius * rng.uniform(0.0, 1.0, m) / np.linalg.norm(X, axis=1))[:, None]
+    X[0] = 0.0
+    return X
+
+
+def test_inverse_metric_matches_numerical_inverse():
+    """form and entry equal the numerical inverse of g to 1e-14 relative on
+    every family, dimension and a 0.1 rescaling, the origin included."""
+    rng = np.random.default_rng(7)
+    for chart in _rank_one_charts():
+        n = chart.dim
+        X = _sample(chart, rng)
+        ref = np.linalg.inv(geo.metric_fields(chart, X)["g"])
+        g_inv, _ = geo.inverse_metric_and_density(chart, X)
+        scale = np.abs(ref).max(axis=(1, 2))
+        for i in range(n):
+            for j in range(n):
+                assert np.all(np.abs(g_inv.entry(i, j) - ref[:, i, j]) <= 1e-14 * scale)
+        V = rng.standard_normal(X.shape)
+        form_ref = np.einsum("mi,mij,mj->m", V, ref, V)
+        assert np.all(np.abs(g_inv.form(V) - form_ref) <= 1e-14 * form_ref), chart
+        mask = rng.uniform(size=len(X)) < 0.5
+        assert np.array_equal(g_inv[mask].form(V[mask]), g_inv.form(V)[mask])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_euclidean_form_is_bitwise_the_identity_contraction(n):
+    """On the flat chart form(v) is v^T I v bit for bit, as the dense
+    identity inverse metric gave it: flat-chart energies do not move."""
+    rng = np.random.default_rng(n)
+    chart = geo.euclidean_chart(n)
+    X = _sample(chart, rng, m=500)
+    V = 10.0 * rng.standard_normal(X.shape)
+    g_inv, dens = geo.inverse_metric_and_density(chart, X)
+    eye = np.broadcast_to(np.eye(n), (len(X), n, n))
+    assert np.array_equal(g_inv.form(V), np.einsum("mi,mij,mj->m", V, eye, V))
+    assert all(np.array_equal(g_inv.entry(i, j), eye[:, i, j])
+               for i in range(n) for j in range(n))
+    assert np.array_equal(dens, np.ones(len(X)))
+
+
+def _zhat_radial_reference(chart, X):
+    """d/drho log sqrt(det g) by the unit-vector and einsum route the closed
+    form replaced."""
+    s = chart.scale
+    Z = s * X
+    u = np.sum(Z * Z, axis=1)
+    phi, dphi = geo._phi_field(chart, Z, u, 1)
+    rho = np.sqrt(np.sum(X * X, axis=1))
+    lam = 1.0 + phi * u
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
+    dphi_r = np.einsum("mk,mk->m", dphi, zhat) * s
+    du_r = 2.0 * np.einsum("mk,mk->m", Z, zhat) * s
+    return (chart.dim - 1) / 2.0 * (dphi_r * u + phi * du_r) / lam
+
+
+def test_radial_log_density_derivative_closed_form():
+    """The closed form equals the unit-vector reference to 1e-14 and a
+    central difference of log dens along the ray to 1e-8; 0 at the origin."""
+    rng = np.random.default_rng(11)
+    step = 1e-5
+    for chart in _rank_one_charts():
+        X = _sample(chart, rng)
+        dlog = geo.radial_log_density_derivative(chart, X)
+        assert np.abs(dlog - _zhat_radial_reference(chart, X)).max() <= 1e-14, chart
+        assert dlog[0] == 0.0
+        ray = X[1:] / np.linalg.norm(X[1:], axis=1)[:, None]
+        h = step * chart.radius
+        diff = (np.log(geo.inverse_metric_and_density(chart, X[1:] + h * ray)[1])
+                - np.log(geo.inverse_metric_and_density(chart, X[1:] - h * ray)[1])) / (2 * h)
+        assert np.abs(dlog[1:] - diff).max() <= 1e-8, chart
 
 
 def test_metric_outside_chart_raises(euclid2):

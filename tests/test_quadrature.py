@@ -143,8 +143,6 @@ def test_config_validation():
         quad.QuadratureConfig(r_tail=2.0)
     with pytest.raises(ValueError):
         quad.QuadratureConfig(nodes=4)
-    with pytest.raises(ValueError):
-        quad.QuadratureConfig(time_ratio=1.0)
     for count in ("slices_per_scale", "time_blocks"):
         with pytest.raises(ValueError):
             quad.QuadratureConfig(**{count: 0})
@@ -184,8 +182,8 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
     total = float(np.dot(w, vals))
     a, b = zone
     if a * a / (4.0 * t) < 200.0:
-        P, w_ann = quad.annulus_rule(n, float(a), float(b), cfg.annulus_radial,
-                                     cfg.annulus_angular)
+        P, w_ann = quad.annulus_rule(n, float(a), float(b), quad._ANNULUS_RADIAL,
+                                     quad._ANNULUS_ANGULAR)
         kv = ker.kernel_values(kernel, P, t)
         g_ann, dens_ann = geo.inverse_metric_and_density(chart, P)
         rho = np.sqrt(np.sum(P * P, axis=1))
@@ -251,7 +249,7 @@ def _time_nodes_anchored(r_sq, cfg):
     blocks = []
     lo = -r_sq
     for _ in range(cfg.time_blocks):
-        hi = lo * cfg.time_ratio
+        hi = lo * quad._TIME_RATIO
         blocks.append((lo, hi))
         lo = hi
     return blocks, lo
@@ -284,6 +282,37 @@ def test_partial_block_above_the_absolute_mesh(r_sq, top, lean_quad2):
     assert blocks[1:] == full
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     assert sliver == blocks[-1][1]
+
+
+def _per_block_spacetime(slice_at, r, cfg):
+    """One linspace and one trapezoid per block, summed in order: the loop
+    the single (blocks, cells + 1) mesh must match bit for bit."""
+    blocks, sliver = quad._time_nodes(r * r, cfg)
+    size = cfg.slices_per_scale + 1
+    nodes = [np.linspace(lo, hi, size) for lo, hi in blocks]
+    values = slice_at(np.concatenate(nodes + [np.array([sliver])]))
+    total = 0.0
+    for i, s_nodes in enumerate(nodes):
+        total += float(np.trapezoid(values[i * size:(i + 1) * size], s_nodes))
+    return total + (-sliver) * float(values[-1])
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5, 0.25, 1 / 16, 1 + 1 / 16, 1 - 1 / 16, 0.3,
+                               0.937, 2.0])
+def test_time_mesh_in_one_array_matches_per_block_loop(r, quad2, lean_quad2):
+    """The nodes handed to slice_at and the total equal the per-block loop
+    bit for bit, on the shipped and the lean time rule."""
+    for cfg in (quad2, lean_quad2):
+        requests = []
+
+        def slice_at(s):
+            requests.append(s.tobytes())
+            return np.exp(s) * np.cos(40.0 * s) + np.sqrt(-s)
+
+        total = quad.spacetime_integral(slice_at, r, cfg)
+        reference = _per_block_spacetime(slice_at, r, cfg)
+        assert requests[0] == requests[1]
+        assert total == reference
 
 
 @pytest.mark.parametrize("r", [0.5, 0.3])
