@@ -14,12 +14,18 @@ of phi under a growth hypothesis, and the positivity-measure predicates.
 Every one of these reduces to time slices of three kernel-weighted
 integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
 (`w_sq`: slice masses and the e322 annulus) and the positivity indicator
-(`positive`).  Each MonotonicityInput owns its quadrature rule and one slice
-table, keyed by (integrand kind, sign, s) with the exact float time s, so a
-slice is integrated once per input however many checks, scales or blocks
-reach it.  The table is filled per request: a space-time integral asks for
-every slice of its scale at once, and the misses are integrated in one
-`slice_integral` call.
+(`positive`).  Each integrand evaluates both phases at every quadrature point
+and returns one row per phase, (plus, minus): the radius, the cutoff mask,
+the inverse metric, chi, chi' and x/|x| are computed once per call, and only
+u, grad u (one `TwoPhasePair.fields` call for both), grad w and the metric
+form once per phase.  Every check asks for the two signs at the same times,
+so nothing is wasted.  Each MonotonicityInput owns its quadrature rule and
+one slice table, keyed by (integrand kind, s) with the exact float time s
+and holding the (plus, minus) pair, so a slice is integrated once per input
+however many checks, scales, blocks or signs reach it.  The table is filled
+per request: a space-time integral asks for every slice of its scale at
+once, and the misses are integrated for both phases in one `slice_integral`
+call.
 The values depend neither on the order of evaluation nor on the grouping into
 blocks, so a warm table returns exactly what a fresh input would compute.
 `dataclasses.replace` and `rescaled_input` start with an empty table, so a
@@ -71,7 +77,7 @@ class MonotonicityInput:
     profile: CutoffProfile
     kernel: KernelSpec
     quad: quadrature.QuadratureConfig
-    # (kind, sign, s) -> slice integral under quad; see the module doc
+    # (kind, s) -> (plus, minus) slice integrals under quad; see the module doc
     slice_table: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -87,66 +93,69 @@ class MonotonicityInput:
         return (self.profile.inner, self.profile.outer)
 
 
-def _phase(input_, sign):
-    return input_.pair.plus if sign > 0 else input_.pair.minus
+def _values(pair, X, s):
+    """(plus, minus) values at X: (2, m)."""
+    return np.array([np.asarray(pair.plus.value(X, s), dtype=float),
+                     np.asarray(pair.minus.value(X, s), dtype=float)])
 
 
-def _grad_sq_sampler(input_, sign):
+def _grad_sq_sampler(input_):
     profile = input_.profile
-    phase = _phase(input_, sign)
+    pair = input_.pair
 
     def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros(X.shape[0])
+        out = np.zeros((2, X.shape[0]))
         mask = rho < profile.outer
         if not np.any(mask):
             return out
         Xm = X[mask]
         rm = rho[mask]
-        u = np.asarray(phase.value(Xm, s[mask]), dtype=float)
-        du = np.asarray(phase.grad(Xm, s[mask]), dtype=float)
+        g_m = g_inv[mask]
+        u, du = pair.fields(Xm, s[mask])
         c = chi_of(profile, rm)
         d1 = dchi_of(profile, rm)
         xhat = Xm / np.where(rm > 0, rm, 1.0)[:, None]
-        dw = c[:, None] * du + (u * d1)[:, None] * xhat
-        out[mask] = g_inv[mask].form(dw)
+        for row, u_k, du_k in zip(out, u, du):
+            dw = c[:, None] * du_k + (u_k * d1)[:, None] * xhat
+            row[mask] = g_m.form(dw)
         return out
 
     return f
 
 
-def _w_sq_sampler(input_, sign):
+def _w_sq_sampler(input_):
     profile = input_.profile
-    phase = _phase(input_, sign)
+    pair = input_.pair
 
     def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros(X.shape[0])
+        out = np.zeros((2, X.shape[0]))
         mask = rho < profile.outer
         if np.any(mask):
-            u = np.asarray(phase.value(X[mask], s[mask]), dtype=float)
-            out[mask] = (u * chi_of(profile, rho[mask])) ** 2
+            u = _values(pair, X[mask], s[mask])
+            out[:, mask] = (u * chi_of(profile, rho[mask])) ** 2
         return out
 
     return f
 
 
-def _positivity_sampler(input_, sign):
+def _positivity_sampler(input_):
     profile = input_.profile
-    phase = _phase(input_, sign)
+    pair = input_.pair
 
     def f(X, s, g_inv):
         rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros(X.shape[0])
+        out = np.zeros((2, X.shape[0]))
         mask = rho < profile.outer
         if np.any(mask):
-            u = np.asarray(phase.value(X[mask], s[mask]), dtype=float)
-            out[mask] = (u > 0.0).astype(float)
+            out[:, mask] = (_values(pair, X[mask], s[mask]) > 0.0).astype(float)
         return out
 
     return f
 
 
+# kind -> input -> integrand f(X, S, g_inv) with rows (plus, minus)
 _SAMPLERS = {
     "grad_sq": _grad_sq_sampler,
     "w_sq": _w_sq_sampler,
@@ -155,21 +164,22 @@ _SAMPLERS = {
 
 
 def _slice_at(input_, kind, sign):
-    """Times s (1-D array) -> slice integrals of one integrand, read through
-    the input's slice table; the misses of one request are integrated in one
-    slice_integral call."""
+    """Times s (1-D array) -> slice integrals of one integrand for the phase
+    of ``sign``, read through the input's slice table; the misses of one
+    request are integrated for both phases in one slice_integral call."""
     table = input_.slice_table
-    f = _SAMPLERS[kind](input_, sign)
+    column = 0 if sign > 0 else 1
 
     def slice_at(s):
-        keys = [(kind, sign, float(t)) for t in s]
+        keys = [(kind, float(t)) for t in s]
         misses = [key for key in dict.fromkeys(keys) if key not in table]
         if misses:
             values = quadrature.slice_integral(
-                f, input_.kernel, np.array([key[2] for key in misses]),
-                input_.quad, cutoff_zone=input_.zone)
-            table.update(zip(misses, values.tolist()))
-        return np.array([table[key] for key in keys])
+                _SAMPLERS[kind](input_), input_.kernel,
+                np.array([key[1] for key in misses]), input_.quad,
+                cutoff_zone=input_.zone)
+            table.update(zip(misses, zip(*values.tolist())))
+        return np.array([table[key][column] for key in keys])
 
     return slice_at
 
@@ -381,12 +391,9 @@ def constants_stable(values, floor=1e-3, factor=4.0):
 def theorem1_check(input_, rs, guard=100.0):
     """ratio = sup_r phi(r) / (1 + ||u_+||^2 + ||u_-||^2)^2 against a guard."""
     chart = input_.chart
-    T = chart.radius ** 2
-    pair = input_.pair
-    q_p = quadrature.plain_spacetime_integral(
-        lambda X, s: np.asarray(pair.plus.value(X, s)) ** 2, chart, chart.radius, T)
-    q_m = quadrature.plain_spacetime_integral(
-        lambda X, s: np.asarray(pair.minus.value(X, s)) ** 2, chart, chart.radius, T)
+    q_p, q_m = quadrature.plain_spacetime_integral(
+        lambda X, s: _values(input_.pair, X, s) ** 2, chart, chart.radius,
+        chart.radius ** 2).tolist()
     q = (1.0 + q_p + q_m) ** 2
     phis = {r: phi(input_, r) for r in rs}
     sup_phi = max(phis.values())

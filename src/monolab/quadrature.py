@@ -195,19 +195,21 @@ def _runs(indices, size):
 
 def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
-    of the 1-D array ``s``; returns one value per time.
+    of the 1-D array ``s``.
 
     The integrand is called as f(X, S, g_inv) with points X (m, n), one time
     per point S (m,) and the ``geometry.InverseMetric`` g_inv at X, and
-    returns (m,) values.  Slices of one rule share an integrand call in runs
-    of max(1, _CALL_POINTS // rule size), so no call gets more than
-    _CALL_POINTS points or one slice's rule.  Each slice keeps its own
-    fixed-order dot product and scalar Gauss prefactor, so a block gives
-    bit-identical values to one call per slice.
+    returns (m,) values, or (k, m) for k integrands sharing the points (both
+    phases of a pair); the result is (len(s),) or (k, len(s)).  Slices of one
+    rule share an integrand call in runs of max(1, _CALL_POINTS // rule
+    size), so no call gets more than _CALL_POINTS points or one slice's rule.
+    Each row keeps its own fixed-order dot product per slice and scalar Gauss
+    prefactor, so a block of slices and a stack of integrands give
+    bit-identical values to one call per slice and integrand.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("slice times must be a 1-D array")
+    if s.ndim != 1 or len(s) == 0:
+        raise ValueError("slice times must be a non-empty 1-D array")
     if np.any(s >= 0):
         raise ValueError("slice time must be negative")
     chart = kernel.chart
@@ -223,21 +225,25 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
         a, _ = cutoff_zone
         radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
         ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
-    totals = np.zeros(len(s))
+    totals = None   # (rows, len(s)), once the first call shows the rows
 
     for run in _runs(list(range(len(s))), max(1, _CALL_POINTS // m)):
         X = (c[run, None, None] * Y).reshape(-1, n)
         g_inv, dens = geometry.inverse_metric_and_density(chart, X)
         vals = np.asarray(f(X, np.repeat(s[run], m), g_inv), dtype=float)
+        lead = vals.shape[:-1]
         if kernel.kind == "parametrix0":
             vals = vals * dens ** 0.5
         else:
             vals = vals * dens
-        vals = vals.reshape(len(run), m)
+        vals = vals.reshape(-1, len(run), m)
         if cutoff_zone is not None:
             vals = vals * _eta(c[run, None] * radius_Y, cutoff_zone)
-        for j, k in enumerate(run):
-            totals[k] = float(np.dot(w, vals[j]))
+        if totals is None:
+            totals = np.zeros((len(vals), len(s)))
+        for row, block in zip(totals, vals):
+            for j, k in enumerate(run):
+                row[k] = float(np.dot(w, block[j]))
 
     if ann:
         P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
@@ -246,14 +252,15 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
         for run in _runs(ann, max(1, _CALL_POINTS // m_ann)):
             tiled = np.tile(np.arange(m_ann), len(run))
             vals = np.asarray(f(P[tiled], np.repeat(s[run], m_ann), g_inv[tiled]),
-                              dtype=float)
+                              dtype=float).reshape(len(totals), -1)
             for j, k in enumerate(run):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k]))
                 if kernel_factor is not None:
                     kv = kv * kernel_factor
-                vals_k = vals[j * m_ann:(j + 1) * m_ann] * kv * dens * one_minus_eta
-                totals[k] += float(np.dot(w_ann, vals_k))
-    return totals
+                vals_k = vals[:, j * m_ann:(j + 1) * m_ann] * kv * dens * one_minus_eta
+                for row, vals_row in zip(totals, vals_k):
+                    row[k] += float(np.dot(w_ann, vals_row))
+    return totals.reshape(lead + (len(s),))
 
 
 def _time_nodes(r_sq, cfg):
@@ -320,9 +327,11 @@ def gauss_weighted_integral(f, n, variance, cfg):
 def plain_spacetime_integral(f, chart, radius, t_depth):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight.
 
-    ``f(X, S)`` gets one time per point; time cells share integrand calls of
-    at most _CALL_POINTS points (one cell's rule when that is larger), and
-    each cell keeps its own dot product."""
+    ``f(X, S)`` gets one time per point and returns (m,) values, or (k, m)
+    for k integrands sharing the points; the result is a float or (k,).
+    Time cells share integrand calls of at most _CALL_POINTS points (one
+    cell's rule when that is larger), and each row keeps its own dot product
+    per cell and its own running sum, in time order."""
     n = chart.dim
     P, w = annulus_rule(n, 0.0, float(radius), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
     _, dens = geometry.inverse_metric_and_density(chart, P)
@@ -330,10 +339,15 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
     m = len(w)
     dt = t_depth / _PLAIN_TIME_CELLS
     s_nodes = -t_depth + (np.arange(_PLAIN_TIME_CELLS) + 0.5) * dt
-    total = 0.0
+    totals = None   # one running sum per row, once the first call shows the rows
     for run in _runs(s_nodes, max(1, _CALL_POINTS // m)):
         vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(run, m)),
-                          dtype=float).reshape(len(run), m)
-        for row in vals:
-            total += float(np.dot(wd, row)) * dt
-    return total
+                          dtype=float)
+        lead = vals.shape[:-1]
+        vals = vals.reshape(-1, len(run), m)
+        if totals is None:
+            totals = [0.0] * len(vals)
+        for i, block in enumerate(vals):
+            for row in block:
+                totals[i] += float(np.dot(wd, row)) * dt
+    return totals[0] if lead == () else np.array(totals)

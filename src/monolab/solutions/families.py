@@ -1,7 +1,8 @@
 """Admissible two-phase pairs: analytic families and evolved grid pairs.
 
 Every phase exposes vectorized ``value(X, s)`` and ``grad(X, s)`` samplers;
-s is one time or one time per point.
+s is one time or one time per point.  A pair's ``fields(X, s)`` samples both
+phases at once, as the functional's integrands need them.
 Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
@@ -56,11 +57,24 @@ class Phase:
 
 @dataclass(eq=False)
 class TwoPhasePair:
+    """Two phases; ``fields`` samples both at once.  ``joint`` is a sampler
+    (X, s) -> (values (2, m), grads (2, m, n)) that shares work between the
+    phases, or None to stack the phases' own calls."""
     plus: Phase
     minus: Phase
     family: str
     params: dict = field(default_factory=dict)
     admissibility: dict = field(default_factory=dict)
+    joint: Callable | None = field(default=None, repr=False)
+
+    def fields(self, X, s):
+        """Values (2, m) and gradients (2, m, n) of (plus, minus) at X (m, n);
+        bit-identical to the phases' own value and grad calls."""
+        if self.joint is not None:
+            return self.joint(X, s)
+        phases = (self.plus, self.minus)
+        return (np.array([np.asarray(p.value(X, s), dtype=float) for p in phases]),
+                np.array([np.asarray(p.grad(X, s), dtype=float) for p in phases]))
 
 
 def _null_phase(n):
@@ -159,7 +173,7 @@ def _numeric_pair(n, values, chart, grid):
     sp_minus = GridPhaseSampler(gf_minus, other=gf_plus)
     return (Phase(value=sp_plus.value, grad=sp_plus.grad),
             Phase(value=sp_minus.value, grad=sp_minus.grad),
-            {"grid_plus": gf_plus, "grid_minus": gf_minus})
+            sp_plus.fields, {"grid_plus": gf_plus, "grid_minus": gf_minus})
 
 
 def make_family(name, params=None, chart=None, grid=None):
@@ -185,8 +199,9 @@ def make_family(name, params=None, chart=None, grid=None):
         return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=values["c"]),
                             minus=_plane_phase(e, 1.0, -1.0, drift=values["c"]),
                             family=name, params=params)
-    plus, minus, extra = _numeric_pair(n, values, chart, grid)   # NumericPair
-    pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params)
+    plus, minus, joint, extra = _numeric_pair(n, values, chart, grid)  # NumericPair
+    pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params,
+                        joint=joint)
     pair.admissibility.update(extra)
     return pair
 
@@ -206,6 +221,10 @@ def rescale_pair(pair, r):
 
         return Phase(value=value, grad=grad)
 
+    def joint(X, s):
+        values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
+        return values / (r * r), grads / r
+
     return TwoPhasePair(plus=scaled(pair.plus), minus=scaled(pair.minus),
                         family=pair.family,
-                        params={**pair.params, "rescaled_by": r})
+                        params={**pair.params, "rescaled_by": r}, joint=joint)

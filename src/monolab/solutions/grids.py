@@ -163,20 +163,26 @@ def _interpolate(values, frames, flat, wgt):
     return out
 
 
-def _by_time(sample, X, s, shape):
+def _in_time(v, theta):
+    """Interpolants of one or two time frames (rows of v) -> the interpolant
+    at the time theta of the way from the first to the second."""
+    return v[0] if len(v) == 1 else (1.0 - theta) * v[0] + theta * v[1]
+
+
+def _by_time(sample, X, s):
     """sample(X, t) for one time t, applied to each contiguous run of points
     of equal time when s holds one time per point (a scalar s is one run);
-    each run is a view of X, so memory per call stays that of one run."""
+    each run is a view of X, so memory per call stays that of one run.
+    ``sample`` returns a tuple of arrays with the points on their last axis,
+    and the runs' arrays are joined along it."""
     if np.ndim(s) == 0:
         return sample(X, s)
     s = np.asarray(s)
     bounds = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), len(s)]
     if len(bounds) == 2:    # one time for every point
         return sample(X, s[0])
-    out = np.empty((len(s),) + shape)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        out[a:b] = sample(X[a:b], s[a])
-    return out
+    runs = [sample(X[a:b], s[a]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*runs))
 
 
 class GridPhaseSampler:
@@ -186,68 +192,81 @@ class GridPhaseSampler:
     bracketing time frames.  Gradients are central differences of the
     interpolant with the grid step; where the opposite phase is positive on
     one side, a one-sided difference from the clean side is used instead
-    (interface stencils are biased).  ``grad`` stacks its 2n+1 stencil points,
-    locates their cells once and reads both phases' frames from the shared
-    corners; ``other`` must live on the same grid.  The time s is a scalar or
-    one time per point, with equal times in contiguous runs.
+    (interface stencils are biased).  ``fields`` samples this phase and
+    ``other`` (which must live on the same grid) together: it stacks the 2n+1
+    stencil points, locates their cells once and reads both grids' frames
+    from the shared corners, so each grid's raw frames give the other phase
+    its one-sided mask and stencil row 0, the point itself, gives the values.
+    ``grad`` is this phase's row of ``fields``.  The time s is a scalar or one
+    time per point, with equal times in contiguous runs.
     """
 
     def __init__(self, gf, other=None):
         self.gf = gf
-        self.other = other
-        self.other_tol = (None if other is None else
-                          1e-12 * max(1.0, float(np.max(np.abs(other.values)))))
+        self.grids = (gf,) if other is None else (gf, other)
+        # positivity thresholds of the grids, for the other phase's mask
+        self.tols = [1e-12 * max(1.0, float(np.max(np.abs(g.values))))
+                     for g in self.grids]
 
-    def _frame_pair(self, s):
+    def _frames(self, s):
+        """The time frames bracketing s and the weight of the later one."""
         t = self.gf.grid.times
         if s <= t[0]:
-            return 0, 0, 0.0
+            return [0], 0.0
         if s >= t[-1]:
-            return len(t) - 1, len(t) - 1, 0.0
+            return [len(t) - 1], 0.0
         j = int(np.searchsorted(t, s, side="right") - 1)
         j = min(j, len(t) - 2)
-        theta = (s - t[j]) / (t[j + 1] - t[j])
-        return j, j + 1, float(theta)
-
-    def _at(self, X, s):
-        """This phase at X (m, n) and time s, with the corners and time frames
-        it read, for reuse on ``other``."""
-        j0, j1, th = self._frame_pair(s)
-        frames = [j0] if j1 == j0 or th == 0.0 else [j0, j1]
-        flat, wgt = _corners(self.gf.grid, X)
-        v = _interpolate(self.gf.values, frames, flat, wgt)
-        v = v[0] if len(frames) == 1 else (1.0 - th) * v[0] + th * v[1]
-        return v, frames, flat, wgt
+        theta = float((s - t[j]) / (t[j + 1] - t[j]))
+        return ([j] if theta == 0.0 else [j, j + 1]), theta
 
     def value(self, X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _by_time(lambda Xr, t: self._at(Xr, t)[0], X, s, ())
+        return _by_time(lambda Xr, t: (self._value_at(Xr, t),), X, s)[0]
+
+    def _value_at(self, X, s):
+        frames, theta = self._frames(s)
+        flat, wgt = _corners(self.gf.grid, X)
+        return _in_time(_interpolate(self.gf.values, frames, flat, wgt), theta)
 
     def grad(self, X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _by_time(self._grad_at, X, s, (X.shape[1],))
+        return self.fields(X, s)[1][0]
 
-    def _grad_at(self, X, s):
+    def fields(self, X, s):
+        """Values (k, m) and gradients (k, m, n) of this phase and, if there
+        is one, ``other`` at X (m, n), in that order."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        values, grads = _by_time(self._fields_at, X, s)
+        return values, np.ascontiguousarray(grads.transpose(0, 2, 1))
+
+    def _fields_at(self, X, s):
+        """Values (k, m) and gradient components (k, n, m) at one time s."""
         m, n = X.shape
         h = self.gf.grid.h
         # stencil rows: X, then X + h e_d and X - h e_d for each axis d
         steps = np.zeros((2 * n + 1, n))
         steps[1::2] = h * np.eye(n)
         steps[2::2] = -h * np.eye(n)
-        v, frames, flat, wgt = self._at((X[None] + steps[:, None]).reshape(-1, n), s)
-        if self.other is None:
-            o = np.zeros(v.shape, dtype=bool)
+        frames, theta = self._frames(s)
+        flat, wgt = _corners(self.gf.grid,
+                             (X[None] + steps[:, None]).reshape(-1, n))
+        raw = [_interpolate(g.values, frames, flat, wgt) for g in self.grids]
+        # one-sided masks: where the other grid's raw frames are positive
+        if len(raw) == 1:
+            masks = [np.zeros((2 * n + 1, m), dtype=bool)]
         else:
-            o = _interpolate(self.other.values, frames, flat, wgt)
-            o = o.max(axis=0) > self.other_tol
-        v = v.reshape(2 * n + 1, m)
-        o = o.reshape(2 * n + 1, m)
-        v_c, v_p, v_m = v[0], v[1::2], v[2::2]
-        o_p, o_m = o[1::2], o[2::2]
-        central = (v_p - v_m) / (2.0 * h)
-        fwd = (v_p - v_c) / h
-        bwd = (v_c - v_m) / h
-        g = np.where(o_p & ~o_m, bwd, central)
-        g = np.where(o_m & ~o_p, fwd, g)
-        g = np.where(o_m & o_p, 0.0, g)
-        return np.ascontiguousarray(g.T)   # (m, n) in C order, one row per point
+            masks = [(r.max(axis=0) > tol).reshape(2 * n + 1, m)
+                     for r, tol in zip(raw[::-1], self.tols[::-1])]
+        values, grads = [], []
+        for r, o in zip(raw, masks):
+            v = _in_time(r, theta).reshape(2 * n + 1, m)
+            v_c, v_p, v_m = v[0], v[1::2], v[2::2]
+            o_p, o_m = o[1::2], o[2::2]
+            central = (v_p - v_m) / (2.0 * h)
+            fwd = (v_p - v_c) / h
+            bwd = (v_c - v_m) / h
+            g = np.where(o_p & ~o_m, bwd, central)
+            g = np.where(o_m & ~o_p, fwd, g)
+            values.append(v_c)
+            grads.append(np.where(o_m & o_p, 0.0, g))
+        return np.array(values), np.array(grads)

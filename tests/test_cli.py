@@ -145,6 +145,7 @@ def test_parse_validation_errors():
     ("positivity.r = 0\n", "positivity.r"),
     ("bkp.rs = -0.1, 0.05\n", "bkp.rs"),
     ("bkp.rs = 0.9\n", "bkp.rs"),          # emptied both ladders before
+    ("bkp.rs =\n", "bkp.rs"),              # no scale: empty ladders, NaN slopes
     ("thm1.guard = -1\n", "thm1.guard"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):

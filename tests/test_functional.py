@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from monolab import cutoff, kernels
 from monolab import functional as fn
 from monolab import geometry as geo
 from monolab import quadrature as quad
 from monolab.errors import PreconditionError
+from monolab.solutions import SpaceTimeGrid, make_family
 
 from conftest import build_input
 
@@ -289,8 +291,7 @@ def test_kernel_swap_sandwich(sphere2, lean_quad2):
 
 
 def test_validity_gate(euclid2, lean_quad2):
-    from monolab.solutions import SpaceTimeGrid, make_family, pair_validity_check
-    from monolab import cutoff, kernels
+    from monolab.solutions import pair_validity_check
 
     grid = SpaceTimeGrid.geometric(2, 1.0, 0.2, ratio=0.8, dt0=0.3)
     pair = make_family("NumericPair", {"seed": 3, "overlap": True},
@@ -342,8 +343,42 @@ def test_slice_table_one_energy_slice_count(euclid2, lean_quad2, slice_calls):
     expected = lean_quad2.time_blocks * lean_quad2.slices_per_scale + 1
     assert len(slice_calls) == expected
     assert len(inp.slice_table) == expected
-    assert {key[:2] for key in inp.slice_table} == {("grad_sq", +1)}
-    assert {len(key) for key in inp.slice_table} == {3}   # (kind, sign, s)
+    assert {key[0] for key in inp.slice_table} == {"grad_sq"}
+    assert {len(key) for key in inp.slice_table} == {2}   # (kind, s)
+    assert {len(pm) for pm in inp.slice_table.values()} == {2}   # (plus, minus)
+    fn.phase_energy(inp, 0.25, -1)      # the misses filled both phases
+    assert len(slice_calls) == len(inp.slice_table) == expected
+
+
+@pytest.mark.parametrize("family, params", [("DriftTwoPlane", {"c": 0.5}),
+                                            ("NumericPair", {"seed": 1})])
+def test_one_miss_fills_both_phases(euclid2, lean_quad2, monkeypatch, family,
+                                    params):
+    """The minus energy, boundary energy and slice mass after the plus ones
+    read the table: no second slice_integral call (s = -0.09 is no node of
+    the scale 1/4)."""
+    calls = []
+    original = quad.slice_integral
+    monkeypatch.setattr(quad, "slice_integral",
+                        lambda *args, **kwargs: calls.append(1) or original(
+                            *args, **kwargs))
+    grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.8, dt0=0.25)
+    pair = make_family(family, params, chart=euclid2, grid=grid)
+    inp = fn.MonotonicityInput(chart=euclid2, pair=pair,
+                               profile=cutoff.build_cutoff(euclid2),
+                               kernel=kernels.KernelSpec("gauss", euclid2),
+                               quad=lean_quad2)
+    for read in (lambda sign: fn.phase_energy(inp, 0.25, sign),
+                 lambda sign: fn.boundary_energy(inp, 0.3, sign),
+                 lambda sign: fn.slice_mass(inp, -0.0625, sign)):
+        before = len(calls)
+        plus = read(+1)
+        assert len(calls) == before + 1
+        minus = read(-1)
+        assert len(calls) == before + 1
+        assert plus > 0.0 and minus > 0.0
+    fresh = dataclasses.replace(inp)
+    assert fn.phase_energy(fresh, 0.25, -1) == fn.phase_energy(inp, 0.25, -1)
 
 
 def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
@@ -369,20 +404,16 @@ def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
     rin = fn.rescaled_input(build_input(euclid2, "TwoPlaneCaloric", {},
                                         cfg=lean_quad2), 1.0 / 16.0)
 
-    def per_sign():
-        return [sum(key[1] == sign for key in rin.slice_table)
-                for sign in (+1, -1)]
-
     fn.phase_energy(rin, 1.0, +1)
     fn.phase_energy(rin, 1.0, -1)
-    before = per_sign()
+    before = len(rin.slice_table)
     fn.phi(rin, 1.0 + 1.0 / 16.0)
-    after_up = per_sign()
+    after_up = len(rin.slice_table)
     fn.phi(rin, 1.0 - 1.0 / 16.0)
-    after_down = per_sign()
+    after_down = len(rin.slice_table)
     spp = lean_quad2.slices_per_scale
-    assert [b - a for a, b in zip(before, after_up)] == [spp, spp]
-    assert [b - a for a, b in zip(after_up, after_down)] == [2 * spp, 2 * spp]
+    assert after_up - before == spp
+    assert after_down - after_up == 2 * spp
     assert len(slice_calls) == len(rin.slice_table)
 
 

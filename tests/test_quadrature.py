@@ -210,18 +210,20 @@ def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
     a = inp.zone[0]
     assert [a * a / (4.0 * -s) < 200.0 for s in BLOCK_TIMES] == [True] * 5 + [False] * 3
     for integrand in ("grad_sq", "w_sq", "positive"):
-        for sign in (+1, -1):
-            f = fn._SAMPLERS[integrand](inp, sign)
-            block = quad.slice_integral(f, inp.kernel, BLOCK_TIMES, cfg, inp.zone)
-            single = [quad.slice_integral(f, inp.kernel, BLOCK_TIMES[k:k + 1], cfg,
-                                          inp.zone)[0]
-                      for k in range(len(BLOCK_TIMES))]
-            reference = [_per_slice_reference(f, inp.kernel, s, cfg, inp.zone)
-                         for s in BLOCK_TIMES]
-            assert np.array_equal(block, single)
-            assert np.array_equal(block, reference)
-            if integrand == "grad_sq" and sign > 0:
-                assert np.all(block[:5] > 0.0)
+        f = fn._SAMPLERS[integrand](inp)     # rows (plus, minus)
+        block = quad.slice_integral(f, inp.kernel, BLOCK_TIMES, cfg, inp.zone)
+        assert block.shape == (2, len(BLOCK_TIMES))
+        single = [quad.slice_integral(f, inp.kernel, BLOCK_TIMES[k:k + 1], cfg,
+                                      inp.zone)[:, 0]
+                  for k in range(len(BLOCK_TIMES))]
+        assert np.array_equal(block, np.array(single).T)
+        for row in (0, 1):
+            reference = [_per_slice_reference(
+                lambda X, S, g_inv: f(X, S, g_inv)[row], inp.kernel, s, cfg,
+                inp.zone) for s in BLOCK_TIMES]
+            assert np.array_equal(block[row], reference)
+        if integrand == "grad_sq":
+            assert np.all(block[0, :5] > 0.0)
 
 
 @pytest.mark.parametrize("call_points", [600, 2000])

@@ -8,7 +8,7 @@ from monolab import geometry as geo
 from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplacian,
                                make_family, pair_validity_check, rescale_pair,
                                solve_heat, supercaloric_residual_check)
-from monolab.solutions import checks
+from monolab.solutions import checks, grids
 from monolab.solutions.grids import GridFunction
 
 
@@ -402,6 +402,82 @@ def test_rescale_pair_preserves_slack(euclid2):
     # u(y, s)/r^2 with u(ry, r^2 s): values match by construction
     direct = pair.plus.value(0.25 * X, 0.25 ** 2 * -0.5) / 0.25 ** 2
     assert np.allclose(resc.plus.value(X, -0.5), direct)
+
+
+# ---------------------------------------------------------------------------
+# both phases at once
+
+
+def _one_phase_grad(gf, other, X, s):
+    """The one-phase shared-corner stencil GridPhaseSampler.grad ran before
+    the phases were sampled together, at one time s: 2n+1 stencil points
+    located once, this phase's frames interpolated in time, the other
+    phase's raw frames for the one-sided mask."""
+    m, n = X.shape
+    h = gf.grid.h
+    steps = np.zeros((2 * n + 1, n))
+    steps[1::2] = h * np.eye(n)
+    steps[2::2] = -h * np.eye(n)
+    j0, j1, th = _ref_frames(gf.grid.times, s)
+    frames = [j0] if j1 == j0 or th == 0.0 else [j0, j1]
+    flat, wgt = grids._corners(gf.grid, (X[None] + steps[:, None]).reshape(-1, n))
+    v = grids._interpolate(gf.values, frames, flat, wgt)
+    v = v[0] if len(frames) == 1 else (1.0 - th) * v[0] + th * v[1]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(other.values))))
+    o = grids._interpolate(other.values, frames, flat, wgt).max(axis=0) > tol
+    v = v.reshape(2 * n + 1, m)
+    o = o.reshape(2 * n + 1, m)
+    v_c, v_p, v_m = v[0], v[1::2], v[2::2]
+    o_p, o_m = o[1::2], o[2::2]
+    g = np.where(o_p & ~o_m, (v_c - v_m) / h, (v_p - v_m) / (2.0 * h))
+    g = np.where(o_m & ~o_p, (v_p - v_c) / h, g)
+    return np.ascontiguousarray(np.where(o_m & o_p, 0.0, g).T)
+
+
+def _fields_reference(base, r, X, s):
+    """(values, grads) of the pair ``base`` rescaled by r at one time s, one
+    phase at a time: each phase's own value and grad, grid phases' gradients
+    through _one_phase_grad."""
+    Xr, sr = r * X, r * r * s
+    values = np.array([base.plus.value(Xr, sr), base.minus.value(Xr, sr)])
+    if base.family == "NumericPair":
+        gp, gm = base.admissibility["grid_plus"], base.admissibility["grid_minus"]
+        grads = np.array([_one_phase_grad(gp, gm, Xr, sr),
+                          _one_phase_grad(gm, gp, Xr, sr)])
+    else:
+        grads = np.array([base.plus.grad(Xr, sr), base.minus.grad(Xr, sr)])
+    return values / (r * r), grads / r
+
+
+@pytest.mark.parametrize("name, params", [
+    ("Null", {}),
+    ("TwoPlaneCaloric", {"alpha": 2.0, "beta": 0.5}),
+    ("PowerWedge", {"beta": 0.5}),
+    ("DriftTwoPlane", {"c": 0.5}),
+    ("NumericPair", {"seed": 3, "overlap": False}),
+    ("NumericPair", {"seed": 3, "overlap": True}),
+])
+@pytest.mark.parametrize("r", [1.0, 0.25])
+def test_pair_fields_equal_per_phase_calls(euclid2, name, params, r):
+    """TwoPhasePair.fields, of a family's pair (r = 1) and of its parabolic
+    rescaling, is bit-identical to one call per phase, at single times and
+    with one time per point."""
+    grid = small_grid()
+    base = make_family(name, params, chart=euclid2, grid=grid)
+    pair = base if r == 1.0 else rescale_pair(base, r)
+    X = _stencil_probes(2, grid.h, np.random.default_rng(30)) / r
+    t = grid.times / (r * r)
+    times = [t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.0, t[3]]
+    for s in times:
+        got, want = pair.fields(X, s), _fields_reference(base, r, X, s)
+        assert got[0].shape == (2, len(X)) and got[1].shape == (2, len(X), 2)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    values, grads = pair.fields(np.tile(X, (len(times), 1)), np.repeat(times, len(X)))
+    want = [_fields_reference(base, r, X, s) for s in times]
+    assert np.array_equal(values, np.concatenate([v for v, _ in want], axis=1))
+    assert np.array_equal(grads, np.concatenate([g for _, g in want], axis=1))
+    if name == "NumericPair":
+        assert np.any(grads[0] != 0.0) and np.any(grads[1] != 0.0)
 
 
 # ---------------------------------------------------------------------------
