@@ -86,6 +86,12 @@ def _parse_str_list(raw):
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
+# The smallest scale sd.r, positivity.r and bkp.rs accept.  The checks
+# integrate over (-r^2, 0) on a time mesh that starts at -r^2, so r^2 must
+# be a positive normal float; 1e-6 keeps it at 1e-12 or above, far from
+# underflow, and far below any scale the default rules resolve.
+_MIN_SCALE = 1e-6
+
 # key -> (attribute, converter); pair.* keys are collected into pair_params
 _KEYS = {
     "scenario.id": ("scenario_id", str),
@@ -228,5 +234,6 @@ def _validate(cfg, set_keys):
         raise ConfigError("bkp.rs must list at least one scale", key="bkp.rs")
     for key, value in ([("sd.r", cfg.sd_r), ("positivity.r", cfg.positivity_r)]
                        + [("bkp.rs", r) for r in cfg.bkp_rs]):
-        if not 0.0 < value <= cfg.delta_p / 4.0:
-            raise ConfigError(f"{key} must lie in (0, delta_p/4]", key=key)
+        if not _MIN_SCALE <= value <= cfg.delta_p / 4.0:
+            raise ConfigError(f"{key} must lie in [{_MIN_SCALE:g}, delta_p/4]",
+                              key=key)

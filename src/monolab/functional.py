@@ -28,9 +28,11 @@ once, and the misses are integrated for both phases in one `slice_integral`
 call.
 The values depend neither on the order of evaluation nor on the grouping into
 blocks, so a warm table returns exactly what a fresh input would compute.
-`dataclasses.replace` and `rescaled_input` start with an empty table, so a
-copy under another rule (`dataclasses.replace(input_, quad=...)`) integrates
-its own slices.
+A copy made by `dataclasses.replace` starts with an empty table, so a copy
+under another rule (`dataclasses.replace(input_, quad=...)`) integrates its
+own slices.  The checks at the unit scale of a parabolic rescaling (the scale
+derivative here, the curved BKP quotients in `gauss_transforms`) read the
+scenario's own table through the rescaling identities, so they add no input.
 
 All fitted constants are reported, never asserted against the non-constructive
 ones; regression guards are explicit config inputs.
@@ -43,10 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, quadrature
-from .cutoff import CutoffProfile, build_cutoff, chi as chi_of, dchi as dchi_of
+from .cutoff import CutoffProfile, chi as chi_of, dchi as dchi_of
 from .errors import PreconditionError
 from .kernels import KernelSpec
-from .solutions import rescale_pair
 
 __all__ = [
     "MonotonicityInput",
@@ -64,7 +65,6 @@ __all__ = [
     "theorem2_check",
     "positivity_measure",
     "slice_mass",
-    "rescaled_input",
     "constants_stable",
     "fit_log_slope",
 ]
@@ -297,31 +297,33 @@ class ScaleDerivativeRecord:
     term_scale: float        # 4A+A- + 2B+A- + 2A+B-, the comparison yardstick
 
 
-def rescaled_input(input_, r):
-    """The parabolic rescaling at scale r as a fresh MonotonicityInput."""
-    chart_r = geometry.rescale_chart(input_.chart, r)
-    pair_r = rescale_pair(input_.pair, r)
-    profile_r = build_cutoff(chart_r)
-    kernel_r = KernelSpec(input_.kernel.kind, chart_r)
-    return MonotonicityInput(chart=chart_r, pair=pair_r, profile=profile_r,
-                             kernel=kernel_r, quad=input_.quad)
-
-
 def scale_derivative(input_, r, fd_step=0.0625):
     """Direct phi~'(1) vs the centered difference of phi~, plus the slice
-    Rayleigh quotients; r <= radius/4 so the rescaled chart covers S_1."""
+    Rayleigh quotients, for the parabolic rescaling u(r y, r^2 s) / r^2.
+
+    The rescaled quantities are read from the input's own slice table:
+    A~(rho) = r^-4 A(r rho), B~(1) = r^-2 B(r) and m~(-1) = r^-4 m(-r^2);
+    r <= radius/4 keeps the scale r (1 + fd_step) within radius/2."""
     if r > input_.chart.radius / 4.0 + 1e-12:
         raise ValueError("scale derivative needs r <= radius/4")
-    rin = rescaled_input(input_, r)
-    a_p = phase_energy(rin, 1.0, +1)
-    a_m = phase_energy(rin, 1.0, -1)
-    b_p = boundary_energy(rin, 1.0, +1)
-    b_m = boundary_energy(rin, 1.0, -1)
+
+    def energies(rho):
+        return (phase_energy(input_, r * rho, +1) / r ** 4,
+                phase_energy(input_, r * rho, -1) / r ** 4)
+
+    def phi_rescaled(rho):
+        a_plus, a_minus = energies(rho)
+        return a_plus * a_minus / rho ** 4
+
+    a_p, a_m = energies(1.0)
+    b_p = boundary_energy(input_, r, +1) / r ** 2
+    b_m = boundary_energy(input_, r, -1) / r ** 2
     direct = -4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
 
-    fd = (phi(rin, 1.0 + fd_step) - phi(rin, 1.0 - fd_step)) / (2.0 * fd_step)
-    m_p = slice_mass(rin, -1.0, +1)
-    m_m = slice_mass(rin, -1.0, -1)
+    fd = (phi_rescaled(1.0 + fd_step)
+          - phi_rescaled(1.0 - fd_step)) / (2.0 * fd_step)
+    m_p = slice_mass(input_, -r * r, +1) / r ** 4
+    m_m = slice_mass(input_, -r * r, -1) / r ** 4
     lam_p = b_p / m_p if m_p > 0 else np.nan
     lam_m = b_m / m_m if m_m > 0 else np.nan
     scale = 4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m

@@ -304,17 +304,17 @@ def pushforward_ladder(chart, rs, kernel_kind="parametrix0", s=-0.5, cfg=None):
 
 def manifold_bkp_deficit(input_, r):
     """Rayleigh quotients of the rescaled truncated phases on the s = -1 slice
-    under the rescaled kernel measure; their sum against 1."""
-    rin = functional.rescaled_input(input_, r)
+    under the rescaled kernel measure; their sum against 1.  Each quotient
+    is read from the input at scale r: lambda = r^2 B(r) / m(-r^2)."""
     out = {}
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        num = functional.boundary_energy(rin, 1.0, sign)
-        den = functional.slice_mass(rin, -1.0, sign)
+        num = functional.boundary_energy(input_, r, sign)
+        den = functional.slice_mass(input_, -r * r, sign)
         if den <= 0:
             raise DegenerateInputError(
                 f"phase {name} vanishes on the s = -1 slice (its energy is "
                 "then bounded and the dichotomy is moot)")
-        out[name] = num / den
+        out[name] = r * r * num / den
     s = out["plus"] + out["minus"]
     return {
         "r": r,

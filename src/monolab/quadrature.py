@@ -269,7 +269,10 @@ def _time_nodes(r_sq, cfg):
     The ``time_blocks`` full blocks start at -ratio^k, the largest power of
     the ratio not above r^2, found by repeated multiplication from 1.0 (exact
     for ratio 1/2).  Unless r^2 is that power, a partial block (-r^2, -ratio^k)
-    comes first."""
+    comes first.  r^2 must be a positive finite number: the search for
+    ratio^k would not end at 0 or infinity."""
+    if not 0.0 < r_sq < np.inf:
+        raise ValueError(f"r^2 must be a positive finite number, not {r_sq!r}")
     ratio = _TIME_RATIO
     top = 1.0
     while top > r_sq:

@@ -1,5 +1,5 @@
 from .grids import SpaceTimeGrid, GridFunction, GridPhaseSampler
-from .families import Phase, TwoPhasePair, make_family, rescale_pair, FAMILY_NAMES
+from .families import Phase, TwoPhasePair, make_family, FAMILY_NAMES
 from .solver import solve_heat, assemble_laplacian
 from .checks import (
     ValidityRecord,
@@ -16,7 +16,6 @@ __all__ = [
     "Phase",
     "TwoPhasePair",
     "make_family",
-    "rescale_pair",
     "FAMILY_NAMES",
     "solve_heat",
     "assemble_laplacian",

@@ -80,6 +80,7 @@ def pair_validity_check(pair, grid, tol=1e-10, frames=None):
     min_plus = float(np.min(up))
     min_minus = float(np.min(um))
     origin = np.zeros((1, grid.dim))
+    s = max(scale, 1e-300)
     rec = ValidityRecord(
         product_max=product_max,
         min_plus=min_plus,
@@ -87,7 +88,7 @@ def pair_validity_check(pair, grid, tol=1e-10, frames=None):
         scale=scale,
         origin_plus=float(pair.plus.value(origin, 0.0)[0]),
         origin_minus=float(pair.minus.value(origin, 0.0)[0]),
-        passed=(product_max <= tol * max(scale, 1e-300) ** 2
+        passed=(product_max <= tol * (s * s)
                 and min_plus >= -tol * max(1.0, scale)
                 and min_minus >= -tol * max(1.0, scale)),
     )

@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from .grids import GridPhaseSampler
 from .solver import solve_heat
 
-__all__ = ["Phase", "TwoPhasePair", "make_family", "rescale_pair", "family_params",
+__all__ = ["Phase", "TwoPhasePair", "make_family", "family_params",
            "param_types", "FAMILY_NAMES"]
 
 # family -> parameter it reads -> (type, default, admissible, the admissible
@@ -39,7 +39,7 @@ _PARAMS = {
     "DriftTwoPlane": {"c": (float, 0.5, lambda v: 0.0 <= v <= 0.5,
                             "in [0, 1/2] (the residual -c (x.e)_pm must stay "
                             ">= -1 on the chart)")},
-    "NumericPair": {"seed": (int, 0, None, ""),
+    "NumericPair": {"seed": (int, 0, lambda v: v >= 0, ">= 0"),
                     "overlap": (bool, False, None, ""),    # negative control
                     "source_depth": (float, 0.5, lambda v: 0.0 <= v <= 1.0,
                                      "in [0, 1] (keeps the residual >= -1)"),
@@ -205,26 +205,3 @@ def make_family(name, params=None, chart=None, grid=None):
     pair.admissibility.update(extra)
     return pair
 
-
-def rescale_pair(pair, r):
-    """Parabolic rescale u(y, s) -> u(r y, r^2 s) / r^2 (preserves the -1 bound)."""
-    if not r > 0:
-        raise ValueError("rescale factor must be positive")
-    r = float(r)
-
-    def scaled(phase):
-        def value(X, s):
-            return phase.value(r * np.atleast_2d(X), r * r * s) / (r * r)
-
-        def grad(X, s):
-            return phase.grad(r * np.atleast_2d(X), r * r * s) / r
-
-        return Phase(value=value, grad=grad)
-
-    def joint(X, s):
-        values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
-        return values / (r * r), grads / r
-
-    return TwoPhasePair(plus=scaled(pair.plus), minus=scaled(pair.minus),
-                        family=pair.family,
-                        params={**pair.params, "rescaled_by": r}, joint=joint)

@@ -31,9 +31,9 @@ _MAX_GRID_VALUES = 2 ** 22
 
 def _axis_nodes(half_width, h):
     """Nodes per axis of a step h on [-L, L]."""
-    if not h > 0.0 or round(half_width / h) < 1:
-        raise ConfigError("the step h must be positive with round(L / h) >= 1 "
-                          "on [-L, L]", key="grid.h")
+    if not (h > 0.0 and np.isfinite(half_width / h)) or round(half_width / h) < 1:
+        raise ConfigError("the step h must be positive, with L / h finite and "
+                          "round(L / h) >= 1 on [-L, L]", key="grid.h")
     return 2 * int(round(half_width / h)) + 1
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from monolab import cutoff, geometry, kernels, quadrature
 from monolab import functional as fn
-from monolab.solutions import make_family
+from monolab.solutions import Phase, TwoPhasePair, make_family
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +42,41 @@ def build_input(chart, pair_name, pair_params=None, kind="gauss", cfg=None):
         kernel=kernels.KernelSpec(kind, chart),
         quad=cfg or quadrature.default_config(chart.dim),
     )
+
+
+def rescale_pair(pair, r):
+    """Parabolic rescale u(y, s) -> u(r y, r^2 s) / r^2 (preserves the -1
+    bound); ``fields`` samples both rescaled phases with one call of the
+    pair's own ``fields``."""
+    r = float(r)
+
+    def scaled(phase):
+        def value(X, s):
+            return phase.value(r * np.atleast_2d(X), r * r * s) / (r * r)
+
+        def grad(X, s):
+            return phase.grad(r * np.atleast_2d(X), r * r * s) / r
+
+        return Phase(value=value, grad=grad)
+
+    def joint(X, s):
+        values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
+        return values / (r * r), grads / r
+
+    return TwoPhasePair(plus=scaled(pair.plus), minus=scaled(pair.minus),
+                        family=pair.family, params=dict(pair.params), joint=joint)
+
+
+def rescaled_input(input_, r):
+    """The parabolic rescaling at scale r as a MonotonicityInput of its own:
+    rescaled chart, pair, cutoff and kernel, and an empty slice table.  The
+    reference for the identities through which the rescaled checks read
+    the scenario's input, A~(rho) = r^-4 A(r rho) and its kin."""
+    chart_r = geometry.rescale_chart(input_.chart, r)
+    return fn.MonotonicityInput(chart=chart_r, pair=rescale_pair(input_.pair, r),
+                                profile=cutoff.build_cutoff(chart_r),
+                                kernel=kernels.KernelSpec(input_.kernel.kind, chart_r),
+                                quad=input_.quad)
 
 
 @pytest.fixture(scope="session")

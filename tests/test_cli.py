@@ -147,6 +147,13 @@ def test_parse_validation_errors():
     ("bkp.rs = 0.9\n", "bkp.rs"),          # emptied both ladders before
     ("bkp.rs =\n", "bkp.rs"),              # no scale: empty ladders, NaN slopes
     ("thm1.guard = -1\n", "thm1.guard"),
+    # scales whose square underflows: the time mesh from -r^2 never ends
+    ("sd.r = 1e-170\n", "sd.r"),
+    ("positivity.r = 1e-320\n", "positivity.r"),
+    ("bkp.rs = 0.1, 1e-320\n", "bkp.rs"),
+    # values that parsed and then raised a traceback
+    ("grid.h = 1e-320\n", "grid.h"),       # L / h overflows to inf
+    ("pair.family = NumericPair\npair.seed = -1\n", "pair.seed"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -163,6 +170,16 @@ def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     bad.write_text(FAST_NULL + text)
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_huge_amplitude_fails_admissibility_with_a_report(key):
+    """An amplitude whose square overflows is a pair the certificates reject,
+    not an OverflowError out of the validity check's tolerance."""
+    doc = cli.run_scenario(parse_config_text(FAST_CALORIC + f"pair.{key} = 1e308\n"))
+    assert doc.record("admissibility").passed is False
+    assert [rec.name for rec in doc.records[1:]] == ["ladder", "prop1", "thm1"]
 
 
 def test_parse_builds_chart_grid_and_rule():

@@ -11,7 +11,7 @@ from monolab import quadrature as quad
 from monolab.errors import PreconditionError
 from monolab.solutions import SpaceTimeGrid, make_family
 
-from conftest import build_input
+from conftest import build_input, rescaled_input
 
 
 def wedge_energy_prefactor(beta):
@@ -399,22 +399,60 @@ def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
 
 def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
                                                    slice_calls):
-    """1 + 1/16 adds only its partial block to the unit scale's slices;
-    1 - 1/16 adds its partial block and one full block at the bottom."""
-    rin = fn.rescaled_input(build_input(euclid2, "TwoPlaneCaloric", {},
-                                        cfg=lean_quad2), 1.0 / 16.0)
+    """At r = 1/16, r (1 + 1/16) adds only its partial block to the slices of
+    r; r (1 - 1/16) adds its partial block and one full block at the bottom."""
+    inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
+    r = 1.0 / 16.0
 
-    fn.phase_energy(rin, 1.0, +1)
-    fn.phase_energy(rin, 1.0, -1)
-    before = len(rin.slice_table)
-    fn.phi(rin, 1.0 + 1.0 / 16.0)
-    after_up = len(rin.slice_table)
-    fn.phi(rin, 1.0 - 1.0 / 16.0)
-    after_down = len(rin.slice_table)
+    fn.phase_energy(inp, r, +1)
+    fn.phase_energy(inp, r, -1)
+    before = len(inp.slice_table)
+    fn.phi(inp, r * (1.0 + 1.0 / 16.0))
+    after_up = len(inp.slice_table)
+    fn.phi(inp, r * (1.0 - 1.0 / 16.0))
+    after_down = len(inp.slice_table)
     spp = lean_quad2.slices_per_scale
     assert after_up - before == spp
     assert after_down - after_up == 2 * spp
-    assert len(slice_calls) == len(rin.slice_table)
+    assert len(slice_calls) == len(inp.slice_table)
+
+
+def _scale_derivative_on(rin, r, fd_step):
+    """The scale-derivative record computed at the unit scale of the rescaled
+    input ``rin`` itself, as before the check read the scenario's input."""
+    a_p, a_m = fn.phase_energy(rin, 1.0, +1), fn.phase_energy(rin, 1.0, -1)
+    b_p, b_m = fn.boundary_energy(rin, 1.0, +1), fn.boundary_energy(rin, 1.0, -1)
+    m_p, m_m = fn.slice_mass(rin, -1.0, +1), fn.slice_mass(rin, -1.0, -1)
+    fd = (fn.phi(rin, 1.0 + fd_step) - fn.phi(rin, 1.0 - fd_step)) / (2.0 * fd_step)
+    return fn.ScaleDerivativeRecord(
+        r=r, a_plus=a_p, a_minus=a_m, b_plus=b_p, b_minus=b_m,
+        direct=-4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m,
+        finite_difference=fd, fd_step=fd_step, lambda_plus=b_p / m_p,
+        lambda_minus=b_m / m_m,
+        term_scale=4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m)
+
+
+@pytest.mark.parametrize("chart_name, kind", [("euclid2", "gauss"),
+                                              ("sphere2", "parametrix0")])
+def test_rescaled_quantities_read_the_parent_table(request, lean_quad2,
+                                                   chart_name, kind):
+    """At r = 1/16 the rescaled input's A~(rho), B~(1) and m~(-1) equal
+    r^-4 A(r rho), r^-2 B(r) and r^-4 m(-r^2) of the scenario's input bit for
+    bit, rho in {1, 1 +- 1/16}, and so does the scale-derivative record."""
+    chart = request.getfixturevalue(chart_name)
+    inp = build_input(chart, "DriftTwoPlane", {"c": 0.5}, kind=kind,
+                      cfg=lean_quad2)
+    r = 1.0 / 16.0
+    rin = rescaled_input(inp, r)
+    for sign in (+1, -1):
+        for rho in (1.0, 1.0 + r, 1.0 - r):
+            assert fn.phase_energy(rin, rho, sign) == (
+                fn.phase_energy(inp, r * rho, sign) / r ** 4)
+        assert fn.boundary_energy(rin, 1.0, sign) == (
+            fn.boundary_energy(inp, r, sign) / r ** 2)
+        assert fn.slice_mass(rin, -1.0, sign) == (
+            fn.slice_mass(inp, -r * r, sign) / r ** 4)
+    assert fn.scale_derivative(inp, r) == _scale_derivative_on(rin, r, 0.0625)
 
 
 def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
@@ -425,7 +463,6 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     copy = dataclasses.replace(inp, pair=other)
     assert copy.slice_table == {} and copy.slice_table is not inp.slice_table
     assert fn.boundary_energy(copy, 0.25, +1) == 0.0
-    assert fn.rescaled_input(inp, 0.25).slice_table == {}
 
 
 # ---------------------------------------------------------------------------

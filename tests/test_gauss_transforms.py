@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from monolab import functional as fn
 from monolab import gauss_transforms as gt
 from monolab import geometry as geo
 from monolab.errors import (DegenerateInputError, DomainError,
                             PreconditionError)
 
-from conftest import build_input
+from conftest import build_input, rescaled_input
 
 POINCARE_LHS = 0.45946926660233637   # log(2 pi) / 4
 HALF_MASS = 0.3989422804014327       # 1 / sqrt(2 pi)
@@ -320,6 +321,24 @@ def test_manifold_bkp_euclid_small_r(euclid2, lean_quad2):
     assert abs(rec["deficit"]) <= 1e-3
 
 
+@pytest.mark.parametrize("chart_name, kind", [("euclid2", "gauss"),
+                                              ("sphere2", "parametrix0")])
+@pytest.mark.parametrize("r, rel", [(1.0 / 16.0, 0.0), (0.1, 1e-12)])
+def test_manifold_bkp_quotients_read_the_parent_table(request, lean_quad2,
+                                                      chart_name, kind, r, rel):
+    """lambda = r^2 B(r) / m(-r^2) on the scenario's input against B~(1) /
+    m~(-1) on the rescaled input: bit for bit at r = 1/16, where the
+    rescaling is exact, and within 1e-12 relative at r = 0.1."""
+    chart = request.getfixturevalue(chart_name)
+    inp = build_input(chart, "DriftTwoPlane", {"c": 0.5}, kind=kind,
+                      cfg=lean_quad2)
+    rin = rescaled_input(inp, r)
+    rec = gt.manifold_bkp_deficit(inp, r)
+    for sign, name in ((+1, "plus"), (-1, "minus")):
+        want = fn.boundary_energy(rin, 1.0, sign) / fn.slice_mass(rin, -1.0, sign)
+        assert rec[f"lambda_{name}"] == pytest.approx(want, rel=rel, abs=0.0)
+
+
 def test_manifold_bkp_degenerate_phase(euclid2, lean_quad2):
     from monolab.solutions import TwoPhasePair, make_family
 
@@ -328,7 +347,6 @@ def test_manifold_bkp_degenerate_phase(euclid2, lean_quad2):
     pair = TwoPhasePair(plus=cal.plus, minus=null.minus, family="mixed")
 
     from monolab import cutoff, kernels
-    from monolab import functional as fn
 
     inp = fn.MonotonicityInput(chart=euclid2, pair=pair,
                                profile=cutoff.build_cutoff(euclid2),

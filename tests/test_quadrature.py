@@ -286,6 +286,14 @@ def test_partial_block_above_the_absolute_mesh(r_sq, top, lean_quad2):
     assert sliver == blocks[-1][1]
 
 
+@pytest.mark.parametrize("r_sq", [0.0, -0.25, np.inf, np.nan])
+def test_time_nodes_reject_a_degenerate_scale(r_sq, lean_quad2):
+    """r^2 <= 0 (0 is an underflowed square) or inf would halve or double
+    forever; nan is no scale."""
+    with pytest.raises(ValueError):
+        quad._time_nodes(r_sq, lean_quad2)
+
+
 def _per_block_spacetime(slice_at, r, cfg):
     """One linspace and one trapezoid per block, summed in order: the loop
     the single (blocks, cells + 1) mesh must match bit for bit."""

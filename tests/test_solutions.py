@@ -6,10 +6,12 @@ import pytest
 from monolab import geometry as geo
 
 from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplacian,
-                               make_family, pair_validity_check, rescale_pair,
-                               solve_heat, supercaloric_residual_check)
+                               make_family, pair_validity_check, solve_heat,
+                               supercaloric_residual_check)
 from monolab.solutions import checks, grids
 from monolab.solutions.grids import GridFunction
+
+from conftest import rescale_pair
 
 
 def small_grid(n=2, h=0.1):
