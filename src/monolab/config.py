@@ -86,8 +86,8 @@ def _parse_str_list(raw):
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-# The smallest scale sd.r, positivity.r and bkp.rs accept.  The checks
-# integrate over (-r^2, 0) on a time mesh that starts at -r^2, so r^2 must
+# The smallest scale sd.r, positivity.r, bkp.rs and 4^-k_max accept.  The
+# checks integrate over (-r^2, 0) on a time mesh that starts at -r^2, so r^2 must
 # be a positive normal float; 1e-6 keeps it at 1e-12 or above, far from
 # underflow, and far below any scale the default rules resolve.
 _MIN_SCALE = 1e-6
@@ -218,6 +218,8 @@ def _validate(cfg, set_keys):
     family_params(cfg.pair_family, cfg.pair_params)
     if cfg.k_max < cfg.k_min:
         raise ConfigError("k range is empty", key="ladder.k_max")
+    if 4.0 ** (-cfg.k_max) < _MIN_SCALE:
+        raise ConfigError(f"4^-k_max must be >= {_MIN_SCALE:g}", key="ladder.k_max")
     if 4.0 ** (-cfg.k_min) > cfg.delta_p / 2.0:
         raise ConfigError("4^{-k_min} must not exceed delta_p/2", key="ladder.k_min")
     if not cfg.checks:

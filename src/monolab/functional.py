@@ -14,23 +14,24 @@ of phi under a growth hypothesis, and the positivity-measure predicates.
 Every one of these reduces to time slices of three kernel-weighted
 integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
 (`w_sq`: slice masses and the e322 annulus) and the positivity indicator
-(`positive`).  Each integrand evaluates both phases at every quadrature point
-and returns one row per phase, (plus, minus): the radius, the cutoff mask,
-the inverse metric, chi, chi' and x/|x| are computed once per call, and only
-u, grad u (one `TwoPhasePair.fields` call for both), grad w and the metric
-form once per phase.  Every check asks for the two signs at the same times,
-so nothing is wasted.  Each MonotonicityInput owns its quadrature rule and
-one slice table, keyed by (integrand kind, s) with the exact float time s
-and holding the (plus, minus) pair, so a slice is integrated once per input
-however many checks, scales, blocks or signs reach it.  The table is filled
-per request: a space-time integral asks for every slice of its scale at
-once, and the misses are integrated for both phases in one `slice_integral`
-call.
-The values depend neither on the order of evaluation nor on the grouping into
-blocks, so a warm table returns exactly what a fresh input would compute.
-A copy made by `dataclasses.replace` starts with an empty table, so a copy
-under another rule (`dataclasses.replace(input_, quad=...)`) integrates its
-own slices.  The checks at the unit scale of a parabolic rescaling (the scale
+(`positive`).  Each integrand takes the quadrature's rows of points X
+(p, m, n) and times s (k,) (see `quadrature`) and returns (plus, minus) rows
+(2, k, m): the radius, chi, chi' and x/|x| once per row of points, u and grad u
+for both phases in one `TwoPhasePair.fields` or `.values` call, the metric
+form once for both.  chi and chi' vanish outside the cutoff ball, so no mask
+is needed; `positive` multiplies by the ball's indicator.  Every check asks
+for the two signs at the same times, so nothing is wasted.  Each
+MonotonicityInput owns its quadrature rule and one slice table, keyed by
+(integrand kind, s) with the exact float time s and holding the (plus, minus)
+pair, so a slice is integrated once per input however many checks, scales,
+blocks or signs reach it.  The table is filled per request: a space-time
+integral asks for every slice of its scale at once, and the misses are
+integrated for both phases in one `slice_integral` call.  The values depend
+neither on the order of evaluation nor on the grouping into blocks, so a warm
+table returns exactly what a fresh input would compute.  A copy made by
+`dataclasses.replace` starts with an empty table, so a copy under another
+rule (`dataclasses.replace(input_, quad=...)`) integrates its own slices.
+The checks at the unit scale of a parabolic rescaling (the scale
 derivative here, the curved BKP quotients in `gauss_transforms`) read the
 scenario's own table through the rescaling identities, so they add no input.
 
@@ -93,33 +94,17 @@ class MonotonicityInput:
         return (self.profile.inner, self.profile.outer)
 
 
-def _values(pair, X, s):
-    """(plus, minus) values at X: (2, m)."""
-    return np.array([np.asarray(pair.plus.value(X, s), dtype=float),
-                     np.asarray(pair.minus.value(X, s), dtype=float)])
-
-
 def _grad_sq_sampler(input_):
     profile = input_.profile
     pair = input_.pair
 
     def f(X, s, g_inv):
-        rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros((2, X.shape[0]))
-        mask = rho < profile.outer
-        if not np.any(mask):
-            return out
-        Xm = X[mask]
-        rm = rho[mask]
-        g_m = g_inv[mask]
-        u, du = pair.fields(Xm, s[mask])
-        c = chi_of(profile, rm)
-        d1 = dchi_of(profile, rm)
-        xhat = Xm / np.where(rm > 0, rm, 1.0)[:, None]
-        for row, u_k, du_k in zip(out, u, du):
-            dw = c[:, None] * du_k + (u_k * d1)[:, None] * xhat
-            row[mask] = g_m.form(dw)
-        return out
+        rho = np.sqrt(np.sum(X * X, axis=-1))
+        u, du = pair.fields(X, s)
+        c = chi_of(profile, rho)
+        d1 = dchi_of(profile, rho)
+        xhat = X / np.where(rho > 0, rho, 1.0)[..., None]
+        return g_inv.form(c[..., None] * du + (u * d1)[..., None] * xhat)
 
     return f
 
@@ -129,13 +114,8 @@ def _w_sq_sampler(input_):
     pair = input_.pair
 
     def f(X, s, g_inv):
-        rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros((2, X.shape[0]))
-        mask = rho < profile.outer
-        if np.any(mask):
-            u = _values(pair, X[mask], s[mask])
-            out[:, mask] = (u * chi_of(profile, rho[mask])) ** 2
-        return out
+        rho = np.sqrt(np.sum(X * X, axis=-1))
+        return (pair.values(X, s) * chi_of(profile, rho)) ** 2
 
     return f
 
@@ -145,12 +125,8 @@ def _positivity_sampler(input_):
     pair = input_.pair
 
     def f(X, s, g_inv):
-        rho = np.sqrt(np.sum(X * X, axis=1))
-        out = np.zeros((2, X.shape[0]))
-        mask = rho < profile.outer
-        if np.any(mask):
-            out[:, mask] = (_values(pair, X[mask], s[mask]) > 0.0).astype(float)
-        return out
+        inside = np.sqrt(np.sum(X * X, axis=-1)) < profile.outer
+        return ((pair.values(X, s) > 0.0) & inside).astype(float)
 
     return f
 
@@ -394,7 +370,7 @@ def theorem1_check(input_, rs, guard=100.0):
     """ratio = sup_r phi(r) / (1 + ||u_+||^2 + ||u_-||^2)^2 against a guard."""
     chart = input_.chart
     q_p, q_m = quadrature.plain_spacetime_integral(
-        lambda X, s: _values(input_.pair, X, s) ** 2, chart, chart.radius,
+        lambda X, s: input_.pair.values(X, s) ** 2, chart, chart.radius,
         chart.radius ** 2).tolist()
     q = (1.0 + q_p + q_m) ** 2
     phis = {r: phi(input_, r) for r in rs}
@@ -429,13 +405,9 @@ def theorem2_check(input_, eps, rs, const_floor=1e-3):
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("growth exponent must lie in (0, 1]")
-    X, times = _growth_samples(input_.chart)
-    fitted = 0.0
-    for s in times:
-        denom = (np.sum(X * X, axis=1) + abs(s)) ** (eps / 2.0)
-        for phase in (input_.pair.plus, input_.pair.minus):
-            vals = np.abs(np.asarray(phase.value(X, s), dtype=float))
-            fitted = max(fitted, float(np.max(vals / denom)))
+    X, times = _growth_samples(input_.chart)     # one row of points, k times
+    denom = (np.sum(X * X, axis=1) + np.abs(times)[:, None]) ** (eps / 2.0)
+    fitted = float(np.max(np.abs(input_.pair.values(X, times)) / denom))
     rs = sorted(rs)
     phis = {r: phi(input_, r) for r in rs}
     per_rho = {}

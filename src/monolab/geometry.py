@@ -77,19 +77,19 @@ _PERTURBED_WAVE_DIR = np.array([1.0, 0.7, 0.4, 0.25, 0.15])
 
 
 def _const_q(X):
-    return np.ones(X.shape[0]), np.zeros(X.shape)
+    return np.ones(X.shape[:-1]), np.zeros(X.shape)
 
 
 def _radial_q(X):
-    u = np.sum(X * X, axis=1)
+    u = np.sum(X * X, axis=-1)
     f = 1.0 / (1.0 + u)
-    return f, -2.0 * X * (f * f)[:, None]
+    return f, -2.0 * X * (f * f)[..., None]
 
 
 def _wave_q(X):
-    a = _PERTURBED_WAVE_DIR[:X.shape[1]]
+    a = _PERTURBED_WAVE_DIR[:X.shape[-1]]
     phase = X @ a
-    return np.cos(phase), -np.sin(phase)[:, None] * a
+    return np.cos(phase), -np.sin(phase)[..., None] * a
 
 
 # perturbation shape -> scalar field q(X), |q| <= 1, with its gradient
@@ -167,11 +167,11 @@ def _phi_field(chart, Z, u, order):
     Returns (phi, dphi); dphi is None for order 0.
     """
     if chart.family == "euclidean":
-        return np.zeros(len(Z)), (np.zeros(Z.shape) if order >= 1 else None)
+        return np.zeros(Z.shape[:-1]), (np.zeros(Z.shape) if order >= 1 else None)
     if chart.family == "const_curvature":
         K = chart.curvature
         c0, c1 = _chi1(K * u, order)
-        dphi = (2.0 * K * K * c1)[:, None] * Z if order >= 1 else None
+        dphi = (2.0 * K * K * c1)[..., None] * Z if order >= 1 else None
         return K * c0, dphi
     if chart.family == "perturbed":
         q, dq = _SHAPE_FIELDS[chart.shape](Z)
@@ -180,30 +180,29 @@ def _phi_field(chart, Z, u, order):
 
 
 def _dot(a, b):
-    """Row dot products of two (m, n) arrays, summed over the columns in order."""
-    return sum(a[:, i] * b[:, i] for i in range(a.shape[1]))
+    """Dot products of the vectors on the last axis of a and b, summed over
+    the components in order; the leading axes broadcast."""
+    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
 
 
 @dataclass(frozen=True, eq=False)
 class InverseMetric:
-    """g^{-1} = (I + phi z z^T) / lam at m points, z = scale x (m, n) and
-    lam = 1 + phi |z|^2: the Gauss lemma makes the inverse of every built-in
-    metric rank one over the identity, so no (m, n, n) array is needed."""
+    """g^{-1} = (I + phi z z^T) / lam at points of any leading shape, z = scale
+    x (..., m, n) and lam = 1 + phi |z|^2: the Gauss lemma makes the inverse of
+    every built-in metric rank one over the identity, so no (m, n, n) array is
+    needed.  ``form`` and ``entry`` broadcast over leading axes."""
 
     z: np.ndarray
     phi: np.ndarray
     lam: np.ndarray
 
     def form(self, v):
-        """v^T g^{-1} v for rows v (m, n)."""
+        """v^T g^{-1} v for vectors v (..., m, n) at the points."""
         return (_dot(v, v) + self.phi * _dot(self.z, v) ** 2) / self.lam
 
     def entry(self, i, j):
-        """g^{ij} at every point (m,)."""
-        return (float(i == j) + self.phi * (self.z[:, i] * self.z[:, j])) / self.lam
-
-    def __getitem__(self, index):
-        return InverseMetric(self.z[index], self.phi[index], self.lam[index])
+        """g^{ij} at every point (..., m)."""
+        return (float(i == j) + self.phi * (self.z[..., i] * self.z[..., j])) / self.lam
 
 
 def _rank_one(chart, X, order):
@@ -225,7 +224,8 @@ def metric_fields(chart, X):
 
 
 def inverse_metric_and_density(chart, X):
-    """(InverseMetric g_inv, sqrt_det (m,)) on a batch of points; hot path."""
+    """(InverseMetric g_inv, sqrt_det (..., m)) at points X (..., m, n); hot
+    path."""
     Z, phi, _, _, lam = _rank_one(chart, X, 0)
     if np.any(lam <= 0.0):
         raise NumericalError("metric not positive definite at a sample point")

@@ -8,13 +8,16 @@ split by a smooth radial partition of unity: the plateau part goes through the
 scaled rule, the cutoff-annulus part is integrated on a polar rule in physical
 coordinates, where the annulus is fixed.
 
-`slice_integral` evaluates a block of slice times at once: the integrand
-gets one time per point, the inverse metric and density are computed once per
-point and the inverse metric, a `geometry.InverseMetric`, is handed to the
-integrand, and the annulus fields, which do not depend on time, are computed
-once per (chart, kernel kind, zone).  Slices of a block share integrand calls
-of at most `_CALL_POINTS` points each (one slice's rule when that is larger),
-so memory per call stays bounded whatever the block size.
+Integrands take rows of points X (p, m, n) and times S (k,) and return
+(k, m), or (rows, k, m) for several integrands on the same points.  The
+scaled rule's points move with the time, so it passes one row per slice
+(p = k); a rule whose points are fixed in time (the annulus, the unweighted
+integral) passes them once (p = 1) for all the times of a call, so their
+spatial work is done once per call.  `slice_integral` evaluates a block of
+slice times at once, with the inverse metric, a `geometry.InverseMetric`,
+computed once per point and the annulus fields once per (chart, kernel kind,
+zone).  Integrand calls hold at most `_CALL_POINTS` times x points (one
+slice's rule when that is larger), so memory per call stays bounded.
 
 Time integration over (-r^2, 0) uses one absolute mesh for every scale:
 geometric blocks (-ratio^k, -ratio^(k+1)) shrinking toward 0 (ratio
@@ -70,6 +73,13 @@ class QuadratureConfig:
                             ("time_blocks", self.time_blocks)):
             if count < 1:
                 raise ConfigError(f"{name} must be >= 1", key=f"quad.{name}")
+        if self.time_blocks > _MAX_TIME_BLOCKS:
+            raise ConfigError(f"time_blocks must be <= {_MAX_TIME_BLOCKS}",
+                              key="quad.time_blocks")
+        nodes = (self.time_blocks + 1) * (self.slices_per_scale + 1) + 1
+        if nodes > _MAX_TIME_NODES:
+            raise ConfigError(f"{nodes} slice times per scale, over the budget of "
+                              f"{_MAX_TIME_NODES}", key="quad.slices_per_scale")
 
 
 _DEFAULT_NODES = {1: 128, 2: 64, 3: 24}
@@ -85,6 +95,12 @@ _PLAIN_TIME_CELLS = 24
 # slice's points, at about 330 bytes each (measured at n = 2, 256 nodes), so
 # 2^18 points keep a call under 100 MB; the defaults use at most 24^3 = 13824.
 _MAX_SLICE_POINTS = 2 ** 18
+
+# Time mesh of one scale: blocks past 2^-64 r^2 lie below the rounding of
+# the blocks above, and 2^14 slice times, (time_blocks + 1) (slices + 1) + 1
+# at most, are 23 times the default mesh's 698.
+_MAX_TIME_BLOCKS = 64
+_MAX_TIME_NODES = 2 ** 14
 
 # Points per integrand call when slices share one: about 1.4 MB at the same
 # 330 bytes per point, and 16 slices of the 16^2 rule.
@@ -170,17 +186,18 @@ _ANNULUS_FIELDS = weakref.WeakKeyDictionary()
 
 
 def _annulus_fields(kernel, zone):
-    """Time-independent fields of the annulus rule: points, weights, g_inv,
-    density, |x|^2, 1 - eta and the parametrix factor density^(-1/2) (None
-    for the Gauss kernel), computed once per (chart, kernel kind, zone)."""
+    """Time-independent fields of the annulus rule: points (one row), weights,
+    g_inv, density, |x|^2, 1 - eta and the parametrix factor density^(-1/2)
+    (None for the Gauss kernel), computed once per (chart, kernel kind, zone)."""
     per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
     fields = per_kernel.get(zone)
     if fields is None:
         a, b = zone
         P, w = annulus_rule(kernel.chart.dim, float(a), float(b),
                             _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
+        P = P[None]     # one row of points for every time
         g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
-        rho_sq = np.sum(P * P, axis=1)
+        rho_sq = np.sum(P * P, axis=-1)
         kernel_factor = dens ** (-0.5) if kernel.kind == "parametrix0" else None
         fields = (P, w, g_inv, dens, rho_sq, 1.0 - _eta(np.sqrt(rho_sq), zone),
                   kernel_factor)
@@ -197,15 +214,15 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
     of the 1-D array ``s``.
 
-    The integrand is called as f(X, S, g_inv) with points X (m, n), one time
-    per point S (m,) and the ``geometry.InverseMetric`` g_inv at X, and
-    returns (m,) values, or (k, m) for k integrands sharing the points (both
-    phases of a pair); the result is (len(s),) or (k, len(s)).  Slices of one
-    rule share an integrand call in runs of max(1, _CALL_POINTS // rule
-    size), so no call gets more than _CALL_POINTS points or one slice's rule.
-    Each row keeps its own fixed-order dot product per slice and scalar Gauss
-    prefactor, so a block of slices and a stack of integrands give
-    bit-identical values to one call per slice and integrand.
+    The integrand is called as f(X, S, g_inv) with rows of points X (p, m, n)
+    (p = k on the scaled rule, 1 on the annulus), the times S (k,) of the
+    call and the ``geometry.InverseMetric`` g_inv at X, and returns (k, m), or
+    (rows, k, m) for several integrands on the same points (both phases of a
+    pair); the result is (len(s),) or (rows, len(s)).  Slices of one rule
+    share a call in runs of max(1, _CALL_POINTS // rule size).  Each row keeps
+    its own fixed-order dot product per slice and scalar Gauss prefactor, so
+    a block of slices and a stack of integrands give bit-identical values to
+    one call per slice and integrand.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or len(s) == 0:
@@ -228,14 +245,11 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     totals = None   # (rows, len(s)), once the first call shows the rows
 
     for run in _runs(list(range(len(s))), max(1, _CALL_POINTS // m)):
-        X = (c[run, None, None] * Y).reshape(-1, n)
+        X = c[run, None, None] * Y
         g_inv, dens = geometry.inverse_metric_and_density(chart, X)
-        vals = np.asarray(f(X, np.repeat(s[run], m), g_inv), dtype=float)
-        lead = vals.shape[:-1]
-        if kernel.kind == "parametrix0":
-            vals = vals * dens ** 0.5
-        else:
-            vals = vals * dens
+        vals = np.asarray(f(X, s[run], g_inv), dtype=float)
+        lead = vals.shape[:-2]
+        vals = vals * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
         vals = vals.reshape(-1, len(run), m)
         if cutoff_zone is not None:
             vals = vals * _eta(c[run, None] * radius_Y, cutoff_zone)
@@ -248,16 +262,14 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     if ann:
         P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
             _annulus_fields(kernel, cutoff_zone))
-        m_ann = len(w_ann)
-        for run in _runs(ann, max(1, _CALL_POINTS // m_ann)):
-            tiled = np.tile(np.arange(m_ann), len(run))
-            vals = np.asarray(f(P[tiled], np.repeat(s[run], m_ann), g_inv[tiled]),
-                              dtype=float).reshape(len(totals), -1)
+        for run in _runs(ann, max(1, _CALL_POINTS // len(w_ann))):
+            vals = np.asarray(f(P, s[run], g_inv), dtype=float).reshape(
+                len(totals), len(run), -1)
             for j, k in enumerate(run):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k]))
                 if kernel_factor is not None:
                     kv = kv * kernel_factor
-                vals_k = vals[:, j * m_ann:(j + 1) * m_ann] * kv * dens * one_minus_eta
+                vals_k = vals[:, j] * kv * dens * one_minus_eta
                 for row, vals_row in zip(totals, vals_k):
                     row[k] += float(np.dot(w_ann, vals_row))
     return totals.reshape(lead + (len(s),))
@@ -330,11 +342,12 @@ def gauss_weighted_integral(f, n, variance, cfg):
 def plain_spacetime_integral(f, chart, radius, t_depth):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight.
 
-    ``f(X, S)`` gets one time per point and returns (m,) values, or (k, m)
-    for k integrands sharing the points; the result is a float or (k,).
-    Time cells share integrand calls of at most _CALL_POINTS points (one
-    cell's rule when that is larger), and each row keeps its own dot product
-    per cell and its own running sum, in time order."""
+    ``f(X, S)`` gets the rule's points as one row X (1, m, n) and the times
+    S (k,) of a call, and returns (k, m), or (rows, k, m) for several
+    integrands on the same points; the result is a float or (rows,).  Calls
+    hold at most _CALL_POINTS times x points (one cell's rule when that is
+    larger), and each row keeps its own dot product per cell and its own
+    running sum, in time order."""
     n = chart.dim
     P, w = annulus_rule(n, 0.0, float(radius), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
     _, dens = geometry.inverse_metric_and_density(chart, P)
@@ -344,9 +357,8 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
     s_nodes = -t_depth + (np.arange(_PLAIN_TIME_CELLS) + 0.5) * dt
     totals = None   # one running sum per row, once the first call shows the rows
     for run in _runs(s_nodes, max(1, _CALL_POINTS // m)):
-        vals = np.asarray(f(np.tile(P, (len(run), 1)), np.repeat(run, m)),
-                          dtype=float)
-        lead = vals.shape[:-1]
+        vals = np.asarray(f(P[None], run), dtype=float)
+        lead = vals.shape[:-2]
         vals = vals.reshape(-1, len(run), m)
         if totals is None:
             totals = [0.0] * len(vals)

@@ -58,16 +58,11 @@ class ResidualRecord:
     passed: bool
 
 
-def _sample_on_grid(phase, grid):
-    pts = grid.points()
-    frames = [np.asarray(phase.value(pts, t), dtype=float).reshape(grid.shape())
-              for t in grid.times]
-    return np.stack(frames)
-
-
 def sample_pair(pair, grid):
-    """(u_+, u_-) on every space-time node, each (len(grid.times), *grid.shape())."""
-    return _sample_on_grid(pair.plus, grid), _sample_on_grid(pair.minus, grid)
+    """(u_+, u_-) on every space-time node, each (len(grid.times), *grid.shape()):
+    the nodes are one row of points that every time of the grid reads."""
+    values = pair.values(grid.points(), grid.times)
+    return tuple(v.reshape(grid.times.shape + grid.shape()) for v in values)
 
 
 def pair_validity_check(pair, grid, tol=1e-10, frames=None):

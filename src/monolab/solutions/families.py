@@ -1,8 +1,10 @@
 """Admissible two-phase pairs: analytic families and evolved grid pairs.
 
-Every phase exposes vectorized ``value(X, s)`` and ``grad(X, s)`` samplers;
-s is one time or one time per point.  A pair's ``fields(X, s)`` samples both
-phases at once, as the functional's integrands need them.
+Every phase exposes vectorized ``value(X, s)`` (k, m) and ``grad(X, s)``
+(k, m, n) samplers on rows of points X and times s, as ``grids`` describes
+them; analytic phases multiply a spatial factor of the rows by a time factor
+(k, 1).  A pair's ``values(X, s)`` and ``fields(X, s)`` sample both phases at
+once, as the functional's integrands need them.
 Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
@@ -51,50 +53,55 @@ FAMILY_NAMES = tuple(_PARAMS)
 
 @dataclass(eq=False)
 class Phase:
-    value: Callable          # (X (m,n), s) -> (m,)
-    grad: Callable           # (X (m,n), s) -> (m,n)
+    value: Callable          # (X (p, m, n), s (k,)) -> (k, m)
+    grad: Callable           # (X (p, m, n), s (k,)) -> (k, m, n)
 
 
 @dataclass(eq=False)
 class TwoPhasePair:
-    """Two phases; ``fields`` samples both at once.  ``joint`` is a sampler
-    (X, s) -> (values (2, m), grads (2, m, n)) that shares work between the
-    phases, or None to stack the phases' own calls."""
+    """Two phases; ``values`` and ``fields`` sample both at once.  ``joint``
+    has ``values`` and ``fields`` methods of the same signature that share
+    work between the phases, or is None to stack the phases' own calls."""
     plus: Phase
     minus: Phase
     family: str
     params: dict = field(default_factory=dict)
     admissibility: dict = field(default_factory=dict)
-    joint: Callable | None = field(default=None, repr=False)
+    joint: object | None = field(default=None, repr=False)
+
+    def values(self, X, s):
+        """Values (2, k, m) of (plus, minus) at the rows X and times s;
+        bit-identical to the phases' own value calls."""
+        if self.joint is not None:
+            return self.joint.values(X, s)
+        return np.array([np.asarray(p.value(X, s), dtype=float)
+                         for p in (self.plus, self.minus)])
 
     def fields(self, X, s):
-        """Values (2, m) and gradients (2, m, n) of (plus, minus) at X (m, n);
+        """Values (2, k, m) and gradients (2, k, m, n) of (plus, minus);
         bit-identical to the phases' own value and grad calls."""
         if self.joint is not None:
-            return self.joint(X, s)
-        phases = (self.plus, self.minus)
-        return (np.array([np.asarray(p.value(X, s), dtype=float) for p in phases]),
-                np.array([np.asarray(p.grad(X, s), dtype=float) for p in phases]))
-
-
-def _null_phase(n):
-    return Phase(value=lambda X, s: np.zeros(np.atleast_2d(X).shape[0]),
-                 grad=lambda X, s: np.zeros(np.atleast_2d(X).shape))
+            return self.joint.fields(X, s)
+        return (self.values(X, s),
+                np.array([np.asarray(p.grad(X, s), dtype=float)
+                          for p in (self.plus, self.minus)]))
 
 
 def _plane_phase(e, amp, sign, power=1.0, drift=0.0):
+    # the time factor is a column (k, 1) against the points axis
     def value(X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d = sign * (X @ e)
         pos = np.maximum(d, 0.0)
-        return amp * pos ** power * (1.0 + drift * s)
+        return amp * pos ** power * (1.0 + drift * np.asarray(s)[..., None])
 
     def grad(X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d = sign * (X @ e)
         pos = np.maximum(d, 0.0)
         slope = np.where(d > 0.0, power * pos ** (power - 1.0), 0.0)
-        return (amp * (1.0 + drift * s) * slope * sign)[:, None] * e[None, :]
+        time = 1.0 + drift * np.asarray(s)[..., None]
+        return (amp * time * slope * sign)[..., None] * e
 
     return Phase(value=value, grad=grad)
 
@@ -173,7 +180,7 @@ def _numeric_pair(n, values, chart, grid):
     sp_minus = GridPhaseSampler(gf_minus, other=gf_plus)
     return (Phase(value=sp_plus.value, grad=sp_plus.grad),
             Phase(value=sp_minus.value, grad=sp_minus.grad),
-            sp_plus.fields, {"grid_plus": gf_plus, "grid_minus": gf_minus})
+            sp_plus, {"grid_plus": gf_plus, "grid_minus": gf_minus})
 
 
 def make_family(name, params=None, chart=None, grid=None):
@@ -182,10 +189,10 @@ def make_family(name, params=None, chart=None, grid=None):
     params = dict(params or {})
     n = chart.dim if chart is not None else int(params.get("dim", 2))
     values = family_params(name, params)
-    if name == "Null":
-        return TwoPhasePair(plus=_null_phase(n), minus=_null_phase(n),
-                            family=name, params=params)
     e = np.eye(n)[0]
+    if name == "Null":      # two planes of amplitude 0
+        return TwoPhasePair(plus=_plane_phase(e, 0.0, +1.0), family=name,
+                            minus=_plane_phase(e, 0.0, -1.0), params=params)
     if name == "TwoPlaneCaloric":
         return TwoPhasePair(plus=_plane_phase(e, values["alpha"], +1.0),
                             minus=_plane_phase(e, values["beta"], -1.0),

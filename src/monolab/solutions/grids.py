@@ -8,6 +8,9 @@ the final step snapped to land exactly on 0.
 Samplers interpolate through one helper pair: ``_corners`` locates the cell of
 each point once (flat node indices and weights of its 2^n corners) and
 ``_interpolate`` reads any time frame of any field on the same grid from them.
+A sampler takes rows of points X (p, m, n), or (m, n) for p = 1, and times
+s (k,) or a scalar: p = 1 is one row that every time reads (as a fixed-point
+rule passes it), p = k one row per time.  Each row's cells are located once.
 """
 
 from __future__ import annotations
@@ -169,20 +172,17 @@ def _in_time(v, theta):
     return v[0] if len(v) == 1 else (1.0 - theta) * v[0] + theta * v[1]
 
 
-def _by_time(sample, X, s):
-    """sample(X, t) for one time t, applied to each contiguous run of points
-    of equal time when s holds one time per point (a scalar s is one run);
-    each run is a view of X, so memory per call stays that of one run.
-    ``sample`` returns a tuple of arrays with the points on their last axis,
-    and the runs' arrays are joined along it."""
-    if np.ndim(s) == 0:
-        return sample(X, s)
-    s = np.asarray(s)
-    bounds = [0, *(np.flatnonzero(s[1:] != s[:-1]) + 1).tolist(), len(s)]
-    if len(bounds) == 2:    # one time for every point
-        return sample(X, s[0])
-    runs = [sample(X[a:b], s[a]) for a, b in zip(bounds[:-1], bounds[1:])]
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*runs))
+def _by_row(locate, sample, X, s):
+    """locate(row) once per row of points of X, then sample(located row, t) ->
+    arrays (rows, m, ...) once per time of s, stacked to (rows, *lead, m, ...)
+    with lead the leading axes of X and s broadcast."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    lead = np.broadcast_shapes(X.shape[:-2], np.shape(s))
+    located = [locate(row) for row in X.reshape((-1,) + X.shape[-2:])]
+    parts = [sample(located[i % len(located)], t)
+             for i, t in enumerate(np.broadcast_to(s, lead).ravel())]
+    return [np.stack(p, axis=1).reshape(p[0].shape[:1] + lead + p[0].shape[1:])
+            for p in zip(*parts)]
 
 
 class GridPhaseSampler:
@@ -197,8 +197,9 @@ class GridPhaseSampler:
     stencil points, locates their cells once and reads both grids' frames
     from the shared corners, so each grid's raw frames give the other phase
     its one-sided mask and stencil row 0, the point itself, gives the values.
-    ``grad`` is this phase's row of ``fields``.  The time s is a scalar or one
-    time per point, with equal times in contiguous runs.
+    ``values`` reads both grids from one set of corners, and ``value`` and
+    ``grad`` are this phase's rows of ``values`` and ``fields``.  A row of
+    points (see the module doc) is located once however many times read it.
     """
 
     def __init__(self, gf, other=None):
@@ -221,36 +222,41 @@ class GridPhaseSampler:
         return ([j] if theta == 0.0 else [j, j + 1]), theta
 
     def value(self, X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _by_time(lambda Xr, t: (self._value_at(Xr, t),), X, s)[0]
+        return self.values(X, s)[0]
 
-    def _value_at(self, X, s):
+    def values(self, X, s):
+        """Values (k, ..., m) of this phase and, if there is one, ``other``."""
+        return _by_row(lambda row: _corners(self.gf.grid, row), self._values_at,
+                       X, s)[0]
+
+    def _values_at(self, corners, s):
         frames, theta = self._frames(s)
-        flat, wgt = _corners(self.gf.grid, X)
-        return _in_time(_interpolate(self.gf.values, frames, flat, wgt), theta)
+        return (np.array([_in_time(_interpolate(g.values, frames, *corners), theta)
+                          for g in self.grids]),)
 
     def grad(self, X, s):
         return self.fields(X, s)[1][0]
 
     def fields(self, X, s):
-        """Values (k, m) and gradients (k, m, n) of this phase and, if there
-        is one, ``other`` at X (m, n), in that order."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        values, grads = _by_time(self._fields_at, X, s)
-        return values, np.ascontiguousarray(grads.transpose(0, 2, 1))
+        """Values (k, ..., m) and gradients (k, ..., m, n) of this phase and,
+        if there is one, ``other``, in that order."""
+        return tuple(_by_row(self._stencil_corners, self._fields_at, X, s))
 
-    def _fields_at(self, X, s):
-        """Values (k, m) and gradient components (k, n, m) at one time s."""
-        m, n = X.shape
-        h = self.gf.grid.h
-        # stencil rows: X, then X + h e_d and X - h e_d for each axis d
+    def _stencil_corners(self, X):
+        """Corners of the stencil rows X, X + h e_d, X - h e_d of points X (m, n)."""
+        n = X.shape[1]
         steps = np.zeros((2 * n + 1, n))
-        steps[1::2] = h * np.eye(n)
-        steps[2::2] = -h * np.eye(n)
+        steps[1::2] = self.gf.grid.h * np.eye(n)
+        steps[2::2] = -self.gf.grid.h * np.eye(n)
+        return _corners(self.gf.grid, (X[None] + steps[:, None]).reshape(-1, n))
+
+    def _fields_at(self, corners, s):
+        """Values (k, m) and gradients (k, m, n) at one time s."""
+        n = self.gf.grid.dim
+        m = corners[0].shape[1] // (2 * n + 1)
+        h = self.gf.grid.h
         frames, theta = self._frames(s)
-        flat, wgt = _corners(self.gf.grid,
-                             (X[None] + steps[:, None]).reshape(-1, n))
-        raw = [_interpolate(g.values, frames, flat, wgt) for g in self.grids]
+        raw = [_interpolate(g.values, frames, *corners) for g in self.grids]
         # one-sided masks: where the other grid's raw frames are positive
         if len(raw) == 1:
             masks = [np.zeros((2 * n + 1, m), dtype=bool)]
@@ -268,5 +274,5 @@ class GridPhaseSampler:
             g = np.where(o_p & ~o_m, bwd, central)
             g = np.where(o_m & ~o_p, fwd, g)
             values.append(v_c)
-            grads.append(np.where(o_m & o_p, 0.0, g))
+            grads.append(np.where(o_m & o_p, 0.0, g).T)
         return np.array(values), np.array(grads)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,8 @@ def build_input(chart, pair_name, pair_params=None, kind="gauss", cfg=None):
 
 def rescale_pair(pair, r):
     """Parabolic rescale u(y, s) -> u(r y, r^2 s) / r^2 (preserves the -1
-    bound); ``fields`` samples both rescaled phases with one call of the
-    pair's own ``fields``."""
+    bound); ``values`` and ``fields`` sample both rescaled phases with one
+    call of the pair's own ``values`` or ``fields``."""
     r = float(r)
 
     def scaled(phase):
@@ -59,10 +61,14 @@ def rescale_pair(pair, r):
 
         return Phase(value=value, grad=grad)
 
-    def joint(X, s):
+    def fields(X, s):
         values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
         return values / (r * r), grads / r
 
+    def values(X, s):
+        return pair.values(r * np.atleast_2d(X), r * r * s) / (r * r)
+
+    joint = SimpleNamespace(values=values, fields=fields)
     return TwoPhasePair(plus=scaled(pair.plus), minus=scaled(pair.minus),
                         family=pair.family, params=dict(pair.params), joint=joint)
 

@@ -154,6 +154,13 @@ def test_parse_validation_errors():
     # values that parsed and then raised a traceback
     ("grid.h = 1e-320\n", "grid.h"),       # L / h overflows to inf
     ("pair.family = NumericPair\npair.seed = -1\n", "pair.seed"),
+    # values that parsed and then failed at run time: a ladder scale below
+    # 1e-6 (k_max = 300 underflowed the mesh's last slice time to -0.0), a
+    # time mesh of 10^9 slice times (MemoryError) and 10^8 blocks (no end)
+    ("ladder.k_max = 300\n", "ladder.k_max"),
+    ("ladder.k_max = 10\n", "ladder.k_max"),   # 4^-10 < 1e-6 <= 4^-9
+    ("quad.slices_per_scale = 99999999\n", "quad.slices_per_scale"),
+    ("quad.time_blocks = 99999999\n", "quad.time_blocks"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -472,16 +479,17 @@ def test_python_m_monolab_run(tmp_path):
 
 
 def test_each_phase_sampled_once_per_scenario(monkeypatch):
-    """Both admissibility certificates read one sampling of each phase."""
+    """Both admissibility certificates read one sampling of both phases."""
     from monolab.solutions import checks
 
     calls = []
-    sample = checks._sample_on_grid
-    monkeypatch.setattr(checks, "_sample_on_grid",
-                        lambda phase, grid: calls.append(phase) or sample(phase, grid))
+    sample = checks.sample_pair
+    counted = lambda pair, grid: calls.append(pair) or sample(pair, grid)
+    monkeypatch.setattr(checks, "sample_pair", counted)
+    monkeypatch.setattr(cli, "sample_pair", counted)
     doc = cli.run_scenario(parse_config_text(FAST_NULL + "checks = ladder\n"))
     assert doc.record("admissibility").passed
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

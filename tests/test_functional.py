@@ -476,8 +476,8 @@ _CALLS_UNDER_ONE_SLICE_CAP = 58
 
 @pytest.mark.parametrize("nodes", [16, 48])
 def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, nodes):
-    """No integrand call gets more points than quadrature._CALL_POINTS or one
-    slice's larger rule, and a bench-size phase energy makes fewer calls than
+    """No integrand call gets more times x points than quadrature._CALL_POINTS
+    or one slice's larger rule, and a bench-size phase energy makes fewer calls than
     under one request per block and calls capped at one slice's larger rule."""
     cfg = quad.default_config(2, nodes=nodes, slices_per_scale=6, time_blocks=7)
     inp = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=cfg)
@@ -486,7 +486,7 @@ def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, node
 
     def sized(f, kernel, s, cfg, cutoff_zone=None):
         def g(X, S, g_inv):
-            sizes.append(len(X))
+            sizes.append(len(S) * X.shape[-2])     # times x points
             return f(X, S, g_inv)
 
         return original(g, kernel, s, cfg, cutoff_zone)
@@ -510,12 +510,12 @@ def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch)
     original = quad.slice_integral
 
     def counted_metric(chart, X):
-        counts["metric"] += len(np.atleast_2d(X))
+        counts["metric"] += int(np.prod(np.shape(X)[:-1]))
         return metric(chart, X)
 
     def counted(f, kernel, s, cfg, cutoff_zone=None):
         def g(X, S, g_inv):
-            counts["integrand"] += len(X)
+            counts["integrand"] += len(S) * X.shape[-2]    # times x points
             return f(X, S, g_inv)
 
         return original(g, kernel, s, cfg, cutoff_zone)
@@ -524,3 +524,92 @@ def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch)
     monkeypatch.setattr(quad, "slice_integral", counted)
     fn.phase_energy(inp, 0.25, +1)
     assert 0 < counts["metric"] <= counts["integrand"]
+
+
+# ---------------------------------------------------------------------------
+# integrand convention: rows of points x times
+
+_ROW_TIMES = -np.array([0.2, 0.05, 0.01, 1e-3, 2e-4])
+_FAMILIES = [("Null", {}), ("TwoPlaneCaloric", {"alpha": 2.0, "beta": 0.5}),
+             ("PowerWedge", {"beta": 0.5}), ("DriftTwoPlane", {"c": 0.5}),
+             ("NumericPair", {"seed": 5, "overlap": False}),
+             ("NumericPair", {"seed": 5, "overlap": True})]
+
+
+def _rows_input(name, params, curvature):
+    chart = (geo.euclidean_chart(2) if curvature == 0.0
+             else geo.constant_curvature_chart(2, curvature, radius=1.0))
+    grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.8, dt0=0.25)
+    pair = make_family(name, params, chart=chart, grid=grid)
+    return fn.MonotonicityInput(chart=chart, pair=pair,
+                                profile=cutoff.build_cutoff(chart),
+                                kernel=kernels.KernelSpec("gauss", chart),
+                                quad=quad.default_config(2, nodes=16))
+
+
+@pytest.mark.parametrize("name, params", _FAMILIES)
+@pytest.mark.parametrize("curvature", [0.0, 1.0])
+def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
+    """Each integrand, called once with one row of points (p = 1) for all the
+    times, as the annulus rule and thm1's plain integral call it, equals one
+    call per time bit for bit; so does a call with one row per time
+    (p = k, the scaled rule) against one call per row."""
+    inp = _rows_input(name, params, curvature)
+    P, _ = quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL, quad._ANNULUS_ANGULAR)
+    P = P[None]
+    g_inv, _ = geo.inverse_metric_and_density(inp.chart, P)
+    XX = np.sqrt(-_ROW_TIMES)[:, None, None] * quad._scaled_rule(2, 16, 8.0)[0]
+    g_rows, _ = geo.inverse_metric_and_density(inp.chart, XX)
+    g_each = [geo.inverse_metric_and_density(inp.chart, X[None])[0] for X in XX]
+    for kind, sampler in fn._SAMPLERS.items():
+        f = sampler(inp)
+        fixed = f(P, _ROW_TIMES, g_inv)
+        assert fixed.shape == (2, len(_ROW_TIMES), P.shape[1])
+        per_slice = [f(P, _ROW_TIMES[k:k + 1], g_inv)[:, 0]
+                     for k in range(len(_ROW_TIMES))]
+        assert np.array_equal(fixed, np.stack(per_slice, axis=1)), kind
+        per_row = [f(X[None], _ROW_TIMES[k:k + 1], g)[:, 0]
+                   for k, (X, g) in enumerate(zip(XX, g_each))]
+        assert np.array_equal(f(XX, _ROW_TIMES, g_rows),
+                              np.stack(per_row, axis=1)), kind
+    plain = lambda X, s: inp.pair.values(X, s) ** 2
+    assert np.array_equal(plain(P, _ROW_TIMES),
+                          np.stack([plain(P, [s])[:, 0] for s in _ROW_TIMES], axis=1))
+    if name != "Null":
+        assert np.any(fixed > 0.0)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_grid_cells_located_once_per_fixed_rule_call(euclid2, monkeypatch, overlap):
+    """A grid pair locates its cells once per row of points: once per
+    integrand call of the annulus rule and of thm1's plain integral, however
+    many times the call holds, and once per slice of the scaled rule."""
+    from monolab.solutions import grids
+
+    inp = _rows_input("NumericPair", {"seed": 5, "overlap": overlap}, 0.0)
+    located = []
+    corners = grids._corners
+    monkeypatch.setattr(grids, "_corners",
+                        lambda grid, X: located.append(1) or corners(grid, X))
+    calls = []      # (rows of points, times, cell locations) per integrand call
+
+    def counting(f):
+        def g(X, S, *g_inv):
+            before = len(located)
+            out = f(X, S, *g_inv)
+            calls.append((X.shape[0], len(S), len(located) - before))
+            return out
+
+        return g
+
+    for kind, sampler in fn._SAMPLERS.items():
+        quad.slice_integral(counting(sampler(inp)), inp.kernel, _ROW_TIMES,
+                            inp.quad, cutoff_zone=inp.zone)
+    fixed = [call for call in calls if call[0] == 1 and call[1] > 1]
+    assert fixed and all(cells == 1 for _, _, cells in fixed)
+    assert all(cells == rows for rows, _, cells in calls)
+    calls.clear()
+    quad.plain_spacetime_integral(counting(lambda X, s: inp.pair.values(X, s) ** 2),
+                                  euclid2, 1.0, 1.0)
+    assert calls and all(rows == 1 and cells == 1 for rows, _, cells in calls)
+    assert sum(times for _, times, _ in calls) == quad._PLAIN_TIME_CELLS

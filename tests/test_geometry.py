@@ -116,8 +116,13 @@ def test_inverse_metric_matches_numerical_inverse():
         V = rng.standard_normal(X.shape)
         form_ref = np.einsum("mi,mij,mj->m", V, ref, V)
         assert np.all(np.abs(g_inv.form(V) - form_ref) <= 1e-14 * form_ref), chart
-        mask = rng.uniform(size=len(X)) < 0.5
-        assert np.array_equal(g_inv[mask].form(V[mask]), g_inv.form(V)[mask])
+        # leading axes broadcast: vectors (2, m, n) against the points (m, n),
+        # and points (1, m, n) against vectors (m, n)
+        W = np.stack([V, rng.standard_normal(X.shape)])
+        assert np.array_equal(g_inv.form(W), np.stack([g_inv.form(w) for w in W]))
+        g_row, _ = geo.inverse_metric_and_density(chart, X[None])
+        assert np.array_equal(g_row.form(V), g_inv.form(V)[None])
+        assert np.array_equal(g_row.entry(0, n - 1), g_inv.entry(0, n - 1)[None])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

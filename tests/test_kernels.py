@@ -27,7 +27,7 @@ def test_frozen_value_n1():
 def test_kernel_mass_by_quadrature(euclid2):
     spec = ker.KernelSpec("gauss", euclid2)
     cfg = quad.default_config(2)
-    mass = quad.slice_integral(lambda X, s, g_inv: np.ones(X.shape[0]), spec,
+    mass = quad.slice_integral(lambda X, s, g_inv: np.ones(X.shape[:-1]), spec,
                                np.array([-0.01]), cfg)[0]
     assert mass == pytest.approx(1.0, abs=1e-6)
 

@@ -6,6 +6,7 @@ from monolab import functional as fn
 from monolab import geometry as geo
 from monolab import kernels as ker
 from monolab import quadrature as quad
+from monolab.errors import ConfigError
 from monolab.solutions import SpaceTimeGrid, make_family
 
 
@@ -18,15 +19,26 @@ def ones(X, *_):
     return np.ones(np.atleast_2d(X).shape[0])
 
 
+def rows(f):
+    """The integrand of rows of points X (p, m, n) and times S (k,), (k, m),
+    that evaluates f(points (N, n), one time per point (N,)) -> (N,)."""
+    def integrand(X, S, g_inv):
+        k, m, n = len(S), X.shape[-2], X.shape[-1]
+        points = np.broadcast_to(X, (k, m, n)).reshape(-1, n)
+        return f(points, np.repeat(S, m)).reshape(k, m)
+
+    return integrand
+
+
 def one_slice(f, kernel, s, cfg, cutoff_zone=None):
     """The slice integral of f(X) at the single time s."""
-    return quad.slice_integral(lambda X, S, g_inv: f(X), kernel, np.array([s]),
+    return quad.slice_integral(rows(lambda X, S: f(X)), kernel, np.array([s]),
                                cfg, cutoff_zone)[0]
 
 
 def slices(f, kernel, cfg):
     """slice_at(s) for the time rules: the slice integrals of f(., s)."""
-    return lambda s: quad.slice_integral(lambda X, S, g_inv: f(X, S), kernel, s, cfg)
+    return lambda s: quad.slice_integral(rows(f), kernel, s, cfg)
 
 
 def test_slice_mass(gauss2, quad2):
@@ -148,6 +160,21 @@ def test_config_validation():
             quad.QuadratureConfig(**{count: 0})
 
 
+def test_time_mesh_limits():
+    """The block and slice-time limits admit every shipped mesh, the default
+    one included, and are checked from the counts; no mesh is built here."""
+    assert quad.default_config(2).time_blocks == 16
+    assert quad.default_config(2, time_blocks=64).time_blocks == 64
+    with pytest.raises(ConfigError) as err:
+        quad.default_config(2, time_blocks=65)
+    assert err.value.key == "quad.time_blocks"
+    # (64 + 1) (251 + 1) + 1 = 16381 slice times; 252 slices make 16446
+    assert quad.default_config(2, time_blocks=64, slices_per_scale=251)
+    with pytest.raises(ConfigError) as err:
+        quad.default_config(2, time_blocks=64, slices_per_scale=252)
+    assert err.value.key == "quad.slices_per_scale"
+
+
 def test_points_per_slice_budget():
     """The budget is checked from the node count; no rule is built here."""
     assert quad.default_config(2, nodes=512).nodes == 512       # 2^18 points
@@ -174,10 +201,10 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
     t = -s
     c = np.sqrt(t)
     Y, w = quad._scaled_rule(n, cfg.nodes, cfg.r_tail)
-    X = c * Y
+    X = (c * Y)[None]
     g_inv, dens = geo.inverse_metric_and_density(chart, X)
-    vals = f(X, np.full(len(X), s), g_inv)
-    vals = vals * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
+    vals = f(X, np.array([s]), g_inv)[0]
+    vals = vals * (dens[0] ** 0.5 if kernel.kind == "parametrix0" else dens[0])
     vals = vals * quad._eta(c * np.sqrt(np.sum(Y * Y, axis=1)), zone)
     total = float(np.dot(w, vals))
     a, b = zone
@@ -185,9 +212,9 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
         P, w_ann = quad.annulus_rule(n, float(a), float(b), quad._ANNULUS_RADIAL,
                                      quad._ANNULUS_ANGULAR)
         kv = ker.kernel_values(kernel, P, t)
-        g_ann, dens_ann = geo.inverse_metric_and_density(chart, P)
+        g_ann, dens_ann = geo.inverse_metric_and_density(chart, P[None])
         rho = np.sqrt(np.sum(P * P, axis=1))
-        vals_ann = (f(P, np.full(len(P), s), g_ann) * kv * dens_ann
+        vals_ann = (f(P[None], np.array([s]), g_ann)[0] * kv * dens_ann[0]
                     * (1.0 - quad._eta(rho, zone)))
         total += float(np.dot(w_ann, vals_ann))
     return total

@@ -209,23 +209,31 @@ def test_shared_corner_stencil_matches_per_direction_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_per_point_times_match_per_time_calls(n):
-    """value and grad with one time per point (contiguous runs of equal time,
-    as a block of slices stacks them) equal one call per time: before the
-    mesh, on a node (one frame), between nodes, at 0 and past the end."""
+    """value, values and grad at rows of points and times equal one call per
+    time: one row that every time reads (X (m, n) or (1, m, n)) and one row
+    per time (k, m, n); before the mesh, on a node (one frame), between
+    nodes, at 0 and past the end."""
     gf_p, gf_m = _random_pair(n, seed=n)
     t = gf_p.grid.times
     X = _stencil_probes(n, gf_p.grid.h, np.random.default_rng(20 + n))
-    times = [t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.5 * (t[4] + t[5]),
-             0.0, 0.5, t[3]]
-    XX = np.tile(X, (len(times), 1))
-    S = np.repeat(times, len(X))
+    times = np.array([t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.5 * (t[4] + t[5]),
+                      0.0, 0.5, t[3]])
+    XX = X[None] * (1.0 - 0.05 * np.arange(len(times)))[:, None, None]
     for gf, other in ((gf_p, gf_m), (gf_m, gf_p), (gf_p, None)):
         sampler = GridPhaseSampler(gf, other=other)
-        assert np.array_equal(sampler.value(XX, S),
-                              np.concatenate([sampler.value(X, s) for s in times]))
-        assert np.array_equal(sampler.grad(XX, S),
-                              np.concatenate([sampler.grad(X, s) for s in times]))
-        assert np.array_equal(sampler.value(X, np.full(len(X), t[4])),
+        alone = [GridPhaseSampler(g) for g in sampler.grids]
+        for rows in (X, X[None]):
+            assert np.array_equal(sampler.value(rows, times),
+                                  np.array([sampler.value(X, s) for s in times]))
+            assert np.array_equal(sampler.grad(rows, times),
+                                  np.array([sampler.grad(X, s) for s in times]))
+            assert np.array_equal(sampler.values(rows, times),
+                                  np.array([a.value(rows, times) for a in alone]))
+        assert np.array_equal(sampler.value(XX, times),
+                              np.array([sampler.value(x, s) for x, s in zip(XX, times)]))
+        assert np.array_equal(sampler.grad(XX, times),
+                              np.array([sampler.grad(x, s) for x, s in zip(XX, times)]))
+        assert np.array_equal(sampler.value(X, np.full(1, t[4]))[0],
                               sampler.value(X, t[4]))
 
 
@@ -361,9 +369,8 @@ def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
         pair = make_family("PowerWedge", {"beta": 0.5}, chart=chart)
     rec = supercaloric_residual_check(pair, chart, grid, tol=1e-8)
     battery = checks._bump_battery(chart, grid)
-    for phase, weak in ((pair.plus, rec.weak_min_plus),
-                        (pair.minus, rec.weak_min_minus)):
-        u = checks._sample_on_grid(phase, grid)
+    for u, weak in zip(checks.sample_pair(pair, grid),
+                       (rec.weak_min_plus, rec.weak_min_minus)):
         ref = _reference_weak_pairing(u, chart, grid)
         assert checks._weak_pairings(u, battery) == weak
         assert weak == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -461,23 +468,33 @@ def _fields_reference(base, r, X, s):
 ])
 @pytest.mark.parametrize("r", [1.0, 0.25])
 def test_pair_fields_equal_per_phase_calls(euclid2, name, params, r):
-    """TwoPhasePair.fields, of a family's pair (r = 1) and of its parabolic
-    rescaling, is bit-identical to one call per phase, at single times and
-    with one time per point."""
+    """TwoPhasePair.fields and .values, of a family's pair (r = 1) and of its
+    parabolic rescaling, are bit-identical to one call per phase, at single
+    times, on one row of points that every time reads and on one row per
+    time."""
     grid = small_grid()
     base = make_family(name, params, chart=euclid2, grid=grid)
     pair = base if r == 1.0 else rescale_pair(base, r)
     X = _stencil_probes(2, grid.h, np.random.default_rng(30)) / r
     t = grid.times / (r * r)
-    times = [t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.0, t[3]]
+    times = np.array([t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.0, t[3]])
     for s in times:
         got, want = pair.fields(X, s), _fields_reference(base, r, X, s)
         assert got[0].shape == (2, len(X)) and got[1].shape == (2, len(X), 2)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    values, grads = pair.fields(np.tile(X, (len(times), 1)), np.repeat(times, len(X)))
+        assert np.array_equal(pair.values(X, s), want[0])
     want = [_fields_reference(base, r, X, s) for s in times]
-    assert np.array_equal(values, np.concatenate([v for v, _ in want], axis=1))
-    assert np.array_equal(grads, np.concatenate([g for _, g in want], axis=1))
+    for rows in (X, X[None]):
+        values, grads = pair.fields(rows, times)
+        assert np.array_equal(values, np.stack([v for v, _ in want], axis=1))
+        assert np.array_equal(grads, np.stack([g for _, g in want], axis=1))
+        assert np.array_equal(pair.values(rows, times), values)
+    XX = X[None] * (1.0 - 0.05 * np.arange(len(times)))[:, None, None]
+    want = [_fields_reference(base, r, x, s) for x, s in zip(XX, times)]
+    values, grads = pair.fields(XX, times)
+    assert np.array_equal(values, np.stack([v for v, _ in want], axis=1))
+    assert np.array_equal(grads, np.stack([g for _, g in want], axis=1))
+    assert np.array_equal(pair.values(XX, times), values)
     if name == "NumericPair":
         assert np.any(grads[0] != 0.0) and np.any(grads[1] != 0.0)
 
