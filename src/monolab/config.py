@@ -215,7 +215,7 @@ def _validate(cfg, set_keys):
     if cfg.kernel_kind not in kernels.KINDS:
         raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r} "
                           f"(known: {', '.join(kernels.KINDS)})", key="kernel.kind")
-    family_params(cfg.pair_family, cfg.pair_params)
+    family_params(cfg.pair_family, cfg.pair_params, cfg.grid)
     if cfg.k_max < cfg.k_min:
         raise ConfigError("k range is empty", key="ladder.k_max")
     if 4.0 ** (-cfg.k_max) < _MIN_SCALE:

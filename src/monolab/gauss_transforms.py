@@ -155,6 +155,14 @@ def bkp_sum(f_plus, f_minus, measure, cfg=None, tol=1e-3, n_check=2000,
 # the two reduction transforms
 
 
+def _fd_jacobian(forward, X, step):
+    """Central-difference Jacobian (m, n, n) of the map ``forward`` at the
+    points X, column d from the steps +- step along axis d."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.stack([(forward(X + e) - forward(X - e)) / (2.0 * step)
+                     for e in step * np.eye(X.shape[1])], axis=2)
+
+
 class RayTransform:
     """y(x) = int_0^1 g^{1/2}(tx) x dt on a (rescaled) chart, by Gauss-Legendre
     nodes along each ray; the numerical reference for the closed form y = x."""
@@ -178,13 +186,7 @@ class RayTransform:
         return out
 
     def jacobian_det(self, X, step=1e-3):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[1]
-        J = np.empty((X.shape[0], n, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = step
-            J[:, :, d] = (self.forward(X + e) - self.forward(X - e)) / (2.0 * step)
+        J = _fd_jacobian(self.forward, X, step)
         return np.linalg.det(J), J
 
     def inverse(self, Y, n_iter=6, tol=1e-12):
@@ -224,14 +226,7 @@ class PsiMap:
         return np.atleast_2d(Z) + self.psi(Z)
 
     def jacobian_det(self, Z, step=1e-2):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        n = Z.shape[1]
-        J = np.empty((Z.shape[0], n, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = step
-            J[:, :, d] = (self.forward(Z + e) - self.forward(Z - e)) / (2.0 * step)
-        return np.linalg.det(J)
+        return np.linalg.det(_fd_jacobian(self.forward, Z, step))
 
 
 def _slice_variance(s):

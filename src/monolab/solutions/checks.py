@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import geometry
+from .grids import positivity_tol
 from .solver import apply_laplacian, assemble_laplacian
 
 __all__ = [
@@ -170,8 +171,7 @@ def supercaloric_residual_check(pair, chart, grid, tol=1e-8, frames=None):
     dt = np.diff(grid.times)[:, None]
     results = {}
     for sign, u, v in (("plus", up, um), ("minus", um, up)):
-        pos_tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-        mask = ~_dilate(v[1:] > pos_tol).reshape(len(dt), -1) & act
+        mask = ~_dilate(v[1:] > positivity_tol(v)).reshape(len(dt), -1) & act
         flat = u.reshape(len(u), -1)
         resid = (apply_laplacian(triplets, flat[1:]) - (flat[1:] - flat[:-1]) / dt
                  + 1.0)

@@ -1,10 +1,12 @@
 """Admissible two-phase pairs: analytic families and evolved grid pairs.
 
-Every phase exposes vectorized ``value(X, s)`` (k, m) and ``grad(X, s)``
-(k, m, n) samplers on rows of points X and times s, as ``grids`` describes
-them; analytic phases multiply a spatial factor of the rows by a time factor
-(k, 1).  A pair's ``values(X, s)`` and ``fields(X, s)`` sample both phases at
-once, as the functional's integrands need them.
+Every pair has one sampler whose ``values(X, s)`` (2, k, m) and
+``fields(X, s)`` (values and gradients (2, k, m, n)) read both phases,
+(plus, minus) in that order, at rows of points X and times s as ``grids``
+describes them.  The analytic families share one plane-pair sampler that
+projects the points on e once and multiplies a spatial factor of each phase
+by a time factor (k, 1); a grid pair's sampler is one ``GridPhaseSampler``
+over both grids.  ``pair.plus`` and ``pair.minus`` are the sampler's rows.
 Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
@@ -59,51 +61,57 @@ class Phase:
 
 @dataclass(eq=False)
 class TwoPhasePair:
-    """Two phases; ``values`` and ``fields`` sample both at once.  ``joint``
-    has ``values`` and ``fields`` methods of the same signature that share
-    work between the phases, or is None to stack the phases' own calls."""
-    plus: Phase
-    minus: Phase
+    """Two phases read through one ``sampler``: ``values`` (2, k, m) and
+    ``fields`` (values and gradients (2, k, m, n)) of (plus, minus) at the
+    rows X and times s.  ``plus`` and ``minus`` are its rows, built once."""
+    sampler: object = field(repr=False)
     family: str
     params: dict = field(default_factory=dict)
     admissibility: dict = field(default_factory=dict)
-    joint: object | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.plus, self.minus = (
+            Phase(value=lambda X, s, i=i: self.sampler.values(X, s)[i],
+                  grad=lambda X, s, i=i: self.sampler.fields(X, s)[1][i])
+            for i in (0, 1))
 
     def values(self, X, s):
-        """Values (2, k, m) of (plus, minus) at the rows X and times s;
-        bit-identical to the phases' own value calls."""
-        if self.joint is not None:
-            return self.joint.values(X, s)
-        return np.array([np.asarray(p.value(X, s), dtype=float)
-                         for p in (self.plus, self.minus)])
+        return self.sampler.values(X, s)
 
     def fields(self, X, s):
-        """Values (2, k, m) and gradients (2, k, m, n) of (plus, minus);
-        bit-identical to the phases' own value and grad calls."""
-        if self.joint is not None:
-            return self.joint.fields(X, s)
-        return (self.values(X, s),
-                np.array([np.asarray(p.grad(X, s), dtype=float)
-                          for p in (self.plus, self.minus)]))
+        return self.sampler.fields(X, s)
 
 
-def _plane_phase(e, amp, sign, power=1.0, drift=0.0):
-    # the time factor is a column (k, 1) against the points axis
-    def value(X, s):
+@dataclass(frozen=True, eq=False)
+class _PlanePair:
+    """(a+ ((x.e)_+)^p, a- ((x.e)_-)^p) (1 + drift s): one projection d = X @ e
+    per call, each phase reading sign * d (exact: the sign is +-1)."""
+    e: np.ndarray
+    amps: tuple              # (a+, a-)
+    power: float = 1.0
+    drift: float = 0.0
+
+    def _rows(self, X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = sign * (X @ e)
-        pos = np.maximum(d, 0.0)
-        return amp * pos ** power * (1.0 + drift * np.asarray(s)[..., None])
+        # the time factor is a column (k, 1) against the points axis
+        return X @ self.e, 1.0 + self.drift * np.asarray(s)[..., None]
 
-    def grad(X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        d = sign * (X @ e)
-        pos = np.maximum(d, 0.0)
-        slope = np.where(d > 0.0, power * pos ** (power - 1.0), 0.0)
-        time = 1.0 + drift * np.asarray(s)[..., None]
-        return (amp * time * slope * sign)[..., None] * e
+    def _values(self, d, time):
+        return np.array([amp * np.maximum(sign * d, 0.0) ** self.power * time
+                         for amp, sign in zip(self.amps, (1.0, -1.0))])
 
-    return Phase(value=value, grad=grad)
+    def values(self, X, s):
+        return self._values(*self._rows(X, s))
+
+    def fields(self, X, s):
+        d, time = self._rows(X, s)
+        values, grads = self._values(d, time), []
+        for amp, sign in zip(self.amps, (1.0, -1.0)):
+            ds = sign * d
+            pos = np.maximum(ds, 0.0)
+            slope = np.where(ds > 0.0, self.power * pos ** (self.power - 1.0), 0.0)
+            grads.append((amp * time * slope * sign)[..., None] * self.e)
+        return values, np.array(grads)
 
 
 def _bump(X, center, width):
@@ -120,10 +128,12 @@ def param_types(name):
     return {key: spec[0] for key, spec in _PARAMS[name].items()}
 
 
-def family_params(name, params):
+def family_params(name, params, grid=None):
     """The parameters family ``name`` reads from ``params``, as their types,
     defaults filled in; an unknown family or a value outside its range raises
-    ConfigError keyed ``pair.family`` or ``pair.<parameter>``."""
+    ConfigError keyed ``pair.family`` or ``pair.<parameter>``.  On a ``grid``
+    where a NumericPair phase would have no active interior node it raises
+    ConfigError keyed ``grid.h``."""
     param_types(name)
     out = {}
     for key, (kind, default, admissible, what) in _PARAMS[name].items():
@@ -131,6 +141,12 @@ def family_params(name, params):
         if admissible is not None and not admissible(value):
             raise ConfigError(f"{key} must be {what}", key=f"pair.{key}")
         out[key] = value
+    # a half-cube phase holds the nodes with x_1 > 0 (or < 0) off the faces:
+    # with 2N + 1 nodes per axis, N >= 2 leaves one
+    if (name == "NumericPair" and grid is not None and not out["overlap"]
+            and grid.n_axis < 5):
+        raise ConfigError("a NumericPair phase on a half-cube needs an interior "
+                          "node: round(L / h) >= 2", key="grid.h")
     return out
 
 
@@ -176,11 +192,8 @@ def _numeric_pair(n, values, chart, grid):
 
     gf_plus = one_side(+1)
     gf_minus = one_side(-1)
-    sp_plus = GridPhaseSampler(gf_plus, other=gf_minus)
-    sp_minus = GridPhaseSampler(gf_minus, other=gf_plus)
-    return (Phase(value=sp_plus.value, grad=sp_plus.grad),
-            Phase(value=sp_minus.value, grad=sp_minus.grad),
-            sp_plus, {"grid_plus": gf_plus, "grid_minus": gf_minus})
+    return (GridPhaseSampler(gf_plus, gf_minus),
+            {"grid_plus": gf_plus, "grid_minus": gf_minus})
 
 
 def make_family(name, params=None, chart=None, grid=None):
@@ -188,27 +201,17 @@ def make_family(name, params=None, chart=None, grid=None):
     raise ConfigError (a ValueError)."""
     params = dict(params or {})
     n = chart.dim if chart is not None else int(params.get("dim", 2))
-    values = family_params(name, params)
+    values = family_params(name, params, grid)
     e = np.eye(n)[0]
     if name == "Null":      # two planes of amplitude 0
-        return TwoPhasePair(plus=_plane_phase(e, 0.0, +1.0), family=name,
-                            minus=_plane_phase(e, 0.0, -1.0), params=params)
-    if name == "TwoPlaneCaloric":
-        return TwoPhasePair(plus=_plane_phase(e, values["alpha"], +1.0),
-                            minus=_plane_phase(e, values["beta"], -1.0),
-                            family=name, params=params)
-    if name == "PowerWedge":
-        p = 1.0 + values["beta"]
-        return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, power=p),
-                            minus=_plane_phase(e, 1.0, -1.0, power=p),
-                            family=name, params=params)
-    if name == "DriftTwoPlane":
-        return TwoPhasePair(plus=_plane_phase(e, 1.0, +1.0, drift=values["c"]),
-                            minus=_plane_phase(e, 1.0, -1.0, drift=values["c"]),
-                            family=name, params=params)
-    plus, minus, joint, extra = _numeric_pair(n, values, chart, grid)  # NumericPair
-    pair = TwoPhasePair(plus=plus, minus=minus, family=name, params=params,
-                        joint=joint)
-    pair.admissibility.update(extra)
-    return pair
-
+        sampler = _PlanePair(e, (0.0, 0.0))
+    elif name == "TwoPlaneCaloric":
+        sampler = _PlanePair(e, (values["alpha"], values["beta"]))
+    elif name == "PowerWedge":
+        sampler = _PlanePair(e, (1.0, 1.0), power=1.0 + values["beta"])
+    elif name == "DriftTwoPlane":
+        sampler = _PlanePair(e, (1.0, 1.0), drift=values["c"])
+    else:                   # NumericPair
+        sampler, grids = _numeric_pair(n, values, chart, grid)
+        return TwoPhasePair(sampler, name, params, admissibility=grids)
+    return TwoPhasePair(sampler, name, params)

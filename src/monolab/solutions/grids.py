@@ -5,23 +5,24 @@ The time mesh lives on (-T, 0] and, for the geometric constructor, marches
 from -T toward 0 with steps shrinking by a fixed ratio (coarsest step first),
 the final step snapped to land exactly on 0.
 
-Samplers interpolate through one helper pair: ``_corners`` locates the cell of
-each point once (flat node indices and weights of its 2^n corners) and
-``_interpolate`` reads any time frame of any field on the same grid from them.
-A sampler takes rows of points X (p, m, n), or (m, n) for p = 1, and times
-s (k,) or a scalar: p = 1 is one row that every time reads (as a fixed-point
-rule passes it), p = k one row per time.  Each row's cells are located once.
+A grid pair's sampler interpolates through one helper pair: ``_corners``
+locates the cell of each point once (flat node indices and weights of its 2^n
+corners) and ``_interpolate`` reads any time frame of either grid from them.
+It takes rows of points X (p, m, n), or (m, n) for p = 1, and times s (k,) or
+a scalar: p = 1 is one row that every time reads (as a fixed-point rule
+passes it), p = k one row per time.  Each row is located once for both grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["SpaceTimeGrid", "GridFunction", "GridPhaseSampler"]
+__all__ = ["SpaceTimeGrid", "GridFunction", "GridPhaseSampler",
+           "positivity_tol"]
 
 
 # Values per array of a grid-backed solve, with nodes the grid's nodes: a
@@ -30,6 +31,12 @@ __all__ = ["SpaceTimeGrid", "GridFunction", "GridPhaseSampler"]
 # either near 32 MB and admits the largest grid in use, acceptance 7's
 # (141^2 nodes, 49 frames, 141 nodes per slab: 2.8 M).
 _MAX_GRID_VALUES = 2 ** 22
+
+
+def positivity_tol(values):
+    """The level above which a phase counts as positive: 1e-12 of its largest
+    magnitude in ``values``, and at least 1e-12."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(values))))
 
 
 def _axis_nodes(half_width, h):
@@ -186,32 +193,31 @@ def _by_row(locate, sample, X, s):
 
 
 class GridPhaseSampler:
-    """Callable value/gradient samplers backed by a GridFunction.
+    """Both phases of a grid pair, (plus, minus), sampled from the
+    GridFunctions ``gf_plus`` and ``gf_minus`` on one grid.
 
     Values interpolate multilinearly in space and linearly between the two
     bracketing time frames.  Gradients are central differences of the
     interpolant with the grid step; where the opposite phase is positive on
     one side, a one-sided difference from the clean side is used instead
-    (interface stencils are biased).  ``fields`` samples this phase and
-    ``other`` (which must live on the same grid) together: it stacks the 2n+1
-    stencil points, locates their cells once and reads both grids' frames
-    from the shared corners, so each grid's raw frames give the other phase
-    its one-sided mask and stencil row 0, the point itself, gives the values.
-    ``values`` reads both grids from one set of corners, and ``value`` and
-    ``grad`` are this phase's rows of ``values`` and ``fields``.  A row of
-    points (see the module doc) is located once however many times read it.
+    (interface stencils are biased).  ``values`` reads both grids from one set
+    of corners; ``fields`` stacks the 2n+1 stencil points, locates their cells
+    once and reads both grids' frames from the shared corners, so each grid's
+    raw frames give the other phase its one-sided mask and stencil row 0, the
+    point itself, gives the values.  ``value`` is the plus row of ``values``.
+    A row of points (see the module doc) is located once however many times
+    read it.
     """
 
-    def __init__(self, gf, other=None):
-        self.gf = gf
-        self.grids = (gf,) if other is None else (gf, other)
+    def __init__(self, gf_plus, gf_minus):
+        self.grids = (gf_plus, gf_minus)
+        self.grid = gf_plus.grid
         # positivity thresholds of the grids, for the other phase's mask
-        self.tols = [1e-12 * max(1.0, float(np.max(np.abs(g.values))))
-                     for g in self.grids]
+        self.tols = [positivity_tol(g.values) for g in self.grids]
 
     def _frames(self, s):
         """The time frames bracketing s and the weight of the later one."""
-        t = self.gf.grid.times
+        t = self.grid.times
         if s <= t[0]:
             return [0], 0.0
         if s >= t[-1]:
@@ -225,8 +231,8 @@ class GridPhaseSampler:
         return self.values(X, s)[0]
 
     def values(self, X, s):
-        """Values (k, ..., m) of this phase and, if there is one, ``other``."""
-        return _by_row(lambda row: _corners(self.gf.grid, row), self._values_at,
+        """Values (2, k, ..., m) of (plus, minus)."""
+        return _by_row(lambda row: _corners(self.grid, row), self._values_at,
                        X, s)[0]
 
     def _values_at(self, corners, s):
@@ -234,35 +240,29 @@ class GridPhaseSampler:
         return (np.array([_in_time(_interpolate(g.values, frames, *corners), theta)
                           for g in self.grids]),)
 
-    def grad(self, X, s):
-        return self.fields(X, s)[1][0]
-
     def fields(self, X, s):
-        """Values (k, ..., m) and gradients (k, ..., m, n) of this phase and,
-        if there is one, ``other``, in that order."""
+        """Values (2, k, ..., m) and gradients (2, k, ..., m, n) of (plus,
+        minus)."""
         return tuple(_by_row(self._stencil_corners, self._fields_at, X, s))
 
     def _stencil_corners(self, X):
         """Corners of the stencil rows X, X + h e_d, X - h e_d of points X (m, n)."""
         n = X.shape[1]
         steps = np.zeros((2 * n + 1, n))
-        steps[1::2] = self.gf.grid.h * np.eye(n)
-        steps[2::2] = -self.gf.grid.h * np.eye(n)
-        return _corners(self.gf.grid, (X[None] + steps[:, None]).reshape(-1, n))
+        steps[1::2] = self.grid.h * np.eye(n)
+        steps[2::2] = -self.grid.h * np.eye(n)
+        return _corners(self.grid, (X[None] + steps[:, None]).reshape(-1, n))
 
     def _fields_at(self, corners, s):
-        """Values (k, m) and gradients (k, m, n) at one time s."""
-        n = self.gf.grid.dim
+        """Values (2, m) and gradients (2, m, n) at one time s."""
+        n = self.grid.dim
         m = corners[0].shape[1] // (2 * n + 1)
-        h = self.gf.grid.h
+        h = self.grid.h
         frames, theta = self._frames(s)
         raw = [_interpolate(g.values, frames, *corners) for g in self.grids]
         # one-sided masks: where the other grid's raw frames are positive
-        if len(raw) == 1:
-            masks = [np.zeros((2 * n + 1, m), dtype=bool)]
-        else:
-            masks = [(r.max(axis=0) > tol).reshape(2 * n + 1, m)
-                     for r, tol in zip(raw[::-1], self.tols[::-1])]
+        masks = [(r.max(axis=0) > tol).reshape(2 * n + 1, m)
+                 for r, tol in zip(raw[::-1], self.tols[::-1])]
         values, grads = [], []
         for r, o in zip(raw, masks):
             v = _in_time(r, theta).reshape(2 * n + 1, m)

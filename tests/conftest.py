@@ -5,7 +5,7 @@ import pytest
 
 from monolab import cutoff, geometry, kernels, quadrature
 from monolab import functional as fn
-from monolab.solutions import Phase, TwoPhasePair, make_family
+from monolab.solutions import TwoPhasePair, make_family
 
 
 @pytest.fixture(scope="session")
@@ -48,18 +48,9 @@ def build_input(chart, pair_name, pair_params=None, kind="gauss", cfg=None):
 
 def rescale_pair(pair, r):
     """Parabolic rescale u(y, s) -> u(r y, r^2 s) / r^2 (preserves the -1
-    bound); ``values`` and ``fields`` sample both rescaled phases with one
-    call of the pair's own ``values`` or ``fields``."""
+    bound); its sampler reads both rescaled phases with one call of the
+    pair's own ``values`` or ``fields``."""
     r = float(r)
-
-    def scaled(phase):
-        def value(X, s):
-            return phase.value(r * np.atleast_2d(X), r * r * s) / (r * r)
-
-        def grad(X, s):
-            return phase.grad(r * np.atleast_2d(X), r * r * s) / r
-
-        return Phase(value=value, grad=grad)
 
     def fields(X, s):
         values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
@@ -68,9 +59,8 @@ def rescale_pair(pair, r):
     def values(X, s):
         return pair.values(r * np.atleast_2d(X), r * r * s) / (r * r)
 
-    joint = SimpleNamespace(values=values, fields=fields)
-    return TwoPhasePair(plus=scaled(pair.plus), minus=scaled(pair.minus),
-                        family=pair.family, params=dict(pair.params), joint=joint)
+    return TwoPhasePair(SimpleNamespace(values=values, fields=fields),
+                        pair.family, dict(pair.params))
 
 
 def rescaled_input(input_, r):

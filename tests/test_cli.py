@@ -154,6 +154,8 @@ def test_parse_validation_errors():
     # values that parsed and then raised a traceback
     ("grid.h = 1e-320\n", "grid.h"),       # L / h overflows to inf
     ("pair.family = NumericPair\npair.seed = -1\n", "pair.seed"),
+    # 3 nodes per axis: no interior node on either half-cube
+    ("pair.family = NumericPair\ngrid.h = 0.999\n", "grid.h"),
     # values that parsed and then failed at run time: a ladder scale below
     # 1e-6 (k_max = 300 underflowed the mesh's last slice time to -0.0), a
     # time mesh of 10^9 slice times (MemoryError) and 10^8 blocks (no end)
@@ -521,3 +523,66 @@ def test_shipped_scenarios_present_and_parse():
         ids.append(cfg.scenario_id)
     assert "drift_plane" in ids
     assert sum("numeric_pair" in s for s in ids) == 2
+
+
+
+# Values no shipped key should take; each either parses or is a ConfigError.
+HOSTILE = ("nan", "inf", "-1", "0", "1e308", "", "abc", "3.5", "1e-320", "2",
+           "99999999", "-0", "1,2", "0.3, nan")
+
+
+def _mutate(text, key, value):
+    """``text`` with the line setting ``key`` set to ``value``."""
+    return "".join(f"{key} = {value}\n" if _line_key(line) == key else line
+                   for line in text.splitlines(keepends=True))
+
+
+def _line_key(line):
+    key, eq, _ = line.split("#", 1)[0].partition("=")
+    return key.strip() if eq else None
+
+
+def _set_keys(text):
+    return {_line_key(line) for line in text.splitlines()} - {None}
+
+
+def _escape(text, run=False):
+    """None if ``text`` parses (and, with ``run``, runs to a report) or raises
+    a ConfigError naming a key the text sets and a line; else what escaped."""
+    try:
+        cfg = parse_config_text(text)
+        if run:
+            cli.run_scenario(cfg)
+    except ConfigError as exc:
+        if exc.key in _set_keys(text) and exc.line is not None:
+            return None
+        return f"ConfigError key {exc.key!r} line {exc.line}"
+    except Exception as exc:  # noqa: BLE001  (what the sweep looks for)
+        return repr(exc)
+    return None
+
+
+# (scenario, key, value) mutations that are also run: each runs to a report
+# or is a ConfigError at parse time
+RUNTIME_ROWS = [
+    ("numeric_pair_a", "grid.h", "0.999"),   # no interior node on a half-cube
+]
+
+
+def test_hostile_values_parse_or_name_their_key():
+    """Every key of the six shipped configs, set in turn to each hostile
+    value, parses or raises a ConfigError that names a key the text sets and
+    its line: never another exception.  The runtime rows also run."""
+    texts = {}
+    for path in cli.shipped_scenario_paths():
+        with open(path, encoding="utf-8") as fh:
+            texts[os.path.splitext(os.path.basename(path))[0]] = fh.read()
+    rows = [(scenario, key, value, False) for scenario, text in texts.items()
+            for key in sorted(_set_keys(text)) for value in HOSTILE]
+    assert len(rows) == 1512
+    escapes = []
+    for scenario, key, value, run in rows + [r + (True,) for r in RUNTIME_ROWS]:
+        what = _escape(_mutate(texts[scenario], key, value), run)
+        if what is not None:
+            escapes.append((scenario, key, value, what))
+    assert not escapes, escapes[:10]

@@ -340,11 +340,10 @@ def test_manifold_bkp_quotients_read_the_parent_table(request, lean_quad2,
 
 
 def test_manifold_bkp_degenerate_phase(euclid2, lean_quad2):
-    from monolab.solutions import TwoPhasePair, make_family
+    from monolab.solutions import make_family
 
-    cal = make_family("TwoPlaneCaloric", {}, chart=euclid2)
-    null = make_family("Null", {"dim": 2})
-    pair = TwoPhasePair(plus=cal.plus, minus=null.minus, family="mixed")
+    # a caloric plane against a zero phase
+    pair = make_family("TwoPlaneCaloric", {"beta": 0.0}, chart=euclid2)
 
     from monolab import cutoff, kernels
 

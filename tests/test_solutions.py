@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,13 +82,14 @@ def test_sampler_matches_nodes_and_one_sided_gradient():
     frames_m = np.stack([minus_vals.reshape(grid.shape())] * len(grid.times))
     gf_p = GridFunction(grid=grid, values=frames_p)
     gf_m = GridFunction(grid=grid, values=frames_m)
-    s_p = GridPhaseSampler(gf_p, other=gf_m)
+    sampler = GridPhaseSampler(gf_p, gf_m)
     probe = np.array([[0.6, 0.1], [0.3, -0.4]])
-    assert np.allclose(s_p.value(probe, -0.3), np.maximum(probe[:, 0], 0.0))
+    assert np.allclose(sampler.value(probe, -0.3), np.maximum(probe[:, 0], 0.0))
+    assert np.allclose(sampler.values(probe, -0.3)[1], np.maximum(-probe[:, 0], 0.0))
     # one cell from the interface the one-sided rule must keep the clean slope
     near = np.array([[grid.h, 0.0]])
-    g = s_p.grad(near, -0.2)
-    assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
+    g = sampler.fields(near, -0.2)[1]
+    assert g[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 # Reference: the per-direction stencil, one multilinear interpolation per
@@ -188,30 +190,32 @@ def _stencil_probes(n, h, rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_shared_corner_stencil_matches_per_direction_reference(n):
-    """value and grad are bit-identical to the per-direction reference stencil,
-    with and without the other phase, at times before the mesh, on its first
-    node, on interior nodes, between nodes and at 0."""
+    """values, fields and value are bit-identical to the per-direction
+    reference stencil of each phase against the other, at times before the
+    mesh, on its first node, on interior nodes, between nodes and at 0."""
     gf_p, gf_m = _random_pair(n, seed=n)
     t = gf_p.grid.times
     X = _stencil_probes(n, gf_p.grid.h, np.random.default_rng(10 + n))
     times = [t[0] - 1.0, t[0], t[3], t[4], 0.5 * (t[3] + t[4]), 0.5 * (t[4] + t[5]), 0.0]
+    sampler = GridPhaseSampler(gf_p, gf_m)
     one_sided = 0
-    for gf, other in ((gf_p, gf_m), (gf_m, gf_p), (gf_p, None)):
-        sampler = GridPhaseSampler(gf, other=other)
-        for s in times:
-            assert np.array_equal(sampler.value(X, s), _ref_value(gf, X, s))
-            g = sampler.grad(X, s)
+    for s in times:
+        values, grads = sampler.fields(X, s)
+        assert np.array_equal(sampler.values(X, s), values)
+        assert np.array_equal(sampler.value(X, s), values[0])
+        for v, g, gf, other in ((values[0], grads[0], gf_p, gf_m),
+                                (values[1], grads[1], gf_m, gf_p)):
+            assert np.array_equal(v, _ref_value(gf, X, s))
             assert np.array_equal(g, _ref_grad(gf, other, X, s))
-            if other is not None:
-                one_sided += int(np.sum(g != _ref_grad(gf, None, X, s)))
+            one_sided += int(np.sum(g != _ref_grad(gf, None, X, s)))
     assert one_sided > 0   # the interface rule was exercised
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_per_point_times_match_per_time_calls(n):
-    """value, values and grad at rows of points and times equal one call per
-    time: one row that every time reads (X (m, n) or (1, m, n)) and one row
-    per time (k, m, n); before the mesh, on a node (one frame), between
+    """values, fields and value at rows of points and times equal one call
+    per time: one row that every time reads (X (m, n) or (1, m, n)) and one
+    row per time (k, m, n); before the mesh, on a node (one frame), between
     nodes, at 0 and past the end."""
     gf_p, gf_m = _random_pair(n, seed=n)
     t = gf_p.grid.times
@@ -219,22 +223,22 @@ def test_per_point_times_match_per_time_calls(n):
     times = np.array([t[0] - 1.0, t[3], 0.5 * (t[3] + t[4]), t[4], 0.5 * (t[4] + t[5]),
                       0.0, 0.5, t[3]])
     XX = X[None] * (1.0 - 0.05 * np.arange(len(times)))[:, None, None]
-    for gf, other in ((gf_p, gf_m), (gf_m, gf_p), (gf_p, None)):
-        sampler = GridPhaseSampler(gf, other=other)
-        alone = [GridPhaseSampler(g) for g in sampler.grids]
-        for rows in (X, X[None]):
-            assert np.array_equal(sampler.value(rows, times),
-                                  np.array([sampler.value(X, s) for s in times]))
-            assert np.array_equal(sampler.grad(rows, times),
-                                  np.array([sampler.grad(X, s) for s in times]))
-            assert np.array_equal(sampler.values(rows, times),
-                                  np.array([a.value(rows, times) for a in alone]))
-        assert np.array_equal(sampler.value(XX, times),
-                              np.array([sampler.value(x, s) for x, s in zip(XX, times)]))
-        assert np.array_equal(sampler.grad(XX, times),
-                              np.array([sampler.grad(x, s) for x, s in zip(XX, times)]))
-        assert np.array_equal(sampler.value(X, np.full(1, t[4]))[0],
-                              sampler.value(X, t[4]))
+    sampler = GridPhaseSampler(gf_p, gf_m)
+
+    def per_time(rows):
+        """(values, grads) of one fields call per (row, time), stacked on
+        the time axis."""
+        calls = [sampler.fields(x, s) for x, s in zip(rows, times)]
+        return [np.stack(part, axis=1) for part in zip(*calls)]
+
+    one_row = per_time([X] * len(times))
+    for rows, want in ((X, one_row), (X[None], one_row), (XX, per_time(XX))):
+        values, grads = sampler.fields(rows, times)
+        assert np.array_equal(values, want[0]) and np.array_equal(grads, want[1])
+        assert np.array_equal(sampler.values(rows, times), values)
+        assert np.array_equal(sampler.value(rows, times), values[0])
+    assert np.array_equal(sampler.values(X, np.full(1, t[4]))[:, 0],
+                          sampler.values(X, t[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +400,14 @@ def test_nan_phase_fails_the_certificate(euclid2):
     """A NaN in a phase makes its margins NaN, and a NaN margin fails."""
     grid = small_grid()
     pair = make_family("TwoPlaneCaloric", {"alpha": 1.0, "beta": 1.0}, chart=euclid2)
-    value = pair.plus.value
-    pair.plus.value = lambda X, s: np.where(np.atleast_2d(X)[:, 1] > 0.5, np.nan,
-                                            value(X, s))
+    sampler = pair.sampler
+
+    def values(X, s):
+        out = sampler.values(X, s)
+        out[0] = np.where(np.atleast_2d(X)[:, 1] > 0.5, np.nan, out[0])
+        return out
+
+    pair.sampler = SimpleNamespace(values=values, fields=sampler.fields)
     rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
     assert np.isnan(rec.min_plus) and np.isnan(rec.weak_min_plus)
     assert not rec.passed
@@ -443,18 +452,39 @@ def _one_phase_grad(gf, other, X, s):
     return np.ascontiguousarray(np.where(o_m & o_p, 0.0, g).T)
 
 
+# (amplitudes (a+, a-), power p, drift c) of the plane pairs below:
+# u_pm = a_pm ((+-x_1)_+)^p (1 + c s)
+_PLANES = {"Null": ((0.0, 0.0), 1.0, 0.0),
+           "TwoPlaneCaloric": ((2.0, 0.5), 1.0, 0.0),
+           "PowerWedge": ((1.0, 1.0), 1.5, 0.0),
+           "DriftTwoPlane": ((1.0, 1.0), 1.0, 0.5)}
+
+
+def _plane_phase(amp, sign, p, c, X, s):
+    """Value (m,) and gradient (m, n) of a_pm ((+-x_1)_+)^p (1 + c s), in
+    closed form."""
+    pos = np.maximum(sign * X[:, 0], 0.0)
+    time = 1.0 + c * s
+    slope = np.where(sign * X[:, 0] > 0.0, p * pos ** (p - 1.0), 0.0)
+    grad = np.zeros_like(X)
+    grad[:, 0] = amp * time * slope * sign
+    return amp * pos ** p * time, grad
+
+
 def _fields_reference(base, r, X, s):
     """(values, grads) of the pair ``base`` rescaled by r at one time s, one
-    phase at a time: each phase's own value and grad, grid phases' gradients
-    through _one_phase_grad."""
+    phase at a time: plane phases in closed form, grid phases through the
+    per-direction reference values and _one_phase_grad."""
     Xr, sr = r * X, r * r * s
-    values = np.array([base.plus.value(Xr, sr), base.minus.value(Xr, sr)])
     if base.family == "NumericPair":
         gp, gm = base.admissibility["grid_plus"], base.admissibility["grid_minus"]
+        values = np.array([_ref_value(gp, Xr, sr), _ref_value(gm, Xr, sr)])
         grads = np.array([_one_phase_grad(gp, gm, Xr, sr),
                           _one_phase_grad(gm, gp, Xr, sr)])
     else:
-        grads = np.array([base.plus.grad(Xr, sr), base.minus.grad(Xr, sr)])
+        amps, p, c = _PLANES[base.family]
+        values, grads = (np.array(part) for part in zip(
+            *(_plane_phase(a, sign, p, c, Xr, sr) for a, sign in zip(amps, (1.0, -1.0)))))
     return values / (r * r), grads / r
 
 
