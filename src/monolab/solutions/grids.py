@@ -5,12 +5,15 @@ The time mesh lives on (-T, 0] and, for the geometric constructor, marches
 from -T toward 0 with steps shrinking by a fixed ratio (coarsest step first),
 the final step snapped to land exactly on 0.
 
-A grid pair's sampler interpolates through one helper pair: ``_corners``
-locates the cell of each point once (flat node indices and weights of its 2^n
-corners) and ``_interpolate`` reads any time frame of either grid from them.
-It takes rows of points X (p, m, n), or (m, n) for p = 1, and times s (k,) or
-a scalar: p = 1 is one row that every time reads (as a fixed-point rule
-passes it), p = k one row per time.  Each row is located once for both grids.
+A grid pair's sampler keeps each grid's time frames padded with two
+edge-copied ghost layers per face.  ``GridPhaseSampler._locate`` locates the
+cell of each point once (flat indices and weights of its 2^n corners in the
+padded frames) and ``_interpolate`` reads any time frame of either grid from
+them; the gradient stencil X +- h e_d reads the same cell shifted by one
+node, with the same weights, so it is located once too.  The sampler takes
+rows of points X (p, m, n), or (m, n) for p = 1, and times s (k,) or a
+scalar: p = 1 is one row that every time reads (as a fixed-point rule passes
+it), p = k one row per time.  Each row is located once for both grids.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ __all__ = ["SpaceTimeGrid", "GridFunction", "GridPhaseSampler",
 # either near 32 MB and admits the largest grid in use, acceptance 7's
 # (141^2 nodes, 49 frames, 141 nodes per slab: 2.8 M).
 _MAX_GRID_VALUES = 2 ** 22
+
+# Edge copies padding each side of every axis of a sampler's frames: a point's
+# cell starts at most one node outside the cube, and its stencil shifts the
+# cell one node further.
+_GHOST = 2
 
 
 def positivity_tol(values):
@@ -144,35 +152,6 @@ class GridFunction:
             raise ValueError("grid function carries non-finite values")
 
 
-def _corners(grid, X):
-    """Cell corners of points X (m, n): flat node indices and multilinear
-    weights, each (2^n, m), corner bits in axis order (bit d steps axis d)."""
-    n = grid.dim
-    na = grid.n_axis
-    c = (X + grid.half_width) / grid.h
-    i0 = np.clip(np.floor(c).astype(int), 0, na - 2)
-    frac = np.clip(c - i0, 0.0, 1.0)
-    strides = na ** np.arange(n - 1, -1, -1)
-    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    flat = (i0 @ strides)[None, :] + (bits @ strides)[:, None]
-    wgt = np.ones((2 ** n, X.shape[0]))
-    for d in range(n):
-        wgt *= np.where(bits[:, d:d + 1] == 1, frac[:, d], 1.0 - frac[:, d])
-    return flat, wgt
-
-
-def _interpolate(values, frames, flat, wgt):
-    """Interpolants of the time frames values[j], j in frames, at the corners
-    (flat, wgt) of _corners: shape (len(frames), m).  Each is summed corner by
-    corner from zero, in corner order."""
-    out = np.zeros((len(frames), flat.shape[1]))
-    for row, j in zip(out, frames):
-        vals = np.take(values[j].reshape(-1), flat)
-        for corner in range(flat.shape[0]):
-            row += wgt[corner] * vals[corner]
-    return out
-
-
 def _in_time(v, theta):
     """Interpolants of one or two time frames (rows of v) -> the interpolant
     at the time theta of the way from the first to the second."""
@@ -192,28 +171,56 @@ def _by_row(locate, sample, X, s):
             for p in zip(*parts)]
 
 
+def _interpolate(frame, index, weights, out):
+    """Multilinear interpolants read from one flat padded frame: the corners
+    ``index`` (..., 2^n, m) times ``weights`` (of the same shape), each summed
+    corner by corner, in corner order, into ``out`` (..., m) of zeros (a sum
+    over the corner axis may pair the terms when m = 1)."""
+    vals = frame.take(index)
+    vals *= weights
+    for corner in range(vals.shape[-2]):
+        out += vals[..., corner, :]
+
+
 class GridPhaseSampler:
     """Both phases of a grid pair, (plus, minus), sampled from the
     GridFunctions ``gf_plus`` and ``gf_minus`` on one grid.
 
     Values interpolate multilinearly in space and linearly between the two
-    bracketing time frames.  Gradients are central differences of the
-    interpolant with the grid step; where the opposite phase is positive on
-    one side, a one-sided difference from the clean side is used instead
-    (interface stencils are biased).  ``values`` reads both grids from one set
-    of corners; ``fields`` stacks the 2n+1 stencil points, locates their cells
-    once and reads both grids' frames from the shared corners, so each grid's
-    raw frames give the other phase its one-sided mask and stencil row 0, the
-    point itself, gives the values.  ``value`` is the plus row of ``values``.
-    A row of points (see the module doc) is located once however many times
-    read it.
+    bracketing time frames; a point outside the cube reads the nearest point
+    of it.  Gradients are central differences of the interpolant with the grid
+    step; where the opposite phase is positive on one side, a one-sided
+    difference from the clean side is used instead (interface stencils are
+    biased).  Each row of points (see the module doc) is located once, for
+    both grids and every time that reads it.  ``fields`` reads the stencil
+    points X +- h e_d as the cells of X shifted by one node, with the weights
+    of X, so a point is located once however many stencil points read it;
+    the frames are padded with edge copies, so a shifted cell past a cube face
+    reads the face.  Each grid's raw frames give the other phase its one-sided
+    mask, and the point's own row of the stencil gives the values.  ``value``
+    is the plus row of ``values``.
     """
 
     def __init__(self, gf_plus, gf_minus):
-        self.grids = (gf_plus, gf_minus)
-        self.grid = gf_plus.grid
+        self.grid = grid = gf_plus.grid
+        n = grid.dim
+        pad = ((0, 0),) + ((_GHOST, _GHOST),) * n
+        self._padded = [np.pad(g.values, pad, mode="edge").reshape(len(grid.times), -1)
+                        for g in (gf_plus, gf_minus)]
+        strides = (grid.n_axis + 2 * _GHOST) ** np.arange(n - 1, -1, -1)
+        self._strides = strides
+        # corner bits in axis order (bit d steps axis d)
+        self._bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
+        # stencil rows in nodes: the point, then +e_0, -e_0, +e_1, -e_1, ...
+        shifts = np.concatenate([[0], np.ravel(np.stack([strides, -strides], axis=1))])
+        # flat offset of each corner of each stencil row from a cell's lower
+        # corner, past the ghost layers: (2n+1, 2^n)
+        self._offsets = (shifts[:, None] + self._bits @ strides
+                         + _GHOST * strides.sum())
+        # weights of each stencil row: the point's own (0) or the stencil's (1)
+        self._weight_rows = np.minimum(np.arange(2 * n + 1), 1)
         # positivity thresholds of the grids, for the other phase's mask
-        self.tols = [positivity_tol(g.values) for g in self.grids]
+        self.tols = np.array([positivity_tol(g.values) for g in (gf_plus, gf_minus)])
 
     def _frames(self, s):
         """The time frames bracketing s and the weight of the later one."""
@@ -227,52 +234,67 @@ class GridPhaseSampler:
         theta = float((s - t[j]) / (t[j + 1] - t[j]))
         return ([j] if theta == 0.0 else [j, j + 1]), theta
 
+    def _locate(self, X, rows):
+        """The cells of points X (m, n), located once, and of the first
+        ``rows`` rows of their stencil: the flat corner indices (rows, 2^n, m)
+        in the padded frames and the weights, row 0 at the point clipped to
+        the cube, the other rows at the point's fractions in its cell.  A
+        cell's lower corner lies in [-1, n_axis - 1] on every axis, so the
+        stencil cells one node either side stay in the padded frames."""
+        last = self.grid.n_axis - 1
+        c = (X + self.grid.half_width) / self.grid.h
+        cell = np.clip(np.floor(c), -1.0, last)
+        # the point's fractions, then the stencil's (needed when rows > 1)
+        frac = np.stack([np.clip(c, 0.0, last) - cell,
+                         np.clip(c - cell, 0.0, 1.0)][:rows])
+        w = np.where(self._bits[:, :1], frac[:, None, :, 0], 1.0 - frac[:, None, :, 0])
+        for d in range(1, X.shape[1]):
+            w *= np.where(self._bits[:, d:d + 1], frac[:, None, :, d],
+                          1.0 - frac[:, None, :, d])
+        index = (cell.astype(int) @ self._strides) + self._offsets[:rows, :, None]
+        return index, w[self._weight_rows[:rows]]
+
     def value(self, X, s):
         return self.values(X, s)[0]
 
     def values(self, X, s):
         """Values (2, k, ..., m) of (plus, minus)."""
-        return _by_row(lambda row: _corners(self.grid, row), self._values_at,
-                       X, s)[0]
+        return _by_row(lambda X: self._locate(X, 1), self._values_at, X, s)[0]
 
-    def _values_at(self, corners, s):
+    def _values_at(self, cells, s):
         frames, theta = self._frames(s)
-        return (np.array([_in_time(_interpolate(g.values, frames, *corners), theta)
-                          for g in self.grids]),)
+        return (_in_time(self._raw(cells, frames), theta)[:, 0],)
 
     def fields(self, X, s):
         """Values (2, k, ..., m) and gradients (2, k, ..., m, n) of (plus,
         minus)."""
-        return tuple(_by_row(self._stencil_corners, self._fields_at, X, s))
+        return tuple(_by_row(lambda X: self._locate(X, len(self._weight_rows)),
+                             self._fields_at, X, s))
 
-    def _stencil_corners(self, X):
-        """Corners of the stencil rows X, X + h e_d, X - h e_d of points X (m, n)."""
-        n = X.shape[1]
-        steps = np.zeros((2 * n + 1, n))
-        steps[1::2] = self.grid.h * np.eye(n)
-        steps[2::2] = -self.grid.h * np.eye(n)
-        return _corners(self.grid, (X[None] + steps[:, None]).reshape(-1, n))
+    def _raw(self, cells, frames):
+        """Interpolants (frame, phase, stencil row, m) of both phases' time
+        frames at the located cells."""
+        index, weights = cells
+        raw = np.zeros((len(frames), 2) + index.shape[:1] + index.shape[-1:])
+        for j, out in zip(frames, raw):
+            for p, rows in zip(self._padded, out):
+                _interpolate(p[j], index, weights, rows)
+        return raw
 
-    def _fields_at(self, corners, s):
+    def _fields_at(self, cells, s):
         """Values (2, m) and gradients (2, m, n) at one time s."""
-        n = self.grid.dim
-        m = corners[0].shape[1] // (2 * n + 1)
         h = self.grid.h
         frames, theta = self._frames(s)
-        raw = [_interpolate(g.values, frames, *corners) for g in self.grids]
-        # one-sided masks: where the other grid's raw frames are positive
-        masks = [(r.max(axis=0) > tol).reshape(2 * n + 1, m)
-                 for r, tol in zip(raw[::-1], self.tols[::-1])]
-        values, grads = [], []
-        for r, o in zip(raw, masks):
-            v = _in_time(r, theta).reshape(2 * n + 1, m)
-            v_c, v_p, v_m = v[0], v[1::2], v[2::2]
-            o_p, o_m = o[1::2], o[2::2]
-            central = (v_p - v_m) / (2.0 * h)
-            fwd = (v_p - v_c) / h
-            bwd = (v_c - v_m) / h
-            g = np.where(o_p & ~o_m, bwd, central)
-            g = np.where(o_m & ~o_p, fwd, g)
-            values.append(v_c)
-            grads.append(np.where(o_m & o_p, 0.0, g).T)
-        return np.array(values), np.array(grads)
+        # stencil rows: 0 the point, then X + h e_d, X - h e_d for each axis d
+        raw = self._raw(cells, frames)
+        # one-sided masks: where the other phase's raw frames are positive
+        other = raw.max(axis=0)[::-1] > self.tols[::-1, None, None]
+        v = _in_time(raw, theta)
+        o_p, o_m = other[:, 1::2], other[:, 2::2]
+        # central difference, or one-sided from the clean side; 0 where the
+        # other phase is positive on both sides (v_c - v_c)
+        v_c = v[:, :1]
+        hi = np.where(o_p, v_c, v[:, 1::2])
+        lo = np.where(o_m, v_c, v[:, 2::2])
+        g = (hi - lo) / np.where(o_p | o_m, h, 2.0 * h)
+        return v[:, 0], g.swapaxes(1, 2)

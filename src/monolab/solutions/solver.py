@@ -90,14 +90,13 @@ def assemble_laplacian(chart, grid, active=None):
 
 def apply_laplacian(triplets, u):
     """L u for the triplets of ``assemble_laplacian``; u is one flat frame
-    (size,) or a stack of them (frames, size)."""
+    (size,) or a stack of them (frames, size), applied frame by frame."""
     rows, cols, vals = triplets
     u = np.asarray(u, dtype=float)
     stack = u.reshape(-1, u.shape[-1])
-    frames, size = stack.shape
-    flat = (np.arange(frames)[:, None] * size + rows).ravel()
-    out = np.bincount(flat, weights=(vals * stack[:, cols]).ravel(),
-                      minlength=frames * size)
+    out = np.empty_like(stack)
+    for frame, row in zip(stack, out):
+        row[:] = np.bincount(rows, weights=vals * frame[cols], minlength=len(frame))
     return out.reshape(u.shape)
 
 

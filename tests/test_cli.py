@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -547,12 +548,15 @@ def _set_keys(text):
 
 
 def _escape(text, run=False):
-    """None if ``text`` parses (and, with ``run``, runs to a report) or raises
-    a ConfigError naming a key the text sets and a line; else what escaped."""
+    """None if ``text`` parses (and, with ``run``, runs to a report without a
+    warning) or raises a ConfigError naming a key the text sets and a line;
+    else what escaped."""
     try:
         cfg = parse_config_text(text)
         if run:
-            cli.run_scenario(cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cli.run_scenario(cfg)
     except ConfigError as exc:
         if exc.key in _set_keys(text) and exc.line is not None:
             return None
@@ -566,6 +570,7 @@ def _escape(text, run=False):
 # or is a ConfigError at parse time
 RUNTIME_ROWS = [
     ("numeric_pair_a", "grid.h", "0.999"),   # no interior node on a half-cube
+    ("caloric_euclid", "pair.alpha", "1e308"),   # margins overflow: a FAIL report
 ]
 
 

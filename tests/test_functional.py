@@ -581,23 +581,24 @@ def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
 
 @pytest.mark.parametrize("overlap", [False, True])
 def test_grid_cells_located_once_per_fixed_rule_call(euclid2, monkeypatch, overlap):
-    """A grid pair locates its cells once per row of points: once per
-    integrand call of the annulus rule and of thm1's plain integral, however
-    many times the call holds, and once per slice of the scaled rule."""
+    """A grid pair locates each point of a row once: m points per row of m,
+    not (2n+1) m for the gradient stencil, per integrand call of the annulus
+    rule and of thm1's plain integral however many times the call holds, and
+    per slice of the scaled rule."""
     from monolab.solutions import grids
 
     inp = _rows_input("NumericPair", {"seed": 5, "overlap": overlap}, 0.0)
     located = []
-    corners = grids._corners
-    monkeypatch.setattr(grids, "_corners",
-                        lambda grid, X: located.append(1) or corners(grid, X))
-    calls = []      # (rows of points, times, cell locations) per integrand call
+    locate = grids.GridPhaseSampler._locate
+    monkeypatch.setattr(grids.GridPhaseSampler, "_locate",
+                        lambda self, X, rows: located.append(len(X)) or locate(self, X, rows))
+    calls = []      # (rows of points, points per row, times, located points)
 
     def counting(f):
         def g(X, S, *g_inv):
             before = len(located)
             out = f(X, S, *g_inv)
-            calls.append((X.shape[0], len(S), len(located) - before))
+            calls.append((X.shape[0], X.shape[-2], len(S), sum(located[before:])))
             return out
 
         return g
@@ -605,11 +606,11 @@ def test_grid_cells_located_once_per_fixed_rule_call(euclid2, monkeypatch, overl
     for kind, sampler in fn._SAMPLERS.items():
         quad.slice_integral(counting(sampler(inp)), inp.kernel, _ROW_TIMES,
                             inp.quad, cutoff_zone=inp.zone)
-    fixed = [call for call in calls if call[0] == 1 and call[1] > 1]
-    assert fixed and all(cells == 1 for _, _, cells in fixed)
-    assert all(cells == rows for rows, _, cells in calls)
+    fixed = [call for call in calls if call[0] == 1 and call[2] > 1]
+    assert fixed and all(points == m for _, m, _, points in fixed)
+    assert all(points == rows * m for rows, m, _, points in calls)
     calls.clear()
     quad.plain_spacetime_integral(counting(lambda X, s: inp.pair.values(X, s) ** 2),
                                   euclid2, 1.0, 1.0)
-    assert calls and all(rows == 1 and cells == 1 for rows, _, cells in calls)
-    assert sum(times for _, times, _ in calls) == quad._PLAIN_TIME_CELLS
+    assert calls and all(rows == 1 and points == m for rows, m, _, points in calls)
+    assert sum(times for _, _, times, _ in calls) == quad._PLAIN_TIME_CELLS
