@@ -18,8 +18,11 @@ integrands: |grad_g w_pm|^2 (`grad_sq`: phase and boundary energies), w_pm^2
 (p, m, n) and times s (k,) (see `quadrature`) and returns (plus, minus) rows
 (2, k, m): the radius, chi, chi' and x/|x| once per row of points, u and grad u
 for both phases in one `TwoPhasePair.fields` or `.values` call, the metric
-form once for both.  chi and chi' vanish outside the cutoff ball, so no mask
-is needed; `positive` multiplies by the ball's indicator.  Every check asks
+form once for both.  The rows keep the pair's time axis by broadcasting: for
+a pair that does not depend on s and one row of points it has length 1,
+(2, 1, m), and the fixed-point rules reuse that result for every time.  chi
+and chi' vanish outside the cutoff ball, so no mask is needed; `positive`
+multiplies by the ball's indicator.  Every check asks
 for the two signs at the same times, so nothing is wasted.  Each
 MonotonicityInput owns its quadrature rule and one slice table, keyed by
 (integrand kind, s) with the exact float time s and holding the (plus, minus)
@@ -28,9 +31,11 @@ blocks or signs reach it.  The table is filled per request: a space-time
 integral asks for every slice of its scale at once, and the misses are
 integrated for both phases in one `slice_integral` call.  The values depend
 neither on the order of evaluation nor on the grouping into blocks, so a warm
-table returns exactly what a fresh input would compute.  A copy made by
-`dataclasses.replace` starts with an empty table, so a copy under another
-rule (`dataclasses.replace(input_, quad=...)`) integrates its own slices.
+table returns exactly what a fresh input would compute.  Each energy A_pm(r)
+is assembled from the table once and kept in the input's `energies`, keyed
+by (r, sign).  A copy made by `dataclasses.replace` starts with an empty
+table and no energies, so a copy under another rule
+(`dataclasses.replace(input_, quad=...)`) integrates its own slices.
 The checks at the unit scale of a parabolic rescaling (the scale
 derivative here, the curved BKP quotients in `gauss_transforms`) read the
 scenario's own table through the rescaling identities, so they add no input.
@@ -81,6 +86,9 @@ class MonotonicityInput:
     # (kind, s) -> (plus, minus) slice integrals under quad; see the module doc
     slice_table: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # (r, sign) -> A_pm(r), each energy assembled once from the slice table
+    energies: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.kernel.chart is not self.chart:
@@ -161,11 +169,17 @@ def _slice_at(input_, kind, sign):
 
 
 def phase_energy(input_, r, sign):
-    """A_pm(r): kernel-weighted energy of the truncated phase over S_r."""
+    """A_pm(r): kernel-weighted energy of the truncated phase over S_r, kept
+    in the input's ``energies`` after the first request."""
     if not 0.0 < r <= input_.chart.radius / 2.0 + 1e-12:
         raise ValueError("scale r must lie in (0, radius/2]")
-    return quadrature.spacetime_integral(_slice_at(input_, "grad_sq", sign),
-                                         r, input_.quad)
+    key = (float(r), 1 if sign > 0 else -1)
+    energy = input_.energies.get(key)
+    if energy is None:
+        energy = quadrature.spacetime_integral(_slice_at(input_, "grad_sq", sign),
+                                               r, input_.quad)
+        input_.energies[key] = energy
+    return energy
 
 
 def phi(input_, r):

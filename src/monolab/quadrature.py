@@ -13,11 +13,15 @@ Integrands take rows of points X (p, m, n) and times S (k,) and return
 scaled rule's points move with the time, so it passes one row per slice
 (p = k); a rule whose points are fixed in time (the annulus, the unweighted
 integral) passes them once (p = 1) for all the times of a call, so their
-spatial work is done once per call.  `slice_integral` evaluates a block of
-slice times at once, with the inverse metric, a `geometry.InverseMetric`,
-computed once per point and the annulus fields once per (chart, kernel kind,
-zone).  Integrand calls hold at most `_CALL_POINTS` times x points (one
-slice's rule when that is larger), so memory per call stays bounded.
+spatial work is done once per call.  An integrand that does not depend on
+the time (a pair free of s) returns a time axis of length 1 for those
+times, (1, m) or (rows, 1, m); a fixed-point rule then calls it once per
+call and reuses that result for every other time.  `slice_integral`
+evaluates a block of slice times at once, with the inverse metric, a
+`geometry.InverseMetric`, computed once per point and the annulus fields
+once per (chart, kernel kind, zone).  Integrand calls hold at most
+`_CALL_POINTS` times x points (one slice's rule when that is larger), so
+memory per call stays bounded.
 
 Time integration over (-r^2, 0) uses one absolute mesh for every scale:
 geometric blocks (-ratio^k, -ratio^(k+1)) shrinking toward 0 (ratio
@@ -210,6 +214,29 @@ def _runs(indices, size):
     return [indices[i:i + size] for i in range(0, len(indices), size)]
 
 
+def _fixed_point_runs(f, P, times, *args):
+    """f at the fixed row of points P (1, m, n) for the times of a rule call,
+    in runs of max(1, _CALL_POINTS // m) times: a list of (run, values) with
+    values (rows, len(run), m), and the leading shape of f's result.
+
+    An integrand that returns a time axis of length 1 for a run of several
+    times does not depend on the time: that result serves the rest of the
+    call, broadcast over each run, and f is not called again.  A run of one
+    time tells nothing, since every integrand returns one time for it."""
+    m = P.shape[-2]
+    out, lead, stationary = [], None, None
+    for run in _runs(times, max(1, _CALL_POINTS // m)):
+        vals = stationary
+        if vals is None:
+            vals = np.asarray(f(P, run, *args), dtype=float)
+            lead = vals.shape[:-2]
+            vals = vals.reshape((-1,) + vals.shape[-2:])
+            if len(run) > 1 and vals.shape[1] == 1:
+                stationary = vals
+        out.append((run, np.broadcast_to(vals, (len(vals), len(run), m))))
+    return out, lead
+
+
 def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
     of the 1-D array ``s``.
@@ -218,11 +245,12 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     (p = k on the scaled rule, 1 on the annulus), the times S (k,) of the
     call and the ``geometry.InverseMetric`` g_inv at X, and returns (k, m), or
     (rows, k, m) for several integrands on the same points (both phases of a
-    pair); the result is (len(s),) or (rows, len(s)).  Slices of one rule
-    share a call in runs of max(1, _CALL_POINTS // rule size).  Each row keeps
-    its own fixed-order dot product per slice and scalar Gauss prefactor, so
-    a block of slices and a stack of integrands give bit-identical values to
-    one call per slice and integrand.
+    pair); on the annulus a time axis of length 1 stands for every time (see
+    ``_fixed_point_runs``).  The result is (len(s),) or (rows, len(s)).
+    Slices of one rule share a call in runs of max(1, _CALL_POINTS // rule
+    size).  Each row keeps its own fixed-order dot product per slice and
+    scalar Gauss prefactor, so a block of slices and a stack of integrands
+    give bit-identical values to one call per slice and integrand.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or len(s) == 0:
@@ -262,9 +290,10 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     if ann:
         P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
             _annulus_fields(kernel, cutoff_zone))
-        for run in _runs(ann, max(1, _CALL_POINTS // len(w_ann))):
-            vals = np.asarray(f(P, s[run], g_inv), dtype=float).reshape(
-                len(totals), len(run), -1)
+        # the runs hold slice indices; the integrand gets their times
+        runs, _ = _fixed_point_runs(lambda X, run, g: f(X, s[run], g), P, ann,
+                                    g_inv)
+        for run, vals in runs:
             for j, k in enumerate(run):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k]))
                 if kernel_factor is not None:
@@ -344,10 +373,11 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
 
     ``f(X, S)`` gets the rule's points as one row X (1, m, n) and the times
     S (k,) of a call, and returns (k, m), or (rows, k, m) for several
-    integrands on the same points; the result is a float or (rows,).  Calls
-    hold at most _CALL_POINTS times x points (one cell's rule when that is
-    larger), and each row keeps its own dot product per cell and its own
-    running sum, in time order."""
+    integrands on the same points, with a time axis of length 1 for an
+    integrand free of the time (see ``_fixed_point_runs``); the result is a
+    float or (rows,).  Calls hold at most _CALL_POINTS times x points (one
+    cell's rule when that is larger), and each row keeps its own dot product
+    per cell and its own running sum, in time order."""
     n = chart.dim
     P, w = annulus_rule(n, 0.0, float(radius), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
     _, dens = geometry.inverse_metric_and_density(chart, P)
@@ -355,13 +385,9 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
     m = len(w)
     dt = t_depth / _PLAIN_TIME_CELLS
     s_nodes = -t_depth + (np.arange(_PLAIN_TIME_CELLS) + 0.5) * dt
-    totals = None   # one running sum per row, once the first call shows the rows
-    for run in _runs(s_nodes, max(1, _CALL_POINTS // m)):
-        vals = np.asarray(f(P[None], run), dtype=float)
-        lead = vals.shape[:-2]
-        vals = vals.reshape(-1, len(run), m)
-        if totals is None:
-            totals = [0.0] * len(vals)
+    runs, lead = _fixed_point_runs(f, P[None], s_nodes)
+    totals = [0.0] * len(runs[0][1])    # one running sum per row
+    for _, vals in runs:
         for i, block in enumerate(vals):
             for row in block:
                 totals[i] += float(np.dot(wd, row)) * dt

@@ -61,9 +61,13 @@ class ResidualRecord:
 
 def sample_pair(pair, grid):
     """(u_+, u_-) on every space-time node, each (len(grid.times), *grid.shape()):
-    the nodes are one row of points that every time of the grid reads."""
+    the nodes are one row of points that every time of the grid reads.  A
+    pair that does not depend on s returns one time; it is broadcast to every
+    frame and copied, so the frames are contiguous whatever the pair."""
     values = pair.values(grid.points(), grid.times)
-    return tuple(v.reshape(grid.times.shape + grid.shape()) for v in values)
+    frames = (2, len(grid.times)) + grid.shape()
+    return tuple(np.ascontiguousarray(np.broadcast_to(
+        values.reshape((2, -1) + grid.shape()), frames)))
 
 
 def pair_validity_check(pair, grid, tol=1e-10, frames=None):

@@ -6,7 +6,11 @@ Every pair has one sampler whose ``values(X, s)`` (2, k, m) and
 describes them.  The analytic families share one plane-pair sampler that
 projects the points on e once and multiplies a spatial factor of each phase
 by a time factor (k, 1); a grid pair's sampler is one ``GridPhaseSampler``
-over both grids.  ``pair.plus`` and ``pair.minus`` are the sampler's rows.
+over both grids.  A pair that does not depend on s (Null, TwoPlaneCaloric,
+PowerWedge) reads the k times as one: on one row of points its arrays carry
+a time axis of length 1, (2, 1, m) and (2, 1, m, n), which broadcasts
+against the k times, so a caller that needs every time broadcasts it.
+``pair.plus`` and ``pair.minus`` are the sampler's rows.
 Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
@@ -63,7 +67,9 @@ class Phase:
 class TwoPhasePair:
     """Two phases read through one ``sampler``: ``values`` (2, k, m) and
     ``fields`` (values and gradients (2, k, m, n)) of (plus, minus) at the
-    rows X and times s.  ``plus`` and ``minus`` are its rows, built once."""
+    rows X and times s; a pair that does not depend on s returns a time axis
+    of length 1 on one row of points, (2, 1, m) and (2, 1, m, n).  ``plus``
+    and ``minus`` are its rows, built once."""
     sampler: object = field(repr=False)
     family: str
     params: dict = field(default_factory=dict)
@@ -85,7 +91,9 @@ class TwoPhasePair:
 @dataclass(frozen=True, eq=False)
 class _PlanePair:
     """(a+ ((x.e)_+)^p, a- ((x.e)_-)^p) (1 + drift s): one projection d = X @ e
-    per call, each phase reading sign * d (exact: the sign is +-1)."""
+    per call, each phase reading sign * d (exact: the sign is +-1).  With
+    drift = 0 the pair does not depend on s, and times s (k,) read as one:
+    a row of points gives a time axis of length 1."""
     e: np.ndarray
     amps: tuple              # (a+, a-)
     power: float = 1.0
@@ -93,8 +101,11 @@ class _PlanePair:
 
     def _rows(self, X, s):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        s = np.asarray(s, dtype=float)
+        if self.drift == 0.0 and s.ndim:
+            s = s[:1]       # stationary: one time stands for all of them
         # the time factor is a column (k, 1) against the points axis
-        return X @ self.e, 1.0 + self.drift * np.asarray(s)[..., None]
+        return X @ self.e, 1.0 + self.drift * s[..., None]
 
     def _values(self, d, time):
         return np.array([amp * np.maximum(sign * d, 0.0) ** self.power * time

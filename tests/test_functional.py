@@ -463,6 +463,32 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     copy = dataclasses.replace(inp, pair=other)
     assert copy.slice_table == {} and copy.slice_table is not inp.slice_table
     assert fn.boundary_energy(copy, 0.25, +1) == 0.0
+    fn.phase_energy(inp, 0.25, +1)
+    copy = dataclasses.replace(inp, pair=other)
+    assert copy.energies == {} and fn.phase_energy(copy, 0.25, +1) == 0.0
+
+
+def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
+    """Every check after the first reads A_pm(r) from the input's energies:
+    one time-rule assembly per (r, sign), however often it is requested."""
+    assembled = []
+    original = quad.spacetime_integral
+
+    def counted(slice_at, r, cfg):
+        assembled.append(r)
+        return original(slice_at, r, cfg)
+
+    monkeypatch.setattr(quad, "spacetime_integral", counted)
+    inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
+    rs = [4.0 ** (-k) for k in (2, 3)]
+    ladder = fn.dyadic_ladder(inp, 2, 3)
+    assert len(assembled) == len(inp.energies) == 2 * len(rs)
+    assert fn.dyadic_ladder(inp, 2, 3) == ladder
+    fn.theorem1_check(inp, rs)
+    fn.theorem2_check(inp, 1.0, rs)
+    fn.positivity_measure(inp, rs[0], +1)     # A(r/4) and A(r): both on the ladder
+    assert len(assembled) == len(inp.energies) == 2 * len(rs)
+    assert fn.phase_energy(inp, rs[0], -1) == ladder.rows[0].a_minus
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +560,7 @@ _FAMILIES = [("Null", {}), ("TwoPlaneCaloric", {"alpha": 2.0, "beta": 0.5}),
              ("PowerWedge", {"beta": 0.5}), ("DriftTwoPlane", {"c": 0.5}),
              ("NumericPair", {"seed": 5, "overlap": False}),
              ("NumericPair", {"seed": 5, "overlap": True})]
+_STATIONARY = ("Null", "TwoPlaneCaloric", "PowerWedge")   # pairs free of s
 
 
 def _rows_input(name, params, curvature):
@@ -552,8 +579,9 @@ def _rows_input(name, params, curvature):
 def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
     """Each integrand, called once with one row of points (p = 1) for all the
     times, as the annulus rule and thm1's plain integral call it, equals one
-    call per time bit for bit; so does a call with one row per time
-    (p = k, the scaled rule) against one call per row."""
+    call per time bit for bit, through a time axis of length 1 for a pair
+    that does not depend on s and of length k otherwise; so does a call with
+    one row per time (p = k, the scaled rule) against one call per row."""
     inp = _rows_input(name, params, curvature)
     P, _ = quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL, quad._ANNULUS_ANGULAR)
     P = P[None]
@@ -561,22 +589,71 @@ def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
     XX = np.sqrt(-_ROW_TIMES)[:, None, None] * quad._scaled_rule(2, 16, 8.0)[0]
     g_rows, _ = geo.inverse_metric_and_density(inp.chart, XX)
     g_each = [geo.inverse_metric_and_density(inp.chart, X[None])[0] for X in XX]
+    k = len(_ROW_TIMES)
+    times = 1 if name in _STATIONARY else k
+    full = (2, k, P.shape[1])
     for kind, sampler in fn._SAMPLERS.items():
         f = sampler(inp)
         fixed = f(P, _ROW_TIMES, g_inv)
-        assert fixed.shape == (2, len(_ROW_TIMES), P.shape[1])
-        per_slice = [f(P, _ROW_TIMES[k:k + 1], g_inv)[:, 0]
-                     for k in range(len(_ROW_TIMES))]
-        assert np.array_equal(fixed, np.stack(per_slice, axis=1)), kind
-        per_row = [f(X[None], _ROW_TIMES[k:k + 1], g)[:, 0]
-                   for k, (X, g) in enumerate(zip(XX, g_each))]
+        assert fixed.shape == (2, times, P.shape[1]), kind
+        per_slice = [f(P, _ROW_TIMES[j:j + 1], g_inv)[:, 0] for j in range(k)]
+        assert np.array_equal(np.broadcast_to(fixed, full),
+                              np.stack(per_slice, axis=1)), kind
+        per_row = [f(X[None], _ROW_TIMES[j:j + 1], g)[:, 0]
+                   for j, (X, g) in enumerate(zip(XX, g_each))]
         assert np.array_equal(f(XX, _ROW_TIMES, g_rows),
                               np.stack(per_row, axis=1)), kind
     plain = lambda X, s: inp.pair.values(X, s) ** 2
-    assert np.array_equal(plain(P, _ROW_TIMES),
+    assert plain(P, _ROW_TIMES).shape == (2, times, P.shape[1])
+    assert np.array_equal(np.broadcast_to(plain(P, _ROW_TIMES), full),
                           np.stack([plain(P, [s])[:, 0] for s in _ROW_TIMES], axis=1))
     if name != "Null":
         assert np.any(fixed > 0.0)
+
+
+@pytest.mark.parametrize("name, params", _FAMILIES[:4])
+def test_fixed_rules_call_a_stationary_integrand_once(monkeypatch, name, params):
+    """With runs of two times, the annulus rule and thm1's plain integral call
+    the integrand of a pair that does not depend on s once per rule call and
+    that of any other pair once per run; the totals equal those of an
+    integrand that spells out every time, bit for bit."""
+    inp = _rows_input(name, params, 0.0)
+    P, _ = quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL, quad._ANNULUS_ANGULAR)
+    monkeypatch.setattr(quad, "_CALL_POINTS", 2 * len(P))
+    a = inp.zone[0]
+    annulus_times = [s for s in _ROW_TIMES if a * a / (4.0 * -s) < 200.0]
+    assert len(annulus_times) > 2
+    stationary = name in _STATIONARY
+    calls = []      # times per call on the annulus rule's points
+    runs = [len(run) for run in quad._runs(annulus_times, 2)]
+
+    def counting(f):
+        def g(X, S, *g_inv):
+            if X.shape[-2] == len(P):
+                calls.append(len(S))
+            return f(X, S, *g_inv)
+
+        return g
+
+    def every_time(f):
+        return lambda X, S, *g_inv: np.broadcast_to(
+            f(X, S, *g_inv), (2, len(S), X.shape[-2])).copy()
+
+    for kind, sampler in fn._SAMPLERS.items():
+        f = sampler(inp)
+        calls.clear()
+        block = quad.slice_integral(counting(f), inp.kernel, _ROW_TIMES, inp.quad,
+                                    cutoff_zone=inp.zone)
+        assert calls == (runs[:1] if stationary else runs), kind
+        spelled_out = quad.slice_integral(every_time(f), inp.kernel, _ROW_TIMES,
+                                          inp.quad, cutoff_zone=inp.zone)
+        assert np.array_equal(block, spelled_out), kind
+    plain = lambda X, s: inp.pair.values(X, s) ** 2
+    calls.clear()
+    total = quad.plain_spacetime_integral(counting(plain), inp.chart, 1.0, 1.0)
+    assert calls == ([2] if stationary else [2] * (quad._PLAIN_TIME_CELLS // 2))
+    assert np.array_equal(total, quad.plain_spacetime_integral(
+        every_time(plain), inp.chart, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("overlap", [False, True])

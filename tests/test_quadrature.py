@@ -220,7 +220,7 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
     return total
 
 
-@pytest.mark.parametrize("family", ["DriftTwoPlane", "NumericPair"])
+@pytest.mark.parametrize("family", ["DriftTwoPlane", "NumericPair", "PowerWedge"])
 @pytest.mark.parametrize("curvature, kind", [(0.0, "gauss"), (1.0, "parametrix0")])
 @pytest.mark.parametrize("nodes", [16, 48])   # 16 or 1 main, 5 annulus slices per call
 def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
