@@ -269,6 +269,33 @@ def test_drift_against_symbolic_oracle(perturbed2):
     assert np.abs(b - b_sym).max() < 1e-12
 
 
+def test_chi1_against_high_precision_closed_form():
+    """chi1 and chi1' within 1e-14 relative of ((sin sqrt(w)/sqrt(w))^2 - 1)/w
+    at 50 digits (sinh for w < 0), on both sides of the series' edge and over
+    the whole range."""
+    mpmath = pytest.importorskip("mpmath")
+    edge = geo._CHI1_SERIES
+    w = np.concatenate([np.linspace(-40.0, 40.0, 81), [0.0, 1e-8, -1e-8],
+                        [edge, -edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0)]])
+
+    def exact(v):
+        with mpmath.workdps(50):
+            def chi1(u):
+                x = mpmath.sqrt(abs(u))
+                s = mpmath.sin(x) / x if u > 0 else mpmath.sinh(x) / x
+                return (s * s - 1) / u
+
+            if v == 0:
+                return -1.0 / 3.0, 2.0 / 45.0
+            v = mpmath.mpf(v)
+            return float(chi1(v)), float(mpmath.diff(chi1, v))
+
+    want = np.array([exact(v) for v in w]).T
+    got = geo._chi1(w, 1)
+    for g, e in zip(got, want):
+        assert np.max(np.abs(g - e) / np.abs(e)) < 1e-14
+
+
 def test_chi1_value_does_not_depend_on_order():
     w = np.linspace(-40.0, 40.0, 8001)
     v0, d0 = geo._chi1(w, 0)
