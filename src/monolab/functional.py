@@ -22,11 +22,10 @@ form once for both.  The rows keep the pair's time axis by broadcasting: for
 a pair that does not depend on s and one row of points it has length 1,
 (2, 1, m), and the fixed-point rules reuse that result for every time.  chi
 and chi' vanish outside the cutoff ball, so no mask is needed; `positive`
-multiplies by the ball's indicator.  Every check asks
-for the two signs at the same times, so nothing is wasted.  Each
-MonotonicityInput owns its quadrature rule and one slice table, keyed by
-(integrand kind, s) with the exact float time s and holding the (plus, minus)
-pair, so a slice is integrated once per input however many checks, scales,
+multiplies by the ball's indicator.  Every check asks for the two signs at
+the same times, so nothing is wasted.  Each MonotonicityInput owns its
+quadrature rule and one slice table, keyed by (integrand kind, s) with the
+exact float time s and holding the (plus, minus) pair, so a slice is integrated once per input however many checks, scales,
 blocks or signs reach it.  The table is filled per request: a space-time
 integral asks for every slice of its scale at once, and the misses are
 integrated for both phases in one `slice_integral` call.  The values depend
