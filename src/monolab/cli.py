@@ -215,13 +215,20 @@ def _run_check(check, cfg, inp):
 
 def check_suite(config_paths, out_root, workers=1, stream=None):
     """Run every config in order; write each report; exit 0 iff every check
-    passes.  ``workers`` is unused: the scenarios run one after another in
-    the calling thread."""
+    passes.  Two configs with one ``scenario.id`` raise ConfigError before
+    any scenario runs.  ``workers`` is unused: the scenarios run one after
+    another in the calling thread."""
     stream = stream or sys.stdout
     if not config_paths:
         raise ConfigError("empty scenario suite")
+    cfgs = [parse_config(p) for p in config_paths]
+    owners = {}
+    for path, cfg in zip(config_paths, cfgs):
+        if owners.setdefault(cfg.scenario_id, path) != path:
+            raise ConfigError(f"scenario.id {cfg.scenario_id!r} is also the id of "
+                              f"{owners[cfg.scenario_id]}", key="scenario.id", source=path)
     any_failed = False
-    for cfg in [parse_config(p) for p in config_paths]:
+    for cfg in cfgs:
         doc = run_scenario(cfg)
         write_report(doc, os.path.join(out_root, cfg.scenario_id))
         for rec in doc.records:

@@ -194,6 +194,9 @@ def _validate(cfg, set_keys):
     """Check the limits no constructor holds and build the chart, the grid
     and the quadrature rule, whose constructors hold the rest.  ``set_keys``
     are the keys the text sets."""
+    if cfg.scenario_id in ("", ".", "..") or any(c in cfg.scenario_id for c in "/\\"):
+        raise ConfigError(f"scenario.id {cfg.scenario_id!r} must be a plain directory "
+                          "name", key="scenario.id")
     if not cfg.n <= 3:
         # the annulus rule of the quadrature has polar rules for n <= 3 only
         raise ConfigError("manifold.n must lie in 1..3", key="manifold.n")

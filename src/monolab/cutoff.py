@@ -83,18 +83,18 @@ def _laplace_chi(profile, chart, X, rho):
     return out
 
 
-def build_cutoff(chart, n_bound_samples=200, seed=20240118):
-    """Profile for the chart; records sup|grad chi| and a sampled sup|Delta_g chi|."""
+def build_cutoff(chart):
+    """Profile for the chart; records sup|grad chi| and sup|Delta_g chi| on
+    200 seeded points of the annulus."""
     a = chart.radius / 4.0
     b = chart.radius / 2.0
     grad_bound = 1.875 / (b - a)
     profile = CutoffProfile(inner=a, outer=b, grad_bound=grad_bound, laplace_bound=0.0)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_bound_samples, chart.dim))
+    rng = np.random.default_rng(20240118)
+    dirs = rng.standard_normal((200, chart.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(a, b, n_bound_samples)
+    radii = rng.uniform(a, b, 200)
     X = dirs * radii[:, None]
     lap = _laplace_chi(profile, chart, X, radii)
-    lap_bound = float(np.max(np.abs(lap))) if lap.size else 0.0
     return CutoffProfile(inner=a, outer=b, grad_bound=grad_bound,
-                         laplace_bound=lap_bound)
+                         laplace_bound=float(np.max(np.abs(lap))))

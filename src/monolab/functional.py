@@ -74,6 +74,8 @@ __all__ = [
     "fit_log_slope",
 ]
 
+_FD_STEP = 0.0625        # scale_derivative: centred difference at 1 +- 1/16
+
 
 @dataclass(eq=False)
 class MonotonicityInput:
@@ -286,13 +288,13 @@ class ScaleDerivativeRecord:
     term_scale: float        # 4A+A- + 2B+A- + 2A+B-, the comparison yardstick
 
 
-def scale_derivative(input_, r, fd_step=0.0625):
+def scale_derivative(input_, r):
     """Direct phi~'(1) vs the centered difference of phi~, plus the slice
     Rayleigh quotients, for the parabolic rescaling u(r y, r^2 s) / r^2.
 
     The rescaled quantities are read from the input's own slice table:
     A~(rho) = r^-4 A(r rho), B~(1) = r^-2 B(r) and m~(-1) = r^-4 m(-r^2);
-    r <= radius/4 keeps the scale r (1 + fd_step) within radius/2."""
+    r <= radius/4 keeps the scale r (1 + _FD_STEP) within radius/2."""
     if r > input_.chart.radius / 4.0 + 1e-12:
         raise ValueError("scale derivative needs r <= radius/4")
 
@@ -309,8 +311,8 @@ def scale_derivative(input_, r, fd_step=0.0625):
     b_m = boundary_energy(input_, r, -1) / r ** 2
     direct = -4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
 
-    fd = (phi_rescaled(1.0 + fd_step)
-          - phi_rescaled(1.0 - fd_step)) / (2.0 * fd_step)
+    fd = (phi_rescaled(1.0 + _FD_STEP)
+          - phi_rescaled(1.0 - _FD_STEP)) / (2.0 * _FD_STEP)
     m_p = slice_mass(input_, -r * r, +1) / r ** 4
     m_m = slice_mass(input_, -r * r, -1) / r ** 4
     lam_p = b_p / m_p if m_p > 0 else np.nan
@@ -318,7 +320,7 @@ def scale_derivative(input_, r, fd_step=0.0625):
     scale = 4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
     return ScaleDerivativeRecord(r=r, a_plus=a_p, a_minus=a_m, b_plus=b_p,
                                  b_minus=b_m, direct=direct,
-                                 finite_difference=fd, fd_step=fd_step,
+                                 finite_difference=fd, fd_step=_FD_STEP,
                                  lambda_plus=float(lam_p),
                                  lambda_minus=float(lam_m),
                                  term_scale=scale)
@@ -341,13 +343,13 @@ class EnergyInequalityRecord:
     c_annulus_form: float     # smallest C in A <= C (r^4 + annulus/r^2)
 
 
-def energy_inequality_check(input_, r, n_inf_samples=9):
+def energy_inequality_check(input_, r):
     records = []
     for sign in (+1, -1):
         a = phase_energy(input_, r, sign)
         p = slice_mass(input_, -r * r, sign)
         masses = _slice_at(input_, "w_sq", sign)
-        inf_mass = min(masses(-np.geomspace(r * r, 4 * r * r, n_inf_samples)).tolist())
+        inf_mass = min(masses(-np.geomspace(r * r, 4 * r * r, 9)).tolist())
         ann = quadrature.time_range_integral(masses, -4 * r * r, -r * r,
                                              input_.quad.slices_per_scale)
         c1 = max(0.0, a - 0.5 * p) / (r ** 4 + r ** 2 * np.sqrt(max(p, 0.0)))
@@ -359,10 +361,10 @@ def energy_inequality_check(input_, r, n_inf_samples=9):
     return tuple(records)
 
 
-def constants_stable(values, floor=1e-3, factor=4.0):
+def constants_stable(values):
     """Fitted constants, ordered from the largest scale down, are 'stable'
-    when none of them climbs above the running maximum by more than a fixed
-    factor.  A theoretical constant is r-independent; fitted ones may decay
+    when none of them climbs above 4 times the running maximum (at least
+    1e-3).  A theoretical constant is r-independent; fitted ones may decay
     (growing slack), which is better than stable, but must never blow up as
     the scale shrinks.  All-negligible counts as stable."""
     vals = list(values)
@@ -371,9 +373,9 @@ def constants_stable(values, floor=1e-3, factor=4.0):
         return False
     if arr.size == 0:
         return True
-    running = max(float(arr[0]), floor)
+    running = max(float(arr[0]), 1e-3)
     for v in arr[1:]:
-        if v > factor * running:
+        if v > 4.0 * running:
             return False
         running = max(running, float(v))
     return True
@@ -400,25 +402,21 @@ def theorem1_check(input_, rs, guard=100.0):
     }
 
 
-def _growth_samples(chart, n_per_axis=7, n_times=5):
-    ax = np.linspace(-chart.radius * 0.95, chart.radius * 0.95, n_per_axis)
-    grids = np.meshgrid(*([ax] * chart.dim), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    X = X[np.linalg.norm(X, axis=1) < chart.radius * 0.98]
-    times = -np.geomspace(1e-4, chart.radius ** 2, n_times)
-    return X, times
-
-
-def theorem2_check(input_, eps, rs, const_floor=1e-3):
+def theorem2_check(input_, eps, rs):
     """phi(r) <= (1 + rho^eps) phi(rho) + C rho^eps for r <= rho in the ladder.
 
     The growth hypothesis |u| <= C_eps (|x|^2 + |s|)^{eps/2} is fitted on a
-    deterministic sample cloud and reported as `fitted_growth_constant`; it
-    is not asserted.
+    deterministic sample cloud (7 points per axis inside the chart, 5 times)
+    and reported as `fitted_growth_constant`; it is not asserted.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("growth exponent must lie in (0, 1]")
-    X, times = _growth_samples(input_.chart)     # one row of points, k times
+    chart = input_.chart
+    ax = np.linspace(-chart.radius * 0.95, chart.radius * 0.95, 7)
+    grids = np.meshgrid(*([ax] * chart.dim), indexing="ij")
+    X = np.stack([g.ravel() for g in grids], axis=1)
+    X = X[np.linalg.norm(X, axis=1) < chart.radius * 0.98]   # one row of points
+    times = -np.geomspace(1e-4, chart.radius ** 2, 5)          # k times
     denom = (np.sum(X * X, axis=1) + np.abs(times)[:, None]) ** (eps / 2.0)
     fitted = float(np.max(np.abs(input_.pair.values(X, times)) / denom))
     rs = sorted(rs)
@@ -431,8 +429,7 @@ def theorem2_check(input_, eps, rs, const_floor=1e-3):
             worst = max(worst, gap / rho ** eps)
         per_rho[rho] = worst
     c_m = max(per_rho.values()) if per_rho else 0.0
-    stable = constants_stable([per_rho[rho] for rho in reversed(rs)],
-                              floor=const_floor)
+    stable = constants_stable([per_rho[rho] for rho in reversed(rs)])
     return {
         "eps": eps,
         "fitted_growth_constant": fitted,

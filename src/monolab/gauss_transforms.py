@@ -45,6 +45,10 @@ __all__ = [
     "half_plane_field",
 ]
 
+_POINCARE_TOL = 1e-8
+_NOISE_FLOOR = 1e-10     # deficit-ladder values up to it are numerical zeros
+_BLEND_START = 0.5       # PsiMap blends psi to zero from |z| = 1 down to it
+
 
 @dataclass(frozen=True)
 class GaussMeasure:
@@ -62,18 +66,16 @@ class GaussField:
     grad: Callable             # X (m,n) -> (m,n)
 
 
-def half_plane_field(n, sign=+1, power=1.0, axis=0):
-    """((x.e)_pm)^power with its gradient; the workhorse test field."""
+def half_plane_field(n, sign=+1, power=1.0):
+    """((x.e)_pm)^power with its gradient, e = e_1; the workhorse test field."""
     def value(X):
-        X = np.atleast_2d(X)
-        d = sign * X[:, axis]
-        return np.maximum(d, 0.0) ** power
+        return np.maximum(sign * np.atleast_2d(X)[:, 0], 0.0) ** power
 
     def grad(X):
         X = np.atleast_2d(X)
-        d = sign * X[:, axis]
+        d = sign * X[:, 0]
         out = np.zeros_like(X)
-        out[:, axis] = np.where(d > 0, power * np.maximum(d, 0.0) ** (power - 1.0) * sign, 0.0)
+        out[:, 0] = np.where(d > 0, power * np.maximum(d, 0.0) ** (power - 1.0) * sign, 0.0)
         return out
 
     return GaussField(value=value, grad=grad)
@@ -86,36 +88,36 @@ def gauss_density(measure, X):
             * np.exp(-np.sum(X * X, axis=1) / (2.0 * v)))
 
 
-def gauss_integral(f, measure, cfg=None):
+def gauss_integral(f, measure):
     # r_tail 9 puts the truncated tail below 1e-8 even at unit variance
-    cfg = cfg or quadrature.default_config(measure.dim, r_tail=9.0)
-    fn = f.value if isinstance(f, GaussField) else f
-    return quadrature.gauss_weighted_integral(fn, measure.dim, measure.variance, cfg)
+    return quadrature.gauss_weighted_integral(
+        f, measure.dim, measure.variance,
+        quadrature.default_config(measure.dim, r_tail=9.0))
 
 
-def rayleigh_quotient(f, measure, cfg=None):
+def rayleigh_quotient(f, measure):
     """int |grad f|^2 dnu / int f^2 dnu; invariant under positive scaling."""
     num = gauss_integral(lambda X: np.sum(np.asarray(f.grad(X)) ** 2, axis=1),
-                         measure, cfg)
-    den = gauss_integral(lambda X: np.asarray(f.value(X)) ** 2, measure, cfg)
+                         measure)
+    den = gauss_integral(lambda X: np.asarray(f.value(X)) ** 2, measure)
     if den <= 0:
         raise DegenerateInputError("zero-mass field in a Rayleigh quotient")
     return num / den
 
 
-def gaussian_poincare_check(f, measure, cfg=None, tol=1e-8):
+def gaussian_poincare_check(f, measure):
     """log(1/|f|_nu) int f^2 dnu <= 2 int |grad f|^2 dnu, with |f|_nu = int f dnu.
 
     Inputs outside the hypothesis class (|f|_nu not in (0,1), or vanishing
     gradient, e.g. constants) are flagged, not judged.
     """
-    fnu = gauss_integral(lambda X: np.asarray(f.value(X)), measure, cfg)
-    l2 = gauss_integral(lambda X: np.asarray(f.value(X)) ** 2, measure, cfg)
+    fnu = gauss_integral(lambda X: np.asarray(f.value(X)), measure)
+    l2 = gauss_integral(lambda X: np.asarray(f.value(X)) ** 2, measure)
     if fnu <= 0 or l2 <= 0:
         raise DegenerateInputError("field must have positive mass")
     grad2 = gauss_integral(lambda X: np.sum(np.asarray(f.grad(X)) ** 2, axis=1),
-                           measure, cfg)
-    hypothesis_ok = bool(fnu < 1.0 and grad2 > tol * l2)
+                           measure)
+    hypothesis_ok = bool(fnu < 1.0 and grad2 > _POINCARE_TOL * l2)
     lhs = np.log(1.0 / fnu) * l2
     rhs = 2.0 * grad2
     return {
@@ -125,29 +127,29 @@ def gaussian_poincare_check(f, measure, cfg=None, tol=1e-8):
         "rhs": rhs,
         "margin": rhs - lhs,
         "hypothesis_ok": hypothesis_ok,
-        "passed": bool(lhs <= rhs + tol) if hypothesis_ok else None,
+        "passed": bool(lhs <= rhs + _POINCARE_TOL) if hypothesis_ok else None,
     }
 
 
-def bkp_sum(f_plus, f_minus, measure, cfg=None, tol=1e-3, n_check=2000,
-            seed=20240119):
-    """Sum of the two Rayleigh quotients for disjointly supported phases."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_check, measure.dim)) * np.sqrt(measure.variance)
+def bkp_sum(f_plus, f_minus, measure):
+    """Sum of the two Rayleigh quotients for disjointly supported phases
+    (checked on 2000 seeded samples); it passes down to a deficit of -1e-3."""
+    rng = np.random.default_rng(20240119)
+    X = rng.standard_normal((2000, measure.dim)) * np.sqrt(measure.variance)
     vp = np.asarray(f_plus.value(X))
     vm = np.asarray(f_minus.value(X))
     scale = max(float(np.max(np.abs(vp))), float(np.max(np.abs(vm))), 1e-300)
     if float(np.max(vp * vm)) > 1e-10 * scale ** 2:
         raise PreconditionError("phases overlap: f_+ f_- > 0 on samples")
-    lam_p = rayleigh_quotient(f_plus, measure, cfg)
-    lam_m = rayleigh_quotient(f_minus, measure, cfg)
+    lam_p = rayleigh_quotient(f_plus, measure)
+    lam_m = rayleigh_quotient(f_minus, measure)
     s = lam_p + lam_m
     return {
         "lambda_plus": lam_p,
         "lambda_minus": lam_m,
         "sum": s,
         "deficit": s - 1.0,
-        "passed": bool(s - 1.0 >= -tol),
+        "passed": bool(s - 1.0 >= -1e-3),
     }
 
 
@@ -167,9 +169,9 @@ class RayTransform:
     """y(x) = int_0^1 g^{1/2}(tx) x dt on a (rescaled) chart, by Gauss-Legendre
     nodes along each ray; the numerical reference for the closed form y = x."""
 
-    def __init__(self, chart, n_nodes=16):
+    def __init__(self, chart):
         self.chart = chart
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
         self.t_nodes = 0.5 * (nodes + 1.0)
         self.t_weights = 0.5 * weights
 
@@ -185,16 +187,16 @@ class RayTransform:
             out += w * np.einsum("mij,mj->mi", root, X)
         return out
 
-    def jacobian_det(self, X, step=1e-3):
-        J = _fd_jacobian(self.forward, X, step)
+    def jacobian_det(self, X):
+        J = _fd_jacobian(self.forward, X, 1e-3)
         return np.linalg.det(J), J
 
-    def inverse(self, Y, n_iter=6, tol=1e-12):
+    def inverse(self, Y):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         X = Y.copy()
-        for _ in range(n_iter):
+        for _ in range(6):
             res = self.forward(X) - Y
-            if float(np.max(np.abs(res))) < tol:
+            if float(np.max(np.abs(res))) < 1e-12:
                 break
             _, J = self.jacobian_det(X)
             X = X - np.linalg.solve(J, res[..., None])[..., 0]
@@ -204,10 +206,9 @@ class RayTransform:
 class PsiMap:
     """z -> z + psi(z) with z . psi = variance * ln(1 + A(z)) outside B_1."""
 
-    def __init__(self, a_field, variance=1.0, blend_start=0.5):
+    def __init__(self, a_field, variance=1.0):
         self.a_field = a_field
         self.variance = float(variance)
-        self.blend_start = float(blend_start)
 
     def psi(self, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -215,9 +216,9 @@ class PsiMap:
         a = np.asarray(self.a_field(Z), dtype=float)
         if np.any(a <= -1.0):
             raise DomainError("density deviation A <= -1: log undefined")
-        blend = smoothstep((rho - self.blend_start) / (1.0 - self.blend_start))
+        blend = smoothstep((rho - _BLEND_START) / (1.0 - _BLEND_START))
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(rho > self.blend_start,
+            coef = np.where(rho > _BLEND_START,
                             self.variance * np.log1p(a) / np.maximum(rho, 1e-300) ** 2,
                             0.0)
         return (blend * coef)[:, None] * Z
@@ -225,27 +226,22 @@ class PsiMap:
     def forward(self, Z):
         return np.atleast_2d(Z) + self.psi(Z)
 
-    def jacobian_det(self, Z, step=1e-2):
-        return np.linalg.det(_fd_jacobian(self.forward, Z, step))
+    def jacobian_det(self, Z):
+        return np.linalg.det(_fd_jacobian(self.forward, Z, 1e-2))
 
 
-def _slice_variance(s):
-    if s not in (-0.5, -1.0):
-        raise ValueError("pushforward slices are s = -1/2 or s = -1")
-    return 2.0 * (-s)
-
-
-def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None,
-                          sample_radius=4.0, sample_axis=17):
+def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None):
     """Compose both transforms at slice s and measure how far the pushforward
     density sits from the Gauss density; returns the record.
 
     The ray map is the identity with Jacobian 1 (Gauss lemma), so the density
     after it is the kernel-weighted volume density itself."""
+    if s not in (-0.5, -1.0):
+        raise ValueError("pushforward slices are s = -1/2 or s = -1")
     cfg = cfg or quadrature.default_config(chart.dim)
     n = chart.dim
-    v = _slice_variance(s)
     t = -s
+    v = 2.0 * t
     chart_r = geometry.rescale_chart(chart, r)
     kern = kernels.KernelSpec(kernel_kind, chart_r)
     measure = GaussMeasure(n, v)
@@ -263,7 +259,7 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None,
         Y = psi_map.forward(Z)
         return density_after_ray(Y) * psi_map.jacobian_det(Z)
 
-    ax = np.linspace(-sample_radius, sample_radius, sample_axis)
+    ax = np.linspace(-4.0, 4.0, 17)     # the sup deviation's sample grid
     grids = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=1)
     dev = pushforward_density(Z) / gauss_density(measure, Z) - 1.0
@@ -322,16 +318,16 @@ def manifold_bkp_deficit(input_, r):
     }
 
 
-def bkp_deficit_ladder(input_, rs, noise_floor=1e-10):
+def bkp_deficit_ladder(input_, rs):
     recs = [manifold_bkp_deficit(input_, r) for r in rs]
     devs = [abs(rec["deficit"]) for rec in recs]
     negs = [rec["negative_part"] for rec in recs]
     return {
         "rs": list(rs),
         "records": recs,
-        "deviation_slope": functional.fit_log_slope(rs, devs, floor=noise_floor),
-        "negative_part_slope": functional.fit_log_slope(rs, negs, floor=noise_floor),
-        "all_nonnegative": bool(max(negs) <= noise_floor),
+        "deviation_slope": functional.fit_log_slope(rs, devs, floor=_NOISE_FLOOR),
+        "negative_part_slope": functional.fit_log_slope(rs, negs, floor=_NOISE_FLOOR),
+        "all_nonnegative": bool(max(negs) <= _NOISE_FLOOR),
         "max_negative_part": float(max(negs)),
         "fitted_lower_bound_constant": float(max(
             (rec["negative_part"] / rec["r"] ** 2 for rec in recs))),

@@ -261,8 +261,6 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     n = chart.dim
     t = -s
     c = np.sqrt(t)
-    if n > 3 and cutoff_zone is not None:
-        cutoff_zone = None  # no polar rules beyond n = 3; reduced tolerance
     Y, w = _scaled_rule(n, cfg.nodes, cfg.r_tail)
     m = len(w)
     ann = []

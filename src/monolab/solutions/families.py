@@ -71,8 +71,6 @@ class TwoPhasePair:
     of length 1 on one row of points, (2, 1, m) and (2, 1, m, n).  ``plus``
     and ``minus`` are its rows, built once."""
     sampler: object = field(repr=False)
-    family: str
-    params: dict = field(default_factory=dict)
     admissibility: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -210,7 +208,7 @@ def _numeric_pair(n, values, chart, grid):
 def make_family(name, params=None, chart=None, grid=None):
     """Build an admissible two-phase pair; unknown names or bad parameters
     raise ConfigError (a ValueError)."""
-    params = dict(params or {})
+    params = params or {}
     n = chart.dim if chart is not None else int(params.get("dim", 2))
     values = family_params(name, params, grid)
     e = np.eye(n)[0]
@@ -224,5 +222,5 @@ def make_family(name, params=None, chart=None, grid=None):
         sampler = _PlanePair(e, (1.0, 1.0), drift=values["c"])
     else:                   # NumericPair
         sampler, grids = _numeric_pair(n, values, chart, grid)
-        return TwoPhasePair(sampler, name, params, admissibility=grids)
-    return TwoPhasePair(sampler, name, params)
+        return TwoPhasePair(sampler, admissibility=grids)
+    return TwoPhasePair(sampler)

@@ -85,15 +85,15 @@ class SpaceTimeGrid:
         object.__setattr__(self, "times", t)
 
     @classmethod
-    def geometric(cls, dim, half_width, h, ratio, dt0, depth=None):
+    def geometric(cls, dim, half_width, h, ratio, dt0):
         """Mesh on (-T, 0] with steps dt0, dt0*ratio, ... snapped onto 0.
 
-        T defaults to half_width^2 (the parabolic scaling of the cube).
+        T is half_width^2 (the parabolic scaling of the cube).
         Requires dt0 > T (1 - ratio) so the geometric sum reaches 0.
         """
         if not 0.0 < ratio < 1.0:
             raise ConfigError("grading ratio must lie in (0, 1)", key="grid.q")
-        T = half_width ** 2 if depth is None else float(depth)
+        T = half_width ** 2
         if dt0 <= T * (1.0 - ratio):
             raise ConfigError(f"coarsest step must exceed T (1 - ratio) = "
                               f"{T * (1.0 - ratio):g}: geometric steps never reach 0",

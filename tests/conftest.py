@@ -59,8 +59,7 @@ def rescale_pair(pair, r):
     def values(X, s):
         return pair.values(r * np.atleast_2d(X), r * r * s) / (r * r)
 
-    return TwoPhasePair(SimpleNamespace(values=values, fields=fields),
-                        pair.family, dict(pair.params))
+    return TwoPhasePair(SimpleNamespace(values=values, fields=fields))
 
 
 def rescaled_input(input_, r):

@@ -31,14 +31,12 @@ def _line(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def suite_runs(tmp_path_factory):
-    """The shipped six-scenario suite, run twice (1 worker, then 8)."""
+    """The shipped six-scenario suite, run twice."""
     root = tmp_path_factory.mktemp("suite")
     paths = cli.shipped_scenario_paths()
-    code1 = cli.check_suite(paths, str(root / "w1"), workers=1,
-                            stream=io.StringIO())
-    code8 = cli.check_suite(paths, str(root / "w8"), workers=8,
-                            stream=io.StringIO())
-    return root, code1, code8
+    code1 = cli.check_suite(paths, str(root / "run1"), stream=io.StringIO())
+    code2 = cli.check_suite(paths, str(root / "run2"), stream=io.StringIO())
+    return root, code1, code2
 
 
 def test_01_caloric_phi_plateau(caloric_ladder):
@@ -245,7 +243,7 @@ def test_10_theorem1_regression_guard(suite_runs):
     root, code1, _ = suite_runs
     ok = code1 == 0
     details = [f"suite exit {code1}"]
-    for path in sorted(glob.glob(str(root / "w1" / "*" / "report.json"))):
+    for path in sorted(glob.glob(str(root / "run1" / "*" / "report.json"))):
         with open(path) as fh:
             payload = json.load(fh)
         sid = payload["scenario"]
@@ -272,14 +270,14 @@ def test_11_scale_derivative_identity(euclid2, quad2):
 
 
 def test_12_suite_determinism(suite_runs):
-    """Worker counts 1 and 8 must produce byte-identical CSV artifacts."""
-    root, code1, code8 = suite_runs
-    csv_1 = sorted(glob.glob(str(root / "w1" / "*" / "*.csv")))
-    ok = code8 == code1 and len(csv_1) > 0
+    """Two runs of the suite must produce byte-identical CSV artifacts."""
+    root, code1, code2 = suite_runs
+    csv_1 = sorted(glob.glob(str(root / "run1" / "*" / "*.csv")))
+    ok = code2 == code1 and len(csv_1) > 0
     mismatches = []
     for p1 in csv_1:
-        p8 = p1.replace(str(root / "w1"), str(root / "w8"))
-        if not (os.path.exists(p8) and filecmp.cmp(p1, p8, shallow=False)):
+        p2 = p1.replace(str(root / "run1"), str(root / "run2"))
+        if not (os.path.exists(p2) and filecmp.cmp(p1, p2, shallow=False)):
             mismatches.append(os.path.basename(os.path.dirname(p1))
                               + "/" + os.path.basename(p1))
     ok = ok and not mismatches

@@ -164,6 +164,14 @@ def test_parse_validation_errors():
     ("ladder.k_max = 10\n", "ladder.k_max"),   # 4^-10 < 1e-6 <= 4^-9
     ("quad.slices_per_scale = 99999999\n", "quad.slices_per_scale"),
     ("quad.time_blocks = 99999999\n", "quad.time_blocks"),
+    # report directories that are not one plain name under --out: the report
+    # went to <out>/../escape, or straight into <out>
+    ("scenario.id = ../escape\n", "scenario.id"),
+    ("scenario.id =\n", "scenario.id"),
+    ("scenario.id = .\n", "scenario.id"),
+    ("scenario.id = ..\n", "scenario.id"),
+    ("scenario.id = a/b\n", "scenario.id"),
+    ("scenario.id = a\\b\n", "scenario.id"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -359,7 +367,7 @@ def _write_cfgs(tmp_path, *texts):
 
 def test_suite_exit_zero(tmp_path, capsys):
     paths = _write_cfgs(tmp_path, FAST_NULL, FAST_CALORIC)
-    code = cli.check_suite(paths, str(tmp_path / "out"), workers=1)
+    code = cli.check_suite(paths, str(tmp_path / "out"))
     out = capsys.readouterr().out
     assert code == 0
     assert "[tiny_null:ladder] INFO" in out     # informational: passed is None
@@ -368,7 +376,7 @@ def test_suite_exit_zero(tmp_path, capsys):
 
 def test_suite_overlap_fails(tmp_path, capsys):
     paths = _write_cfgs(tmp_path, FAST_NULL, FAST_OVERLAP)
-    code = cli.check_suite(paths, str(tmp_path / "out"), workers=1)
+    code = cli.check_suite(paths, str(tmp_path / "out"))
     out = capsys.readouterr().out
     assert code == 1
     assert "[tiny_overlap:admissibility] FAIL" in out
@@ -381,7 +389,7 @@ def test_suite_empty_is_config_error():
 
 def test_suite_runs_serially_in_config_order(tmp_path, monkeypatch):
     """check_suite runs each scenario in the calling thread, in the order of
-    its configs, whatever worker count it is passed."""
+    its configs."""
     import io
     import threading
 
@@ -390,8 +398,7 @@ def test_suite_runs_serially_in_config_order(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda cfg: calls.append(
         (threading.get_ident(), cfg.scenario_id)) or run(cfg))
     paths = _write_cfgs(tmp_path, FAST_CALORIC, FAST_NULL)
-    assert cli.check_suite(paths, str(tmp_path / "out"), workers=2,
-                           stream=io.StringIO()) == 0
+    assert cli.check_suite(paths, str(tmp_path / "out"), stream=io.StringIO()) == 0
     assert calls == [(threading.get_ident(), "tiny_caloric"),
                      (threading.get_ident(), "tiny_null")]
 
@@ -408,6 +415,20 @@ def test_suite_config_error_names_file(tmp_path, capsys):
     captured = capsys.readouterr()
     line = len(bad.splitlines())
     assert f"[{paths[1]}, line {line}, key 'grid.h']" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_suite_refuses_a_repeated_scenario_id(tmp_path, capsys):
+    """Two configs with one scenario.id would write one report directory, the
+    second report over the first: the suite exits 2 naming both files, and
+    no scenario runs."""
+    paths = _write_cfgs(tmp_path, FAST_NULL, FAST_CALORIC, FAST_NULL)
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--glob", str(tmp_path / "s*.cfg"),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"[{paths[2]}, key 'scenario.id']" in captured.err
+    assert f"also the id of {paths[0]}" in captured.err
     assert captured.out == "" and not out.exists()
 
 
@@ -453,15 +474,15 @@ def test_env_default_output(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "tiny_null" / "report.json").exists()
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
+def test_repeated_suite_gives_the_same_bytes(tmp_path):
     paths = _write_cfgs(tmp_path, FAST_NULL, FAST_CALORIC)
     import io
 
-    cli.check_suite(paths, str(tmp_path / "w1"), workers=1, stream=io.StringIO())
-    cli.check_suite(paths, str(tmp_path / "w4"), workers=4, stream=io.StringIO())
+    cli.check_suite(paths, str(tmp_path / "run1"), stream=io.StringIO())
+    cli.check_suite(paths, str(tmp_path / "run2"), stream=io.StringIO())
     for sid in ("tiny_null", "tiny_caloric"):
-        a = tmp_path / "w1" / sid / "ladder.csv"
-        b = tmp_path / "w4" / sid / "ladder.csv"
+        a = tmp_path / "run1" / sid / "ladder.csv"
+        b = tmp_path / "run2" / sid / "ladder.csv"
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -141,13 +141,14 @@ def test_time_range_integral(gauss2, quad2):
     assert val == pytest.approx((0.2 ** 2 - 0.1 ** 2) / 2.0, rel=1e-5)
 
 
-def test_high_dimension_supported_slow():
-    """n = 4 runs through the scaled rule (the annulus split is n <= 3 only)."""
+def test_annulus_rule_refuses_high_dimension():
+    """The annulus rule has polar rules for n <= 3 only: at n = 4 a slice
+    that needs it raises instead of dropping the annulus."""
     ch = geo.euclidean_chart(4)
     spec = ker.KernelSpec("gauss", ch)
-    cfg = quad.default_config(4)
-    mass = one_slice(ones, spec, -0.05, cfg, cutoff_zone=(0.25, 0.5))
-    assert mass == pytest.approx(1.0, abs=1e-4)
+    with pytest.raises(ValueError, match="n <= 3"):
+        one_slice(ones, spec, -0.05, quad.default_config(4, nodes=8),
+                  cutoff_zone=(0.25, 0.5))
 
 
 def test_config_validation():

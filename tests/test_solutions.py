@@ -517,18 +517,18 @@ def _plane_phase(amp, sign, p, c, X, s):
     return amp * pos ** p * time, grad
 
 
-def _fields_reference(base, r, X, s):
-    """(values, grads) of the pair ``base`` rescaled by r at one time s, one
-    phase at a time: plane phases in closed form, grid phases through the
-    per-direction reference values and _one_phase_grad."""
+def _fields_reference(name, base, r, X, s):
+    """(values, grads) of the pair ``base`` of family ``name`` rescaled by r
+    at one time s, one phase at a time: plane phases in closed form, grid
+    phases through the per-direction reference values and _one_phase_grad."""
     Xr, sr = r * X, r * r * s
-    if base.family == "NumericPair":
+    if name == "NumericPair":
         gp, gm = base.admissibility["grid_plus"], base.admissibility["grid_minus"]
         values = np.array([_ref_value(gp, Xr, sr), _ref_value(gm, Xr, sr)])
         grads = np.array([_one_phase_grad(gp, gm, Xr, sr),
                           _one_phase_grad(gm, gp, Xr, sr)])
     else:
-        amps, p, c = _PLANES[base.family]
+        amps, p, c = _PLANES[name]
         values, grads = (np.array(part) for part in zip(
             *(_plane_phase(a, sign, p, c, Xr, sr) for a, sign in zip(amps, (1.0, -1.0)))))
     return values / (r * r), grads / r
@@ -565,11 +565,11 @@ def test_pair_fields_equal_per_phase_calls(euclid2, name, params, r):
             assert np.array_equal(got[1], want[1])
 
     for s in times:
-        got, want = pair.fields(X, s), _fields_reference(base, r, X, s)
+        got, want = pair.fields(X, s), _fields_reference(name, base, r, X, s)
         assert got[0].shape == (2, len(X)) and got[1].shape == (2, len(X), 2)
         check(got, want)
         assert np.array_equal(pair.values(X, s), want[0])
-    want = [_fields_reference(base, r, X, s) for s in times]
+    want = [_fields_reference(name, base, r, X, s) for s in times]
     want = [np.stack(part, axis=1) for part in zip(*want)]
     k = 1 if name in ("Null", "TwoPlaneCaloric", "PowerWedge") else len(times)
     for rows in (X, X[None]):
@@ -579,7 +579,7 @@ def test_pair_fields_equal_per_phase_calls(euclid2, name, params, r):
                for got, part in zip((values, grads), want)], want)
         assert np.array_equal(pair.values(rows, times), values)
     XX = X[None] * (1.0 - 0.05 * np.arange(len(times)))[:, None, None]
-    want = [_fields_reference(base, r, x, s) for x, s in zip(XX, times)]
+    want = [_fields_reference(name, base, r, x, s) for x, s in zip(XX, times)]
     values, grads = pair.fields(XX, times)
     check((values, grads), [np.stack(part, axis=1) for part in zip(*want)])
     assert np.array_equal(pair.values(XX, times), values)
