@@ -115,18 +115,19 @@ def _run_check(check, cfg, inp):
     if check == "phi_curve":
         rows = []
         # the error estimate: phi again under a halved rule, on a copy of the
-        # input that keeps its own slice table
-        coarse = dataclasses.replace(inp, quad=dataclasses.replace(
+        # input with its own slice table; NaN if halving leaves the rule as is
+        halved = dataclasses.replace(
             inp.quad, nodes=max(8, inp.quad.nodes // 2),
-            slices_per_scale=max(4, inp.quad.slices_per_scale // 2)))
+            slices_per_scale=max(4, inp.quad.slices_per_scale // 2))
+        coarse = dataclasses.replace(inp, quad=halved)
         for j in range(2 * cfg.k_min, 2 * cfg.k_max + 1):
             r = 2.0 ** (-j)
-            a_p = fn.phase_energy(inp, r, +1)
-            a_m = fn.phase_energy(inp, r, -1)
+            a_p, a_m = fn.phase_energy(inp, r)
             value = a_p * a_m / r ** 4
-            rough = fn.phi(coarse, r)
+            err = (abs(value - fn.phi(coarse, r)) / 1.5 if halved != inp.quad
+                   else np.nan)
             rows.append({"r": r, "phi": value, "a_plus": a_p, "a_minus": a_m,
-                         "err_est": abs(value - rough) / 1.5})
+                         "err_est": err})
         return CheckRecord(name=check, passed=None, values={"rows": rows},
                            tables={"phi_curve": _table(rows, PHI_CURVE_HEADER,
                                                        csv=True)})
@@ -205,11 +206,8 @@ def _run_check(check, cfg, inp):
         return CheckRecord(name=check, passed=bool(ok),
                            values=dataclasses.asdict(rec))
     if check == "positivity":
-        recs = {
-            "plus": fn.positivity_measure(inp, cfg.positivity_r, +1),
-            "minus": fn.positivity_measure(inp, cfg.positivity_r, -1),
-        }
-        return CheckRecord(name=check, passed=None, values=recs)
+        return CheckRecord(name=check, passed=None,
+                           values=fn.positivity_measure(inp, cfg.positivity_r))
     raise ConfigError(f"unknown check {check!r}", key="checks")
 
 

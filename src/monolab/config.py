@@ -235,8 +235,9 @@ def _validate(cfg, set_keys):
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
     if not cfg.thm1_guard > 0.0:
         raise ConfigError("thm1.guard must be positive", key="thm1.guard")
-    if not cfg.bkp_rs:
-        raise ConfigError("bkp.rs must list at least one scale", key="bkp.rs")
+    if len(set(cfg.bkp_rs)) < 2:
+        raise ConfigError("bkp.rs must list at least two distinct scales to fit "
+                          "a slope through", key="bkp.rs")
     for key, value in ([("sd.r", cfg.sd_r), ("positivity.r", cfg.positivity_r)]
                        + [("bkp.rs", r) for r in cfg.bkp_rs]):
         if not _MIN_SCALE <= value <= cfg.delta_p / 4.0:

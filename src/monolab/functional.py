@@ -22,19 +22,20 @@ form once for both.  The rows keep the pair's time axis by broadcasting: for
 a pair that does not depend on s and one row of points it has length 1,
 (2, 1, m), and the fixed-point rules reuse that result for every time.  chi
 and chi' vanish outside the cutoff ball, so no mask is needed; `positive`
-multiplies by the ball's indicator.  Every check asks for the two signs at
-the same times, so nothing is wasted.  Each MonotonicityInput owns its
+multiplies by the ball's indicator.  No function takes a phase sign: every
+quantity comes as a (plus, minus) pair.  Each MonotonicityInput owns its
 quadrature rule and one slice table, keyed by (integrand kind, s) with the
-exact float time s and holding the (plus, minus) pair, so a slice is integrated once per input however many checks, scales,
-blocks or signs reach it.  The table is filled per request: a space-time
-integral asks for every slice of its scale at once, and the misses are
-integrated for both phases in one `slice_integral` call.  The values depend
-neither on the order of evaluation nor on the grouping into blocks, so a warm
-table returns exactly what a fresh input would compute.  Each energy A_pm(r)
-is assembled from the table once and kept in the input's `energies`, keyed
-by (r, sign).  A copy made by `dataclasses.replace` starts with an empty
-table and no energies, so a copy under another rule
-(`dataclasses.replace(input_, quad=...)`) integrates its own slices.
+exact float time s and holding the (plus, minus) pair, so a slice is
+integrated once per input however many checks, scales or blocks reach it.
+The table is filled per request: a space-time integral asks for every slice
+of its scale at once, and the misses are integrated for both phases in one
+`slice_integral` call.  The values depend neither on the order of evaluation
+nor on the grouping into blocks, so a warm table returns exactly what a
+fresh input would compute.  Each pair (A_+(r), A_-(r)) is assembled from the
+table once and kept in the input's `energies`, keyed by r.  A copy made by
+`dataclasses.replace` starts with an empty table and no energies, so a copy
+under another rule (`dataclasses.replace(input_, quad=...)`) integrates its
+own slices.
 The checks at the unit scale of a parabolic rescaling (the scale
 derivative here, the curved BKP quotients in `gauss_transforms`) read the
 scenario's own table through the rescaling identities, so they add no input.
@@ -87,7 +88,7 @@ class MonotonicityInput:
     # (kind, s) -> (plus, minus) slice integrals under quad; see the module doc
     slice_table: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-    # (r, sign) -> A_pm(r), each energy assembled once from the slice table
+    # r -> (A_+(r), A_-(r)), each pair assembled once from the slice table
     energies: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -97,10 +98,6 @@ class MonotonicityInput:
         validity = self.pair.admissibility.get("validity")
         if validity is not None and not validity.passed:
             raise PreconditionError("pair failed its validity check")
-
-    @property
-    def zone(self):
-        return (self.profile.inner, self.profile.outer)
 
 
 def _grad_sq_sampler(input_):
@@ -148,12 +145,11 @@ _SAMPLERS = {
 }
 
 
-def _slice_at(input_, kind, sign):
-    """Times s (1-D array) -> slice integrals of one integrand for the phase
-    of ``sign``, read through the input's slice table; the misses of one
-    request are integrated for both phases in one slice_integral call."""
+def _slice_at(input_, kind):
+    """Slice times s -> the C-contiguous (2, len(s)) slice integrals of one
+    integrand, (plus, minus), read through the input's slice table; the
+    misses of one request are integrated in one slice_integral call."""
     table = input_.slice_table
-    column = 0 if sign > 0 else 1
 
     def slice_at(s):
         keys = [(kind, float(t)) for t in s]
@@ -162,41 +158,38 @@ def _slice_at(input_, kind, sign):
             values = quadrature.slice_integral(
                 _SAMPLERS[kind](input_), input_.kernel,
                 np.array([key[1] for key in misses]), input_.quad,
-                cutoff_zone=input_.zone)
+                cutoff=input_.profile)
             table.update(zip(misses, zip(*values.tolist())))
-        return np.array([table[key][column] for key in keys])
+        return np.array(list(zip(*(table[key] for key in keys))))
 
     return slice_at
 
 
-def phase_energy(input_, r, sign):
-    """A_pm(r): kernel-weighted energy of the truncated phase over S_r, kept
-    in the input's ``energies`` after the first request."""
+def phase_energy(input_, r):
+    """(A_+(r), A_-(r)): kernel-weighted energies of the truncated phases over
+    S_r, kept in the input's ``energies`` after the first request."""
     if not 0.0 < r <= input_.chart.radius / 2.0 + 1e-12:
         raise ValueError("scale r must lie in (0, radius/2]")
-    key = (float(r), 1 if sign > 0 else -1)
-    energy = input_.energies.get(key)
-    if energy is None:
-        energy = quadrature.spacetime_integral(_slice_at(input_, "grad_sq", sign),
-                                               r, input_.quad)
-        input_.energies[key] = energy
-    return energy
+    if float(r) not in input_.energies:
+        input_.energies[float(r)] = tuple(quadrature.spacetime_integral(
+            _slice_at(input_, "grad_sq"), r, input_.quad).tolist())
+    return input_.energies[float(r)]
 
 
 def phi(input_, r):
-    a_p = phase_energy(input_, r, +1)
-    a_m = phase_energy(input_, r, -1)
+    a_p, a_m = phase_energy(input_, r)
     return a_p * a_m / r ** 4
 
 
-def boundary_energy(input_, r, sign):
-    """Single-slice energy at s = -r^2; dA/dr = 2 r B(r) up to quadrature."""
-    return float(_slice_at(input_, "grad_sq", sign)(np.array([-r * r]))[0])
+def boundary_energy(input_, r):
+    """(B_+(r), B_-(r)): single-slice energies at s = -r^2; dA/dr = 2 r B(r)
+    up to quadrature."""
+    return tuple(_slice_at(input_, "grad_sq")([-r * r])[:, 0].tolist())
 
 
-def slice_mass(input_, s, sign):
-    """int w_pm^2(., s) dnu^s."""
-    return float(_slice_at(input_, "w_sq", sign)(np.array([s]))[0])
+def slice_mass(input_, s):
+    """(plus, minus) int w_pm^2(., s) dnu^s."""
+    return tuple(_slice_at(input_, "w_sq")([s])[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +232,9 @@ def dyadic_ladder(input_, k_min, k_max, c0=10.0, c1=1.0):
     if k_max < k_min:
         raise ValueError("empty ladder")
     ks = list(range(k_min, k_max + 1))
-    a_p = {k: phase_energy(input_, 4.0 ** (-k), +1) for k in ks}
-    a_m = {k: phase_energy(input_, 4.0 ** (-k), -1) for k in ks}
+    a_p, a_m = {}, {}
+    for k in ks:
+        a_p[k], a_m[k] = phase_energy(input_, 4.0 ** (-k))
     rows = []
     for k in ks:
         r = 4.0 ** (-k)
@@ -298,23 +292,17 @@ def scale_derivative(input_, r):
     if r > input_.chart.radius / 4.0 + 1e-12:
         raise ValueError("scale derivative needs r <= radius/4")
 
-    def energies(rho):
-        return (phase_energy(input_, r * rho, +1) / r ** 4,
-                phase_energy(input_, r * rho, -1) / r ** 4)
-
     def phi_rescaled(rho):
-        a_plus, a_minus = energies(rho)
-        return a_plus * a_minus / rho ** 4
+        a_plus, a_minus = phase_energy(input_, r * rho)
+        return (a_plus / r ** 4) * (a_minus / r ** 4) / rho ** 4
 
-    a_p, a_m = energies(1.0)
-    b_p = boundary_energy(input_, r, +1) / r ** 2
-    b_m = boundary_energy(input_, r, -1) / r ** 2
+    a_p, a_m = (a / r ** 4 for a in phase_energy(input_, r))
+    b_p, b_m = (b / r ** 2 for b in boundary_energy(input_, r))
     direct = -4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
 
     fd = (phi_rescaled(1.0 + _FD_STEP)
           - phi_rescaled(1.0 - _FD_STEP)) / (2.0 * _FD_STEP)
-    m_p = slice_mass(input_, -r * r, +1) / r ** 4
-    m_m = slice_mass(input_, -r * r, -1) / r ** 4
+    m_p, m_m = (m / r ** 4 for m in slice_mass(input_, -r * r))
     lam_p = b_p / m_p if m_p > 0 else np.nan
     lam_m = b_m / m_m if m_m > 0 else np.nan
     scale = 4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
@@ -344,14 +332,16 @@ class EnergyInequalityRecord:
 
 
 def energy_inequality_check(input_, r):
+    """One record per phase, (plus, minus), from one request per quantity."""
+    masses = _slice_at(input_, "w_sq")
+    inf_masses = [min(row) for row in
+                  masses(-np.geomspace(r * r, 4 * r * r, 9)).tolist()]
+    annuli = quadrature.time_range_integral(masses, -4 * r * r, -r * r,
+                                            input_.quad.slices_per_scale).tolist()
     records = []
-    for sign in (+1, -1):
-        a = phase_energy(input_, r, sign)
-        p = slice_mass(input_, -r * r, sign)
-        masses = _slice_at(input_, "w_sq", sign)
-        inf_mass = min(masses(-np.geomspace(r * r, 4 * r * r, 9)).tolist())
-        ann = quadrature.time_range_integral(masses, -4 * r * r, -r * r,
-                                             input_.quad.slices_per_scale)
+    for sign, a, p, inf_mass, ann in zip(
+            (+1, -1), phase_energy(input_, r), slice_mass(input_, -r * r),
+            inf_masses, annuli):
         c1 = max(0.0, a - 0.5 * p) / (r ** 4 + r ** 2 * np.sqrt(max(p, 0.0)))
         c2 = a / (r ** 4 + inf_mass)
         c3 = a / (r ** 4 + ann / r ** 2)
@@ -441,31 +431,33 @@ def theorem2_check(input_, eps, rs):
     }
 
 
-def positivity_measure(input_, r, sign):
+def positivity_measure(input_, r):
     """Kernel-weighted positivity measure in S_{r/2} \\ S_{r/4} and the
-    energy ratio A(r/4)/A(r)."""
+    energy ratio A(r/4)/A(r) of each phase, keyed "plus" and "minus"."""
     if r > input_.chart.radius / 4.0 + 1e-12:
         raise ValueError("positivity measure needs r <= radius/4")
-    measure = quadrature.time_range_integral(
-        _slice_at(input_, "positive", sign), -(r / 2.0) ** 2,
-        -(r / 4.0) ** 2, input_.quad.slices_per_scale)
-    a_quarter = phase_energy(input_, r / 4.0, sign)
-    a_full = phase_energy(input_, r, sign)
-    return {
+    measures = quadrature.time_range_integral(
+        _slice_at(input_, "positive"), -(r / 2.0) ** 2,
+        -(r / 4.0) ** 2, input_.quad.slices_per_scale).tolist()
+    return {name: {
         "measure": measure,
         "measure_over_r2": measure / r ** 2,
         "energy_quarter": a_quarter,
         "energy_full": a_full,
         "energy_ratio": a_quarter / a_full if a_full > 0 else np.nan,
-    }
+    } for name, measure, a_quarter, a_full in zip(
+        ("plus", "minus"), measures, phase_energy(input_, r / 4.0),
+        phase_energy(input_, r))}
 
 
 def fit_log_slope(xs, ys, floor=0.0):
-    """Least-squares slope of log ys against log xs (values <= floor dropped)."""
+    """Least-squares slope of log ys against log xs (values <= floor dropped);
+    NaN unless the points kept have two distinct xs, since a line through
+    one repeated scale has no slope."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = ys > floor
-    if np.count_nonzero(keep) < 2:
+    if len(set(xs[keep].tolist())) < 2:
         return np.nan
     lx, ly = np.log(xs[keep]), np.log(ys[keep])
     a = np.vstack([np.ones_like(lx), lx]).T

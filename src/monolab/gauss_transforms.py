@@ -298,9 +298,9 @@ def manifold_bkp_deficit(input_, r):
     under the rescaled kernel measure; their sum against 1.  Each quotient
     is read from the input at scale r: lambda = r^2 B(r) / m(-r^2)."""
     out = {}
-    for sign, name in ((+1, "plus"), (-1, "minus")):
-        num = functional.boundary_energy(input_, r, sign)
-        den = functional.slice_mass(input_, -r * r, sign)
+    for name, num, den in zip(("plus", "minus"),
+                              functional.boundary_energy(input_, r),
+                              functional.slice_mass(input_, -r * r)):
         if den <= 0:
             raise DegenerateInputError(
                 f"phase {name} vanishes on the s = -1 slice (its energy is "

@@ -4,9 +4,9 @@ Spatial rule per time slice: the substitution x = sqrt(-s) y turns the kernel
 factor into a fixed variance-2 Gaussian in y, integrated by a uniform midpoint
 rule on [-R_tail, R_tail]^n (cell edges aligned with the coordinate planes, so
 half-space kinks split exactly).  Integrands supported in the cutoff ball are
-split by a smooth radial partition of unity: the plateau part goes through the
-scaled rule, the cutoff-annulus part is integrated on a polar rule in physical
-coordinates, where the annulus is fixed.
+split by the cutoff's own chi: the part times chi goes through the scaled
+rule, the part times 1 - chi, on the cutoff annulus, is integrated on a
+polar rule in physical coordinates, where the annulus is fixed.
 
 Integrands take rows of points X (p, m, n) and times S (k,) and return
 (k, m), or (rows, k, m) for several integrands on the same points.  The
@@ -19,7 +19,7 @@ times, (1, m) or (rows, 1, m); a fixed-point rule then calls it once per
 call and reuses that result for every other time.  `slice_integral`
 evaluates a block of slice times at once, with the inverse metric, a
 `geometry.InverseMetric`, computed once per point and the annulus fields
-once per (chart, kernel kind, zone).  Integrand calls hold at most
+once per (chart, kernel kind, cutoff annulus).  Integrand calls hold at most
 `_CALL_POINTS` times x points (one slice's rule when that is larger), so
 memory per call stays bounded.
 
@@ -32,9 +32,10 @@ sliver.  A scale whose r^2 is no such power gets one partial block
 scales share every slice below the top block of the smaller one.  The time
 rules hand all their nodes to `slice_at(s)` as one array, normally slice
 integrals or table lookups of them, so the caller decides how often each
-slice is evaluated.  All reductions run in a fixed order, and each slice
+slice is evaluated; they take one row of slice values or several (both
+phases) and return a float or (rows,).  All reductions run in a fixed order, and each slice
 keeps its own dot product, so equal inputs give bit-identical results
-however the slices are grouped.
+however the slices and rows are grouped.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry, kernels
-from .cutoff import smoothstep
+from .cutoff import chi
 from .errors import ConfigError
 
 __all__ = [
@@ -180,30 +181,25 @@ def annulus_rule(n, a, b, n_r, n_ang):
     return P, w
 
 
-def _eta(rho, zone):
-    a, b = zone
-    return 1.0 - smoothstep((np.asarray(rho) - a) / (b - a))
-
-
-# kernel -> {zone: annulus fields}; an entry lives as long as its kernel
+# kernel -> {(inner, outer): annulus fields}; an entry lives as long as its kernel
 _ANNULUS_FIELDS = weakref.WeakKeyDictionary()
 
 
-def _annulus_fields(kernel, zone):
+def _annulus_fields(kernel, cutoff):
     """Time-independent fields of the annulus rule: points (one row), weights,
-    g_inv, density, |x|^2, 1 - eta and the parametrix factor density^(-1/2)
-    (None for the Gauss kernel), computed once per (chart, kernel kind, zone)."""
+    g_inv, density, |x|^2, 1 - chi and the parametrix factor density^(-1/2)
+    (None for the Gauss kernel), once per (chart, kernel kind, annulus)."""
     per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
+    zone = (cutoff.inner, cutoff.outer)
     fields = per_kernel.get(zone)
     if fields is None:
-        a, b = zone
-        P, w = annulus_rule(kernel.chart.dim, float(a), float(b),
-                            _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
+        P, w = annulus_rule(kernel.chart.dim, float(cutoff.inner),
+                            float(cutoff.outer), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
         P = P[None]     # one row of points for every time
         g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
         rho_sq = np.sum(P * P, axis=-1)
         kernel_factor = dens ** (-0.5) if kernel.kind == "parametrix0" else None
-        fields = (P, w, g_inv, dens, rho_sq, 1.0 - _eta(np.sqrt(rho_sq), zone),
+        fields = (P, w, g_inv, dens, rho_sq, 1.0 - chi(cutoff, np.sqrt(rho_sq)),
                   kernel_factor)
         per_kernel[zone] = fields
     return fields
@@ -237,7 +233,7 @@ def _fixed_point_runs(f, P, times, *args):
     return out, lead
 
 
-def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
+def slice_integral(f, kernel, s, cfg, cutoff=None):
     """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
     of the 1-D array ``s``.
 
@@ -250,7 +246,8 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     Slices of one rule share a call in runs of max(1, _CALL_POINTS // rule
     size).  Each row keeps its own fixed-order dot product per slice and
     scalar Gauss prefactor, so a block of slices and a stack of integrands
-    give bit-identical values to one call per slice and integrand.
+    give bit-identical values to one call per slice and integrand.  A
+    ``CutoffProfile`` splits f by its chi (see the module doc).
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or len(s) == 0:
@@ -264,8 +261,8 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
     Y, w = _scaled_rule(n, cfg.nodes, cfg.r_tail)
     m = len(w)
     ann = []
-    if cutoff_zone is not None:
-        a, _ = cutoff_zone
+    if cutoff is not None:
+        a = cutoff.inner
         radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
         ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
     totals = None   # (rows, len(s)), once the first call shows the rows
@@ -277,8 +274,8 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
         lead = vals.shape[:-2]
         vals = vals * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
         vals = vals.reshape(-1, len(run), m)
-        if cutoff_zone is not None:
-            vals = vals * _eta(c[run, None] * radius_Y, cutoff_zone)
+        if cutoff is not None:
+            vals = vals * chi(cutoff, c[run, None] * radius_Y)
         if totals is None:
             totals = np.zeros((len(vals), len(s)))
         for row, block in zip(totals, vals):
@@ -286,8 +283,8 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
                 row[k] = float(np.dot(w, block[j]))
 
     if ann:
-        P, w_ann, g_inv, dens, rho_sq, one_minus_eta, kernel_factor = (
-            _annulus_fields(kernel, cutoff_zone))
+        P, w_ann, g_inv, dens, rho_sq, one_minus_chi, kernel_factor = (
+            _annulus_fields(kernel, cutoff))
         # the runs hold slice indices; the integrand gets their times
         runs, _ = _fixed_point_runs(lambda X, run, g: f(X, s[run], g), P, ann,
                                     g_inv)
@@ -296,7 +293,7 @@ def slice_integral(f, kernel, s, cfg, cutoff_zone=None):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k]))
                 if kernel_factor is not None:
                     kv = kv * kernel_factor
-                vals_k = vals[:, j] * kv * dens * one_minus_eta
+                vals_k = vals[:, j] * kv * dens * one_minus_chi
                 for row, vals_row in zip(totals, vals_k):
                     row[k] += float(np.dot(w_ann, vals_row))
     return totals.reshape(lead + (len(s),))
@@ -327,22 +324,31 @@ def _time_nodes(r_sq, cfg):
     return blocks, lo  # lo = -ratio^(k + time_blocks), start of the sliver
 
 
+def _per_row(values, reduce):
+    """``reduce`` of each row of slice values (len,) or (rows, len), made
+    contiguous so that a row sums as a 1-D array does: a float or (rows,)."""
+    values = np.ascontiguousarray(values, dtype=float)
+    totals = [reduce(row) for row in values.reshape(-1, values.shape[-1])]
+    return totals[0] if values.ndim == 1 else np.array(totals)
+
+
 def spacetime_integral(slice_at, r, cfg):
     """int_{-r^2}^0 slice_at(s) ds on the graded time mesh.
 
-    ``slice_at`` maps a 1-D array of slice times s < 0 to one float each and
-    is called once, with every block's nodes followed by the sliver's time;
-    each block then gets its own trapezoid, and the block totals are summed
-    deepest first, then the sliver's rectangle is added.  Neighbouring
-    blocks share their boundary time, and since the mesh is absolute, two
-    scales share every slice below the top block of the smaller one.
+    ``slice_at`` maps a 1-D array of slice times s < 0 to (len(s),) or
+    (rows, len(s)) and is called once, with every block's nodes followed by
+    the sliver's time; each row then gets its own trapezoid per block, the
+    block totals are summed deepest first, then the sliver's rectangle is
+    added.  Neighbouring blocks share their boundary time, and since the mesh
+    is absolute, two scales share every slice below the top block of the
+    smaller one.
     """
     blocks, sliver = _time_nodes(r * r, cfg)
     lo, hi = np.array(blocks).T
     nodes = np.linspace(lo, hi, cfg.slices_per_scale + 1, axis=1)
-    values = slice_at(np.append(nodes.ravel(), sliver))
-    totals = np.trapezoid(values[:-1].reshape(nodes.shape), nodes, axis=1)
-    return sum(totals.tolist()) + (-sliver) * float(values[-1])
+    return _per_row(slice_at(np.append(nodes.ravel(), sliver)), lambda row: (
+        sum(np.trapezoid(row[:-1].reshape(nodes.shape), nodes, axis=1).tolist())
+        + (-sliver) * float(row[-1])))
 
 
 def time_range_integral(slice_at, s_lo, s_hi, cells):
@@ -351,7 +357,8 @@ def time_range_integral(slice_at, s_lo, s_hi, cells):
     if not s_lo < s_hi < 0:
         raise ValueError("need s_lo < s_hi < 0")
     s_nodes = np.linspace(s_lo, s_hi, cells + 1)
-    return float(np.trapezoid(slice_at(s_nodes), s_nodes))
+    return _per_row(slice_at(s_nodes),
+                    lambda values: float(np.trapezoid(values, s_nodes)))
 
 
 def gauss_weighted_integral(f, n, variance, cfg):

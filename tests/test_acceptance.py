@@ -217,8 +217,7 @@ def test_09_wedge_slopes(euclid2, lean_quad2):
     ok = True
     for beta in (0.25, 0.5):
         inp = build_input(euclid2, "PowerWedge", {"beta": beta}, cfg=lean_quad2)
-        a_vals = [fn.phase_energy(inp, r, +1) for r in rs]
-        m_vals = [fn.phase_energy(inp, r, -1) for r in rs]
+        a_vals, m_vals = zip(*(fn.phase_energy(inp, r) for r in rs))
         phis = [a * m / r ** 4 for a, m, r in zip(a_vals, m_vals, rs)]
         a_slope = fn.fit_log_slope(rs, a_vals)
         phi_slope = fn.fit_log_slope(rs, phis)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,6 +148,10 @@ def test_parse_validation_errors():
     ("bkp.rs = -0.1, 0.05\n", "bkp.rs"),
     ("bkp.rs = 0.9\n", "bkp.rs"),          # emptied both ladders before
     ("bkp.rs =\n", "bkp.rs"),              # no scale: empty ladders, NaN slopes
+    # one scale, or one scale twice: the pushforward's slope was NaN, or a
+    # least-squares fit through a single point (a PASS at 2.13)
+    ("bkp.rs = 0.1\n", "bkp.rs"),
+    ("bkp.rs = 0.1, 0.1\n", "bkp.rs"),
     ("thm1.guard = -1\n", "thm1.guard"),
     # scales whose square underflows: the time mesh from -r^2 never ends
     ("sd.r = 1e-170\n", "sd.r"),
@@ -336,6 +341,22 @@ def test_phi_curve_err_est_pinned():
         (0.015625, 0.2499999869699466, 0.00012207030931883459,
          0.00012207030931883457, 3.245185435189294e-09),
     ]
+
+
+def test_phi_curve_err_est_nan_when_the_halved_rule_is_the_rule(tmp_path):
+    """At 8 nodes and 4 slices per scale, halving the rule leaves it as it
+    is: there is nothing to compare, so err_est is NaN in every row (it read
+    0.0), in the record and in phi_curve.csv."""
+    text = (FAST_CALORIC.replace("checks = ladder, prop1, thm1", "checks = phi_curve")
+            .replace("quad.nodes = 32", "quad.nodes = 8")
+            .replace("quad.slices_per_scale = 10", "quad.slices_per_scale = 4"))
+    doc = cli.run_scenario(parse_config_text(text))
+    rows = doc.record("phi_curve").values["rows"]
+    assert len(rows) == 3
+    assert all(row["phi"] > 0.0 and math.isnan(row["err_est"]) for row in rows)
+    write_report(doc, str(tmp_path / "rep"))
+    csv_rows = (tmp_path / "rep" / "phi_curve.csv").read_text().splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in csv_rows] == ["nan"] * 3
 
 
 def test_report_carries_fitted_constants(tmp_path):

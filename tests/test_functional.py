@@ -21,15 +21,20 @@ def wedge_energy_prefactor(beta):
             / (2.0 * np.sqrt(np.pi)))
 
 
+def _annulus(inp):
+    """The cutoff annulus (inner, outer) of the input's profile."""
+    return inp.profile.inner, inp.profile.outer
+
+
 def test_phase_energy_caloric_closed_form(caloric_input):
     r = 1.0 / 16.0
-    a = fn.phase_energy(caloric_input, r, +1)
+    a, _ = fn.phase_energy(caloric_input, r)
     assert a == pytest.approx(r * r / 2.0, rel=0.01)
 
 
 def test_phase_energy_null(euclid2, quad2):
     inp = build_input(euclid2, "Null", cfg=quad2)
-    assert fn.phase_energy(inp, 0.25, +1) == 0.0
+    assert fn.phase_energy(inp, 0.25) == (0.0, 0.0)
     assert fn.phi(inp, 0.25) == 0.0
 
 
@@ -61,33 +66,42 @@ def test_phi_quadratic_scaling_property(euclid2, lean_quad2):
 def test_boundary_energy_and_consistency(caloric_input):
     # half-space Gaussian mass; at r = 1/16 the cutoff still shaves ~0.3%,
     # by 1/32 the correction is e^{-16}-small
-    assert fn.boundary_energy(caloric_input, 1.0 / 16.0, +1) == pytest.approx(
+    assert fn.boundary_energy(caloric_input, 1.0 / 16.0)[0] == pytest.approx(
         0.5, abs=2e-3)
     for r in (1.0 / 32.0, 1.0 / 64.0):
-        assert fn.boundary_energy(caloric_input, r, +1) == pytest.approx(
+        assert fn.boundary_energy(caloric_input, r)[0] == pytest.approx(
             0.5, abs=1e-3)
     # dA/dr = 2 r B(r) via a centered difference of the phase energy
     r, dr = 1.0 / 16.0, 1.0 / 160.0
-    da = (fn.phase_energy(caloric_input, r + dr, +1)
-          - fn.phase_energy(caloric_input, r - dr, +1)) / (2 * dr)
-    assert da == pytest.approx(2 * r * fn.boundary_energy(caloric_input, r, +1),
+    da = (fn.phase_energy(caloric_input, r + dr)[0]
+          - fn.phase_energy(caloric_input, r - dr)[0]) / (2 * dr)
+    assert da == pytest.approx(2 * r * fn.boundary_energy(caloric_input, r)[0],
                                rel=0.02)
 
 
 def test_boundary_energy_null(euclid2, quad2):
     inp = build_input(euclid2, "Null", cfg=quad2)
-    assert fn.boundary_energy(inp, 0.1, +1) == 0.0
+    assert fn.boundary_energy(inp, 0.1) == (0.0, 0.0)
 
 
 def test_wedge_energy_slope_and_prefactor(euclid2, lean_quad2):
     beta = 0.25
     inp = build_input(euclid2, "PowerWedge", {"beta": beta}, cfg=lean_quad2)
     rs = [4.0 ** (-k) for k in (2, 3, 4)]
-    a_vals = [fn.phase_energy(inp, r, +1) for r in rs]
+    a_vals = [fn.phase_energy(inp, r)[0] for r in rs]
     slope = fn.fit_log_slope(rs, a_vals)
     assert slope == pytest.approx(2.0 + 2.0 * beta, abs=0.1)
     c = wedge_energy_prefactor(beta)
     assert a_vals[1] == pytest.approx(c * rs[1] ** (2 + 2 * beta), rel=0.02)
+
+
+def test_fit_log_slope_needs_two_distinct_scales():
+    """A line through one scale, repeated or not, has no slope: NaN, also
+    when the floor drops every other scale."""
+    assert fn.fit_log_slope([0.1, 0.05], [1e-2, 2.5e-3]) == pytest.approx(2.0)
+    assert np.isnan(fn.fit_log_slope([0.1], [1e-2]))
+    assert np.isnan(fn.fit_log_slope([0.1, 0.1], [1e-2, 3e-2]))
+    assert np.isnan(fn.fit_log_slope([0.1, 0.1, 0.05], [1e-2, 3e-2, 0.0]))
 
 
 def test_ladder_caloric_identities(euclid2, lean_quad2):
@@ -259,7 +273,7 @@ def test_theorem2_eps_validation(caloric_input):
 def test_positivity_measure_caloric(euclid2, lean_quad2):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     r = 1.0 / 16.0
-    rec = fn.positivity_measure(inp, r, +1)
+    rec = fn.positivity_measure(inp, r)["plus"]
     # half-space slice mass 1/2 over the time window of length 3 r^2 / 16
     assert rec["measure_over_r2"] == pytest.approx(3.0 / 32.0, rel=0.02)
     assert rec["energy_ratio"] == pytest.approx(1.0 / 16.0, rel=0.02)
@@ -267,8 +281,8 @@ def test_positivity_measure_caloric(euclid2, lean_quad2):
 
 def test_positivity_measure_null(euclid2, lean_quad2):
     inp = build_input(euclid2, "Null", cfg=lean_quad2)
-    rec = fn.positivity_measure(inp, 1.0 / 16.0, +1)
-    assert rec["measure"] == 0.0
+    recs = fn.positivity_measure(inp, 1.0 / 16.0)
+    assert recs["plus"]["measure"] == recs["minus"]["measure"] == 0.0
 
 
 def test_kernel_swap_sandwich(sphere2, lean_quad2):
@@ -279,8 +293,8 @@ def test_kernel_swap_sandwich(sphere2, lean_quad2):
     inp_u = build_input(sphere2, "TwoPlaneCaloric", {}, kind="parametrix0",
                         cfg=lean_quad2)
     r = 1.0 / 8.0
-    a_g = fn.phase_energy(inp_g, r, +1)
-    a_u = fn.phase_energy(inp_u, r, +1)
+    a_g, _ = fn.phase_energy(inp_g, r)
+    a_u, _ = fn.phase_energy(inp_u, r)
     rng = np.random.default_rng(20240117)
     dirs = rng.standard_normal((16, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -314,9 +328,9 @@ def slice_calls(monkeypatch):
     calls = []
     original = quad.slice_integral
 
-    def counted(f, kernel, s, cfg, cutoff_zone=None):
+    def counted(f, kernel, s, cfg, cutoff=None):
         calls.extend(np.asarray(s).tolist())
-        return original(f, kernel, s, cfg, cutoff_zone)
+        return original(f, kernel, s, cfg, cutoff)
 
     monkeypatch.setattr(quad, "slice_integral", counted)
     return calls
@@ -332,21 +346,20 @@ def test_slice_table_serves_repeated_checks(euclid2, lean_quad2, slice_calls):
     fn.theorem1_check(inp, rs)
     fn.theorem2_check(inp, 1.0, rs)
     for r in rs:
-        for sign in (+1, -1):
-            fn.boundary_energy(inp, r, sign)
+        fn.boundary_energy(inp, r)
     assert len(slice_calls) == first
 
 
 def test_slice_table_one_energy_slice_count(euclid2, lean_quad2, slice_calls):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
-    fn.phase_energy(inp, 0.25, +1)
+    fn.phase_energy(inp, 0.25)
     expected = lean_quad2.time_blocks * lean_quad2.slices_per_scale + 1
     assert len(slice_calls) == expected
     assert len(inp.slice_table) == expected
     assert {key[0] for key in inp.slice_table} == {"grad_sq"}
     assert {len(key) for key in inp.slice_table} == {2}   # (kind, s)
     assert {len(pm) for pm in inp.slice_table.values()} == {2}   # (plus, minus)
-    fn.phase_energy(inp, 0.25, -1)      # the misses filled both phases
+    fn.phase_energy(inp, 0.25)          # the energies are kept
     assert len(slice_calls) == len(inp.slice_table) == expected
 
 
@@ -354,9 +367,9 @@ def test_slice_table_one_energy_slice_count(euclid2, lean_quad2, slice_calls):
                                             ("NumericPair", {"seed": 1})])
 def test_one_miss_fills_both_phases(euclid2, lean_quad2, monkeypatch, family,
                                     params):
-    """The minus energy, boundary energy and slice mass after the plus ones
-    read the table: no second slice_integral call (s = -0.09 is no node of
-    the scale 1/4)."""
+    """An energy, boundary energy and slice mass each fill both phases with
+    one slice_integral call, and a repeated request reads the table: no
+    second call (s = -0.09 is no node of the scale 1/4)."""
     calls = []
     original = quad.slice_integral
     monkeypatch.setattr(quad, "slice_integral",
@@ -368,17 +381,17 @@ def test_one_miss_fills_both_phases(euclid2, lean_quad2, monkeypatch, family,
                                profile=cutoff.build_cutoff(euclid2),
                                kernel=kernels.KernelSpec("gauss", euclid2),
                                quad=lean_quad2)
-    for read in (lambda sign: fn.phase_energy(inp, 0.25, sign),
-                 lambda sign: fn.boundary_energy(inp, 0.3, sign),
-                 lambda sign: fn.slice_mass(inp, -0.0625, sign)):
+    for read in (lambda: fn.phase_energy(inp, 0.25),
+                 lambda: fn.boundary_energy(inp, 0.3),
+                 lambda: fn.slice_mass(inp, -0.0625)):
         before = len(calls)
-        plus = read(+1)
+        plus, minus = read()
         assert len(calls) == before + 1
-        minus = read(-1)
+        assert read() == (plus, minus)
         assert len(calls) == before + 1
         assert plus > 0.0 and minus > 0.0
     fresh = dataclasses.replace(inp)
-    assert fn.phase_energy(fresh, 0.25, -1) == fn.phase_energy(inp, 0.25, -1)
+    assert fn.phase_energy(fresh, 0.25) == fn.phase_energy(inp, 0.25)
 
 
 def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
@@ -386,15 +399,12 @@ def test_slice_table_warm_equals_fresh(euclid2, lean_quad2):
     fn.dyadic_ladder(warm, 2, 4)
     fn.energy_inequality_check(warm, 1.0 / 16.0)
     for r in (1.0 / 64.0, 1.0 / 256.0):
-        for sign in (+1, -1):
-            fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5},
-                                cfg=lean_quad2)
-            assert fn.phase_energy(warm, r, sign) == fn.phase_energy(fresh, r, sign)
-            assert fn.boundary_energy(warm, r, sign) == fn.boundary_energy(
-                fresh, r, sign)
+        fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
+        assert fn.phase_energy(warm, r) == fn.phase_energy(fresh, r)
+        fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
+        assert fn.boundary_energy(warm, r) == fn.boundary_energy(fresh, r)
     fresh = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
-    assert fn.slice_mass(warm, -1.0 / 256.0, +1) == fn.slice_mass(
-        fresh, -1.0 / 256.0, +1)
+    assert fn.slice_mass(warm, -1.0 / 256.0) == fn.slice_mass(fresh, -1.0 / 256.0)
 
 
 def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
@@ -404,8 +414,7 @@ def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     r = 1.0 / 16.0
 
-    fn.phase_energy(inp, r, +1)
-    fn.phase_energy(inp, r, -1)
+    fn.phase_energy(inp, r)
     before = len(inp.slice_table)
     fn.phi(inp, r * (1.0 + 1.0 / 16.0))
     after_up = len(inp.slice_table)
@@ -420,9 +429,9 @@ def test_scale_derivative_radii_share_the_unit_mesh(euclid2, lean_quad2,
 def _scale_derivative_on(rin, r, fd_step):
     """The scale-derivative record computed at the unit scale of the rescaled
     input ``rin`` itself, as before the check read the scenario's input."""
-    a_p, a_m = fn.phase_energy(rin, 1.0, +1), fn.phase_energy(rin, 1.0, -1)
-    b_p, b_m = fn.boundary_energy(rin, 1.0, +1), fn.boundary_energy(rin, 1.0, -1)
-    m_p, m_m = fn.slice_mass(rin, -1.0, +1), fn.slice_mass(rin, -1.0, -1)
+    a_p, a_m = fn.phase_energy(rin, 1.0)
+    b_p, b_m = fn.boundary_energy(rin, 1.0)
+    m_p, m_m = fn.slice_mass(rin, -1.0)
     fd = (fn.phi(rin, 1.0 + fd_step) - fn.phi(rin, 1.0 - fd_step)) / (2.0 * fd_step)
     return fn.ScaleDerivativeRecord(
         r=r, a_plus=a_p, a_minus=a_m, b_plus=b_p, b_minus=b_m,
@@ -444,33 +453,33 @@ def test_rescaled_quantities_read_the_parent_table(request, lean_quad2,
                       cfg=lean_quad2)
     r = 1.0 / 16.0
     rin = rescaled_input(inp, r)
-    for sign in (+1, -1):
-        for rho in (1.0, 1.0 + r, 1.0 - r):
-            assert fn.phase_energy(rin, rho, sign) == (
-                fn.phase_energy(inp, r * rho, sign) / r ** 4)
-        assert fn.boundary_energy(rin, 1.0, sign) == (
-            fn.boundary_energy(inp, r, sign) / r ** 2)
-        assert fn.slice_mass(rin, -1.0, sign) == (
-            fn.slice_mass(inp, -r * r, sign) / r ** 4)
+    for rho in (1.0, 1.0 + r, 1.0 - r):
+        assert fn.phase_energy(rin, rho) == tuple(
+            a / r ** 4 for a in fn.phase_energy(inp, r * rho))
+    assert fn.boundary_energy(rin, 1.0) == tuple(
+        b / r ** 2 for b in fn.boundary_energy(inp, r))
+    assert fn.slice_mass(rin, -1.0) == tuple(
+        m / r ** 4 for m in fn.slice_mass(inp, -r * r))
     assert fn.scale_derivative(inp, r) == _scale_derivative_on(rin, r, 0.0625)
 
 
 def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
-    fn.boundary_energy(inp, 0.25, +1)
+    fn.boundary_energy(inp, 0.25)
     assert len(inp.slice_table) == 1
     other = build_input(euclid2, "Null", cfg=lean_quad2).pair
     copy = dataclasses.replace(inp, pair=other)
     assert copy.slice_table == {} and copy.slice_table is not inp.slice_table
-    assert fn.boundary_energy(copy, 0.25, +1) == 0.0
-    fn.phase_energy(inp, 0.25, +1)
+    assert fn.boundary_energy(copy, 0.25) == (0.0, 0.0)
+    fn.phase_energy(inp, 0.25)
     copy = dataclasses.replace(inp, pair=other)
-    assert copy.energies == {} and fn.phase_energy(copy, 0.25, +1) == 0.0
+    assert copy.energies == {} and fn.phase_energy(copy, 0.25) == (0.0, 0.0)
 
 
 def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
-    """Every check after the first reads A_pm(r) from the input's energies:
-    one time-rule assembly per (r, sign), however often it is requested."""
+    """Every check after the first reads (A_+(r), A_-(r)) from the input's
+    energies: one time-rule assembly per r for both phases, however often
+    it is requested."""
     assembled = []
     original = quad.spacetime_integral
 
@@ -482,13 +491,14 @@ def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     rs = [4.0 ** (-k) for k in (2, 3)]
     ladder = fn.dyadic_ladder(inp, 2, 3)
-    assert len(assembled) == len(inp.energies) == 2 * len(rs)
+    assert assembled == rs and list(inp.energies) == rs
     assert fn.dyadic_ladder(inp, 2, 3) == ladder
     fn.theorem1_check(inp, rs)
     fn.theorem2_check(inp, 1.0, rs)
-    fn.positivity_measure(inp, rs[0], +1)     # A(r/4) and A(r): both on the ladder
-    assert len(assembled) == len(inp.energies) == 2 * len(rs)
-    assert fn.phase_energy(inp, rs[0], -1) == ladder.rows[0].a_minus
+    fn.positivity_measure(inp, rs[0])         # A(r/4) and A(r): both on the ladder
+    assert assembled == rs and list(inp.energies) == rs
+    assert fn.phase_energy(inp, rs[0]) == (ladder.rows[0].a_plus,
+                                          ladder.rows[0].a_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +520,17 @@ def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, node
     sizes = []
     original = quad.slice_integral
 
-    def sized(f, kernel, s, cfg, cutoff_zone=None):
+    def sized(f, kernel, s, cfg, cutoff=None):
         def g(X, S, g_inv):
             sizes.append(len(S) * X.shape[-2])     # times x points
             return f(X, S, g_inv)
 
-        return original(g, kernel, s, cfg, cutoff_zone)
+        return original(g, kernel, s, cfg, cutoff)
 
     monkeypatch.setattr(quad, "slice_integral", sized)
-    fn.phase_energy(inp, 0.25, +1)
+    fn.phase_energy(inp, 0.25)
     main = len(quad._scaled_rule(2, cfg.nodes, cfg.r_tail)[1])
-    annulus = len(quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL,
+    annulus = len(quad.annulus_rule(2, *_annulus(inp), quad._ANNULUS_RADIAL,
                                     quad._ANNULUS_ANGULAR)[1])
     assert max(sizes) <= max(quad._CALL_POINTS, main, annulus)
     assert len(sizes) < _CALLS_UNDER_ONE_SLICE_CAP
@@ -539,16 +549,16 @@ def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch)
         counts["metric"] += int(np.prod(np.shape(X)[:-1]))
         return metric(chart, X)
 
-    def counted(f, kernel, s, cfg, cutoff_zone=None):
+    def counted(f, kernel, s, cfg, cutoff=None):
         def g(X, S, g_inv):
             counts["integrand"] += len(S) * X.shape[-2]    # times x points
             return f(X, S, g_inv)
 
-        return original(g, kernel, s, cfg, cutoff_zone)
+        return original(g, kernel, s, cfg, cutoff)
 
     monkeypatch.setattr(geo, "inverse_metric_and_density", counted_metric)
     monkeypatch.setattr(quad, "slice_integral", counted)
-    fn.phase_energy(inp, 0.25, +1)
+    fn.phase_energy(inp, 0.25)
     assert 0 < counts["metric"] <= counts["integrand"]
 
 
@@ -583,7 +593,8 @@ def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
     that does not depend on s and of length k otherwise; so does a call with
     one row per time (p = k, the scaled rule) against one call per row."""
     inp = _rows_input(name, params, curvature)
-    P, _ = quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL, quad._ANNULUS_ANGULAR)
+    P, _ = quad.annulus_rule(2, *_annulus(inp), quad._ANNULUS_RADIAL,
+                             quad._ANNULUS_ANGULAR)
     P = P[None]
     g_inv, _ = geo.inverse_metric_and_density(inp.chart, P)
     XX = np.sqrt(-_ROW_TIMES)[:, None, None] * quad._scaled_rule(2, 16, 8.0)[0]
@@ -618,9 +629,10 @@ def test_fixed_rules_call_a_stationary_integrand_once(monkeypatch, name, params)
     that of any other pair once per run; the totals equal those of an
     integrand that spells out every time, bit for bit."""
     inp = _rows_input(name, params, 0.0)
-    P, _ = quad.annulus_rule(2, *inp.zone, quad._ANNULUS_RADIAL, quad._ANNULUS_ANGULAR)
+    P, _ = quad.annulus_rule(2, *_annulus(inp), quad._ANNULUS_RADIAL,
+                             quad._ANNULUS_ANGULAR)
     monkeypatch.setattr(quad, "_CALL_POINTS", 2 * len(P))
-    a = inp.zone[0]
+    a = inp.profile.inner
     annulus_times = [s for s in _ROW_TIMES if a * a / (4.0 * -s) < 200.0]
     assert len(annulus_times) > 2
     stationary = name in _STATIONARY
@@ -643,10 +655,10 @@ def test_fixed_rules_call_a_stationary_integrand_once(monkeypatch, name, params)
         f = sampler(inp)
         calls.clear()
         block = quad.slice_integral(counting(f), inp.kernel, _ROW_TIMES, inp.quad,
-                                    cutoff_zone=inp.zone)
+                                    cutoff=inp.profile)
         assert calls == (runs[:1] if stationary else runs), kind
         spelled_out = quad.slice_integral(every_time(f), inp.kernel, _ROW_TIMES,
-                                          inp.quad, cutoff_zone=inp.zone)
+                                          inp.quad, cutoff=inp.profile)
         assert np.array_equal(block, spelled_out), kind
     plain = lambda X, s: inp.pair.values(X, s) ** 2
     calls.clear()
@@ -682,7 +694,7 @@ def test_grid_cells_located_once_per_fixed_rule_call(euclid2, monkeypatch, overl
 
     for kind, sampler in fn._SAMPLERS.items():
         quad.slice_integral(counting(sampler(inp)), inp.kernel, _ROW_TIMES,
-                            inp.quad, cutoff_zone=inp.zone)
+                            inp.quad, cutoff=inp.profile)
     fixed = [call for call in calls if call[0] == 1 and call[2] > 1]
     assert fixed and all(points == m for _, m, _, points in fixed)
     assert all(points == rows * m for rows, m, _, points in calls)

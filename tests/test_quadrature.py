@@ -30,10 +30,10 @@ def rows(f):
     return integrand
 
 
-def one_slice(f, kernel, s, cfg, cutoff_zone=None):
+def one_slice(f, kernel, s, cfg, cutoff=None):
     """The slice integral of f(X) at the single time s."""
     return quad.slice_integral(rows(lambda X, S: f(X)), kernel, np.array([s]),
-                               cfg, cutoff_zone)[0]
+                               cfg, cutoff)[0]
 
 
 def slices(f, kernel, cfg):
@@ -85,7 +85,7 @@ def test_spacetime_half_space(gauss2, quad2):
 def test_spacetime_range_validation(caloric_input):
     # the scale range is enforced where the chart is known, in phase_energy
     with pytest.raises(ValueError):
-        fn.phase_energy(caloric_input, 1.5, +1)
+        fn.phase_energy(caloric_input, 1.5)
 
 
 def test_linearity_exact(gauss2, quad2):
@@ -148,7 +148,7 @@ def test_annulus_rule_refuses_high_dimension():
     spec = ker.KernelSpec("gauss", ch)
     with pytest.raises(ValueError, match="n <= 3"):
         one_slice(ones, spec, -0.05, quad.default_config(4, nodes=8),
-                  cutoff_zone=(0.25, 0.5))
+                  cutoff=cutoff.CutoffProfile(0.25, 0.5, 7.5, 0.0))
 
 
 def test_config_validation():
@@ -189,12 +189,12 @@ def test_points_per_slice_budget():
 # ---------------------------------------------------------------------------
 # block evaluation
 
-# With the zone (0.25, 0.5), slices with a^2/4t < 200 (t > 7.8e-5) have the
+# With the cutoff annulus (0.25, 0.5), slices with a^2/4t < 200 (t > 7.8e-5) have the
 # annulus rule; the last three do not.
 BLOCK_TIMES = -np.array([0.2, 0.05, 0.01, 1e-3, 2e-4, 5e-5, 1e-5, 2e-6])
 
 
-def _per_slice_reference(f, kernel, s, cfg, zone):
+def _per_slice_reference(f, kernel, s, cfg, profile):
     """One slice time s per call, with its own metric and kernel evaluations
     on both rules: the per-slice rule a block call must match bit for bit."""
     chart = kernel.chart
@@ -206,9 +206,9 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
     g_inv, dens = geo.inverse_metric_and_density(chart, X)
     vals = f(X, np.array([s]), g_inv)[0]
     vals = vals * (dens[0] ** 0.5 if kernel.kind == "parametrix0" else dens[0])
-    vals = vals * quad._eta(c * np.sqrt(np.sum(Y * Y, axis=1)), zone)
+    vals = vals * cutoff.chi(profile, c * np.sqrt(np.sum(Y * Y, axis=1)))
     total = float(np.dot(w, vals))
-    a, b = zone
+    a, b = profile.inner, profile.outer
     if a * a / (4.0 * t) < 200.0:
         P, w_ann = quad.annulus_rule(n, float(a), float(b), quad._ANNULUS_RADIAL,
                                      quad._ANNULUS_ANGULAR)
@@ -216,7 +216,7 @@ def _per_slice_reference(f, kernel, s, cfg, zone):
         g_ann, dens_ann = geo.inverse_metric_and_density(chart, P[None])
         rho = np.sqrt(np.sum(P * P, axis=1))
         vals_ann = (f(P[None], np.array([s]), g_ann)[0] * kv * dens_ann[0]
-                    * (1.0 - quad._eta(rho, zone)))
+                    * (1.0 - cutoff.chi(profile, rho)))
         total += float(np.dot(w_ann, vals_ann))
     return total
 
@@ -235,20 +235,20 @@ def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
     inp = fn.MonotonicityInput(chart=chart, pair=pair,
                                profile=cutoff.build_cutoff(chart),
                                kernel=ker.KernelSpec(kind, chart), quad=cfg)
-    a = inp.zone[0]
+    a = inp.profile.inner
     assert [a * a / (4.0 * -s) < 200.0 for s in BLOCK_TIMES] == [True] * 5 + [False] * 3
     for integrand in ("grad_sq", "w_sq", "positive"):
         f = fn._SAMPLERS[integrand](inp)     # rows (plus, minus)
-        block = quad.slice_integral(f, inp.kernel, BLOCK_TIMES, cfg, inp.zone)
+        block = quad.slice_integral(f, inp.kernel, BLOCK_TIMES, cfg, inp.profile)
         assert block.shape == (2, len(BLOCK_TIMES))
         single = [quad.slice_integral(f, inp.kernel, BLOCK_TIMES[k:k + 1], cfg,
-                                      inp.zone)[:, 0]
+                                      inp.profile)[:, 0]
                   for k in range(len(BLOCK_TIMES))]
         assert np.array_equal(block, np.array(single).T)
         for row in (0, 1):
             reference = [_per_slice_reference(
                 lambda X, S, g_inv: f(X, S, g_inv)[row], inp.kernel, s, cfg,
-                inp.zone) for s in BLOCK_TIMES]
+                inp.profile) for s in BLOCK_TIMES]
             assert np.array_equal(block[row], reference)
         if integrand == "grad_sq":
             assert np.all(block[0, :5] > 0.0)
@@ -366,3 +366,32 @@ def test_spacetime_integral_asks_for_every_slice_at_once(gauss2, lean_quad2, r):
     blocks, _ = quad._time_nodes(r * r, lean_quad2)
     assert requests == [len(blocks) * (lean_quad2.slices_per_scale + 1) + 1]
     assert mass == pytest.approx(r * r, rel=1e-6)
+
+
+_ROW_SLICES = (lambda s: np.exp(s) * np.cos(40.0 * s) + np.sqrt(-s),
+               lambda s: np.sin(7.0 * s) ** 2 + np.log1p(-s))
+
+
+@pytest.mark.parametrize("layout", ["rows", "transposed"])
+def test_time_rules_on_rows_equal_one_call_per_row(layout, quad2, lean_quad2):
+    """A slice_at that returns both rows, (2, len(s)), gives each row the
+    float of a 1-D call, bit for bit, also when its rows are a transposed,
+    non-contiguous view (the summation order of such a view differs)."""
+    def pair_at(s):
+        values = np.array([f(s) for f in _ROW_SLICES])
+        if layout == "transposed":
+            values = np.ascontiguousarray(values.T).T
+            assert not values.flags.c_contiguous
+        return values
+
+    for cfg in (quad2, lean_quad2):
+        for r in (0.5, 0.3, 1.0 / 16.0):
+            pair = quad.spacetime_integral(pair_at, r, cfg)
+            assert pair.shape == (2,)
+            assert pair.tolist() == [quad.spacetime_integral(f, r, cfg)
+                                     for f in _ROW_SLICES]
+    for cells in (4, 40, 333):
+        pair = quad.time_range_integral(pair_at, -0.2, -0.05, cells)
+        assert pair.shape == (2,)
+        assert pair.tolist() == [quad.time_range_integral(f, -0.2, -0.05, cells)
+                                 for f in _ROW_SLICES]
