@@ -1,5 +1,6 @@
-"""Scenario runner: build the chart/pair/kernel from a config, execute the
-requested checks, write reports, return machine-readable pass/fail.
+"""Scenario runner: build the pair and the monotonicity input from a config,
+gate on both admissibility certificates, execute the requested checks, write
+reports, return machine-readable pass/fail.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 configuration / unusable arguments.  A check that raises a ValueError or
@@ -20,9 +21,7 @@ import numpy as np
 
 from . import functional as fn
 from . import gauss_transforms as gt
-from . import kernels
 from .config import parse_config
-from .cutoff import build_cutoff
 from .errors import ConfigError, NumericalError
 from .report import CheckRecord, ReportDocument, environment_info, write_report
 from .solutions import (make_family, pair_validity_check, sample_pair,
@@ -56,17 +55,18 @@ def _table(rows, header, csv=False):
 
 
 def run_scenario(cfg):
-    """Execute every requested check; failures are recorded, never fatal."""
+    """Gate on both admissibility certificates, then execute every requested
+    check; failures are recorded, never fatal."""
     chart, grid = cfg.chart, cfg.grid
-    profile = build_cutoff(chart)
-    kernel = kernels.KernelSpec(cfg.kernel_kind, chart)
     pair = make_family(cfg.pair_family, cfg.pair_params, chart=chart, grid=grid)
+    inp = fn.MonotonicityInput(chart=chart, pair=pair, kernel_kind=cfg.kernel_kind,
+                               quad=cfg.quad)
 
     records = []
 
     frames = sample_pair(pair, grid)
-    validity = pair_validity_check(pair, grid, frames=frames)
-    residual = supercaloric_residual_check(pair, chart, grid, frames=frames)
+    validity = pair_validity_check(pair, grid, frames)
+    residual = supercaloric_residual_check(chart, grid, frames)
     admissible = bool(validity.passed and residual.passed)
     records.append(CheckRecord(
         name="admissibility",
@@ -74,8 +74,6 @@ def run_scenario(cfg):
         values={"validity": validity, "residual": residual}))
 
     if admissible:
-        inp = fn.MonotonicityInput(chart=chart, pair=pair, profile=profile,
-                                   kernel=kernel, quad=cfg.quad)
         for check in cfg.checks:
             try:
                 rec = _run_check(check, cfg, inp)
@@ -99,8 +97,8 @@ def run_scenario(cfg):
             "pair": cfg.pair_family,
             "manifold": cfg.manifold_family,
             # check constants depend on the cutoff profile; record its bounds
-            "cutoff_grad_bound": profile.grad_bound,
-            "cutoff_laplace_bound": profile.laplace_bound,
+            "cutoff_grad_bound": inp.profile.grad_bound,
+            "cutoff_laplace_bound": inp.profile.laplace_bound,
         }),
     )
     return doc

@@ -1,12 +1,12 @@
 """Flat-key scenario configuration (`section.key = value` text files).
 
-The format is deliberately diff-friendly: one key per line, `#` comments,
-case-sensitive keys, commas for lists.  Unknown keys and malformed values are
-reported with their line number.  Parsing builds the scenario's chart, solver
-grid and quadrature rule through their own constructors, which hold the
-limits on their keys; an error names its file, its key, and the line that
-sets it.  A pair parameter or a manifold key that the chosen family does not
-read is an error too.
+The format is deliberately diff-friendly: UTF-8, one key per line, `#`
+comments, case-sensitive keys, commas for lists.  Unknown keys, undecodable
+bytes and malformed values are reported with their line number.  Parsing
+builds the scenario's chart, solver grid and quadrature rule through their
+own constructors, which hold the limits on their keys; an error names its
+file, its key, and the line that sets it.  A pair parameter or a manifold key
+that the chosen family does not read is an error too.
 """
 
 from __future__ import annotations
@@ -183,10 +183,16 @@ def parse_config_text(text, name=None):
 
 def parse_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        raise ConfigError(f"not UTF-8: byte 0x{data[exc.start]:02x} does not decode",
+                          line=line, source=str(path)) from None
     return parse_config_text(text, name=str(path))
 
 
@@ -194,7 +200,7 @@ def _validate(cfg, set_keys):
     """Check the limits no constructor holds and build the chart, the grid
     and the quadrature rule, whose constructors hold the rest.  ``set_keys``
     are the keys the text sets."""
-    if cfg.scenario_id in ("", ".", "..") or any(c in cfg.scenario_id for c in "/\\"):
+    if cfg.scenario_id in ("", ".", "..") or any(c in cfg.scenario_id for c in "/\\\0"):
         raise ConfigError(f"scenario.id {cfg.scenario_id!r} must be a plain directory "
                           "name", key="scenario.id")
     if not cfg.n <= 3:
@@ -231,6 +237,8 @@ def _validate(cfg, set_keys):
     if unknown:
         raise ConfigError(f"unknown checks {unknown} (known: {list(ALL_CHECKS)})",
                           key="checks")
+    if len(set(cfg.checks)) < len(cfg.checks):
+        raise ConfigError(f"checks repeats a name: {list(cfg.checks)}", key="checks")
     if not 0.0 < cfg.thm2_eps <= 1.0:
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
     if not cfg.thm1_guard > 0.0:

@@ -23,7 +23,9 @@ a pair that does not depend on s and one row of points it has length 1,
 (2, 1, m), and the fixed-point rules reuse that result for every time.  chi
 and chi' vanish outside the cutoff ball, so no mask is needed; `positive`
 multiplies by the ball's indicator.  No function takes a phase sign: every
-quantity comes as a (plus, minus) pair.  Each MonotonicityInput owns its
+quantity comes as a (plus, minus) pair.  A MonotonicityInput derives its
+cutoff profile and kernel from its chart and kernel kind, and does not check
+its pair (`cli.run_scenario` is the admissibility gate).  Each input owns its
 quadrature rule and one slice table, keyed by (integrand kind, s) with the
 exact float time s and holding the (plus, minus) pair, so a slice is
 integrated once per input however many checks, scales or blocks reach it.
@@ -35,7 +37,7 @@ fresh input would compute.  Each pair (A_+(r), A_-(r)) is assembled from the
 table once and kept in the input's `energies`, keyed by r.  A copy made by
 `dataclasses.replace` starts with an empty table and no energies, so a copy
 under another rule (`dataclasses.replace(input_, quad=...)`) integrates its
-own slices.
+own slices, and its kernel, equal to the parent's, reads the cached annulus.
 The checks at the unit scale of a parabolic rescaling (the scale
 derivative here, the curved BKP quotients in `gauss_transforms`) read the
 scenario's own table through the rescaling identities, so they add no input.
@@ -51,8 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, quadrature
-from .cutoff import CutoffProfile, chi as chi_of, dchi as dchi_of
-from .errors import PreconditionError
+from .cutoff import CutoffProfile, build_cutoff, chi as chi_of, dchi as dchi_of
 from .kernels import KernelSpec
 
 __all__ = [
@@ -82,9 +83,11 @@ _FD_STEP = 0.0625        # scale_derivative: centred difference at 1 +- 1/16
 class MonotonicityInput:
     chart: geometry.NormalChart
     pair: object
-    profile: CutoffProfile
-    kernel: KernelSpec
+    kernel_kind: str
     quad: quadrature.QuadratureConfig
+    # the chart's cutoff and the kernel of kernel_kind on it, derived here
+    profile: CutoffProfile = field(init=False, repr=False, compare=False)
+    kernel: KernelSpec = field(init=False, repr=False, compare=False)
     # (kind, s) -> (plus, minus) slice integrals under quad; see the module doc
     slice_table: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -93,11 +96,8 @@ class MonotonicityInput:
                            compare=False)
 
     def __post_init__(self):
-        if self.kernel.chart is not self.chart:
-            raise ValueError("kernel must be built on the same chart")
-        validity = self.pair.admissibility.get("validity")
-        if validity is not None and not validity.passed:
-            raise PreconditionError("pair failed its validity check")
+        self.profile = build_cutoff(self.chart)
+        self.kernel = KernelSpec(self.kernel_kind, self.chart)
 
 
 def _grad_sq_sampler(input_):

@@ -11,8 +11,8 @@ single numerical criterion captures "in the weak sense":
   integrating by parts onto the bump.  The battery is built once per grid,
   so each phase's pairings are two matrix products with its sampled frames.
 
-Both checks read the phases sampled on every space-time node; ``sample_pair``
-samples them once, and a caller running both checks passes its frames to each.
+Both checks read the phases sampled on every space-time node: ``sample_pair``
+samples them once, the caller passes the frames to each, and neither writes.
 
 u_pm(0, 0) = 0 is NOT enforced; the records carry the origin values as a flag.
 """
@@ -70,30 +70,28 @@ def sample_pair(pair, grid):
         values.reshape((2, -1) + grid.shape()), frames)))
 
 
-def pair_validity_check(pair, grid, tol=1e-10, frames=None):
+def pair_validity_check(pair, grid, frames, tol=1e-10):
     """max u_+ u_- <= tol * scale^2 and min u_pm >= -tol * max(1, scale).
 
-    ``frames`` is ``sample_pair(pair, grid)``, sampled here when omitted."""
-    up, um = frames if frames is not None else sample_pair(pair, grid)
+    ``frames`` is ``sample_pair(pair, grid)``; ``pair`` gives u_pm(0, 0)."""
+    up, um = frames
     scale = max(float(np.max(np.abs(up))), float(np.max(np.abs(um))), 0.0)
     product_max = float(np.max(up * um))
     min_plus = float(np.min(up))
     min_minus = float(np.min(um))
-    origin = np.zeros((1, grid.dim))
+    origin_plus, origin_minus = pair.values(np.zeros((1, grid.dim)), 0.0)[:, 0]
     s = max(scale, 1e-300)
-    rec = ValidityRecord(
+    return ValidityRecord(
         product_max=product_max,
         min_plus=min_plus,
         min_minus=min_minus,
         scale=scale,
-        origin_plus=float(pair.plus.value(origin, 0.0)[0]),
-        origin_minus=float(pair.minus.value(origin, 0.0)[0]),
+        origin_plus=float(origin_plus),
+        origin_minus=float(origin_minus),
         passed=(product_max <= tol * (s * s)
                 and min_plus >= -tol * max(1.0, scale)
                 and min_minus >= -tol * max(1.0, scale)),
     )
-    pair.admissibility["validity"] = rec
-    return rec
 
 
 def _bump_battery(chart, grid):
@@ -160,18 +158,18 @@ def _dilate(mask):
     return out
 
 
-def supercaloric_residual_check(pair, chart, grid, tol=1e-8, frames=None):
-    """Certificate for (Delta_g - d_t) u_pm >= -1.
+def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
+    """Certificate for (Delta_g - d_t) u_pm >= -1 of the phases ``frames``,
+    ``sample_pair(pair, grid)``.
 
     Pointwise: min over checkable space-time nodes of the discrete residual
     plus one; pass needs min >= -tol - sqrt(h).  Weak form: the minimum
     normalized bump pairing must clear the same threshold.  A NaN margin fails.
-    ``frames`` is ``sample_pair(pair, grid)``, sampled here when omitted.
     """
     triplets, act = assemble_laplacian(chart, grid)
     slack = np.sqrt(grid.h)
     battery = _bump_battery(chart, grid)
-    up, um = frames if frames is not None else sample_pair(pair, grid)
+    up, um = frames
     dt = np.diff(grid.times)[:, None]
     results = {}
     for sign, u, v in (("plus", up, um), ("minus", um, up)):
@@ -190,8 +188,6 @@ def supercaloric_residual_check(pair, chart, grid, tol=1e-8, frames=None):
     wm, wkm, cm = results["minus"]
     bound = -tol - slack
     ok = wp >= bound and wm >= bound and wkp >= bound and wkm >= bound
-    rec = ResidualRecord(min_plus=wp, min_minus=wm, weak_min_plus=wkp,
-                         weak_min_minus=wkm, checkable_plus=cp,
-                         checkable_minus=cm, slack=slack, passed=bool(ok))
-    pair.admissibility["residual"] = rec
-    return rec
+    return ResidualRecord(min_plus=wp, min_minus=wm, weak_min_plus=wkp,
+                          weak_min_minus=wkm, checkable_plus=cp,
+                          checkable_minus=cm, slack=slack, passed=bool(ok))

@@ -10,7 +10,8 @@ over both grids.  A pair that does not depend on s (Null, TwoPlaneCaloric,
 PowerWedge) reads the k times as one: on one row of points its arrays carry
 a time axis of length 1, (2, 1, m) and (2, 1, m, n), which broadcasts
 against the k times, so a caller that needs every time broadcasts it.
-``pair.plus`` and ``pair.minus`` are the sampler's rows.
+``pair.plus`` and ``pair.minus``, the sampler's rows, are kept only for
+``bench/tracer.py``; a pair holds no admissibility state.
 Families (e is the first coordinate axis):
 
 * Null                  (0, 0)
@@ -71,7 +72,6 @@ class TwoPhasePair:
     of length 1 on one row of points, (2, 1, m) and (2, 1, m, n).  ``plus``
     and ``minus`` are its rows, built once."""
     sampler: object = field(repr=False)
-    admissibility: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.plus, self.minus = (
@@ -199,10 +199,7 @@ def _numeric_pair(n, values, chart, grid):
                         active=active.reshape(grid.shape()).ravel())
         return gf
 
-    gf_plus = one_side(+1)
-    gf_minus = one_side(-1)
-    return (GridPhaseSampler(gf_plus, gf_minus),
-            {"grid_plus": gf_plus, "grid_minus": gf_minus})
+    return GridPhaseSampler(one_side(+1), one_side(-1))
 
 
 def make_family(name, params=None, chart=None, grid=None):
@@ -221,6 +218,5 @@ def make_family(name, params=None, chart=None, grid=None):
     elif name == "DriftTwoPlane":
         sampler = _PlanePair(e, (1.0, 1.0), drift=values["c"])
     else:                   # NumericPair
-        sampler, grids = _numeric_pair(n, values, chart, grid)
-        return TwoPhasePair(sampler, admissibility=grids)
+        sampler = _numeric_pair(n, values, chart, grid)
     return TwoPhasePair(sampler)

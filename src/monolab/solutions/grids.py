@@ -198,10 +198,11 @@ class GridPhaseSampler:
     the frames are padded with edge copies, so a shifted cell past a cube face
     reads the face.  Each grid's raw frames give the other phase its one-sided
     mask, and the point's own row of the stencil gives the values.  ``value``
-    is the plus row of ``values``.
+    is the plus row of ``values``.  ``grids`` holds the two GridFunctions.
     """
 
     def __init__(self, gf_plus, gf_minus):
+        self.grids = (gf_plus, gf_minus)
         self.grid = grid = gf_plus.grid
         n = grid.dim
         pad = ((0, 0),) + ((_GHOST, _GHOST),) * n

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monolab import cutoff, geometry, kernels, quadrature
+from monolab import geometry, quadrature
 from monolab import functional as fn
 from monolab.solutions import TwoPhasePair, make_family
 
@@ -37,13 +37,8 @@ def lean_quad2():
 
 def build_input(chart, pair_name, pair_params=None, kind="gauss", cfg=None):
     pair = make_family(pair_name, pair_params or {}, chart=chart)
-    return fn.MonotonicityInput(
-        chart=chart,
-        pair=pair,
-        profile=cutoff.build_cutoff(chart),
-        kernel=kernels.KernelSpec(kind, chart),
-        quad=cfg or quadrature.default_config(chart.dim),
-    )
+    return fn.MonotonicityInput(chart=chart, pair=pair, kernel_kind=kind,
+                                quad=cfg or quadrature.default_config(chart.dim))
 
 
 def rescale_pair(pair, r):
@@ -69,9 +64,7 @@ def rescaled_input(input_, r):
     the scenario's input, A~(rho) = r^-4 A(r rho) and its kin."""
     chart_r = geometry.rescale_chart(input_.chart, r)
     return fn.MonotonicityInput(chart=chart_r, pair=rescale_pair(input_.pair, r),
-                                profile=cutoff.build_cutoff(chart_r),
-                                kernel=kernels.KernelSpec(input_.kernel.kind, chart_r),
-                                quad=input_.quad)
+                                kernel_kind=input_.kernel_kind, quad=input_.quad)
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,11 @@ def test_parse_validation_errors():
     ("scenario.id = ..\n", "scenario.id"),
     ("scenario.id = a/b\n", "scenario.id"),
     ("scenario.id = a\\b\n", "scenario.id"),
+    # a NUL in the report directory's name: os.makedirs raised ValueError
+    # after the scenario ran, and the suite stopped
+    ("scenario.id = nul\x00\n", "scenario.id"),
+    # a repeated check ran twice and wrote its artifacts twice
+    ("checks = ladder, prop1, ladder\n", "checks"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -476,6 +481,23 @@ def test_main_exit_codes(tmp_path, capsys):
         assert err.value.code == 2
 
 
+def test_non_utf8_config_exits_2_naming_file_and_line(tmp_path, capsys):
+    """A config byte that is not UTF-8 is a config error naming the file and
+    the line of the first such byte, not a UnicodeDecodeError; in a suite,
+    no scenario runs."""
+    bad = tmp_path / "s1.cfg"
+    bad.write_bytes(b"scenario.id = x\n\xff\xfe bad = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"[{bad}, line 2]" in capsys.readouterr().err
+    _write_cfgs(tmp_path, FAST_NULL)
+    assert cli.main(["suite", "--glob", str(tmp_path / "s*.cfg"),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"[{bad}, line 2]" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_main_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -521,6 +543,27 @@ def test_python_m_monolab_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "[tiny_null:ladder]" in proc.stdout
     assert (tmp_path / "o" / "tiny_null" / "ladder.csv").exists()
+
+
+def test_validity_gate(monkeypatch):
+    """The runner is the one admissibility gate: for an overlapping pair it
+    records admissibility as failed and every requested check as failed and
+    not run, and integrates nothing."""
+    from monolab import quadrature
+
+    calls = []
+    monkeypatch.setattr(quadrature, "slice_integral",
+                        lambda *args, **kwargs: calls.append(args))
+    checks = ("phi_curve", "ladder", "thm1", "positivity")
+    doc = cli.run_scenario(parse_config_text(
+        FAST_OVERLAP + f"checks = {', '.join(checks)}\n"))
+    assert doc.record("admissibility").passed is False
+    assert not doc.record("admissibility").values["validity"].passed
+    assert [rec.name for rec in doc.records[1:]] == list(checks)
+    for rec in doc.records[1:]:
+        assert rec.passed is False
+        assert rec.values == {"note": "pair failed admissibility; check not run"}
+    assert calls == []
 
 
 def test_each_phase_sampled_once_per_scenario(monkeypatch):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from monolab import cutoff, kernels
 from monolab import functional as fn
 from monolab import geometry as geo
 from monolab import quadrature as quad
-from monolab.errors import PreconditionError
 from monolab.solutions import SpaceTimeGrid, make_family
 
 from conftest import build_input, rescaled_input
@@ -304,20 +302,6 @@ def test_kernel_swap_sandwich(sphere2, lean_quad2):
     assert lo * a_g * (1 - 1e-9) <= a_u <= hi * a_g * (1 + 1e-9)
 
 
-def test_validity_gate(euclid2, lean_quad2):
-    from monolab.solutions import pair_validity_check
-
-    grid = SpaceTimeGrid.geometric(2, 1.0, 0.2, ratio=0.8, dt0=0.3)
-    pair = make_family("NumericPair", {"seed": 3, "overlap": True},
-                       chart=euclid2, grid=grid)
-    pair_validity_check(pair, grid)
-    with pytest.raises(PreconditionError):
-        fn.MonotonicityInput(chart=euclid2, pair=pair,
-                             profile=cutoff.build_cutoff(euclid2),
-                             kernel=kernels.KernelSpec("gauss", euclid2),
-                             quad=lean_quad2)
-
-
 # ---------------------------------------------------------------------------
 # slice table
 
@@ -377,9 +361,7 @@ def test_one_miss_fills_both_phases(euclid2, lean_quad2, monkeypatch, family,
                             *args, **kwargs))
     grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.8, dt0=0.25)
     pair = make_family(family, params, chart=euclid2, grid=grid)
-    inp = fn.MonotonicityInput(chart=euclid2, pair=pair,
-                               profile=cutoff.build_cutoff(euclid2),
-                               kernel=kernels.KernelSpec("gauss", euclid2),
+    inp = fn.MonotonicityInput(chart=euclid2, pair=pair, kernel_kind="gauss",
                                quad=lean_quad2)
     for read in (lambda: fn.phase_energy(inp, 0.25),
                  lambda: fn.boundary_energy(inp, 0.3),
@@ -474,6 +456,11 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     fn.phase_energy(inp, 0.25)
     copy = dataclasses.replace(inp, pair=other)
     assert copy.energies == {} and fn.phase_energy(copy, 0.25) == (0.0, 0.0)
+    # a copy under another rule derives the parent's cutoff and kernel again,
+    # equal to them, so it reads the parent's cached annulus fields
+    coarse = dataclasses.replace(inp, quad=quad.default_config(2, nodes=16))
+    assert coarse.profile == inp.profile and coarse.kernel == inp.kernel
+    assert quad._ANNULUS_FIELDS[coarse.kernel] is quad._ANNULUS_FIELDS[inp.kernel]
 
 
 def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
@@ -578,9 +565,7 @@ def _rows_input(name, params, curvature):
              else geo.constant_curvature_chart(2, curvature, radius=1.0))
     grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.8, dt0=0.25)
     pair = make_family(name, params, chart=chart, grid=grid)
-    return fn.MonotonicityInput(chart=chart, pair=pair,
-                                profile=cutoff.build_cutoff(chart),
-                                kernel=kernels.KernelSpec("gauss", chart),
+    return fn.MonotonicityInput(chart=chart, pair=pair, kernel_kind="gauss",
                                 quad=quad.default_config(2, nodes=16))
 
 

@@ -345,11 +345,7 @@ def test_manifold_bkp_degenerate_phase(euclid2, lean_quad2):
     # a caloric plane against a zero phase
     pair = make_family("TwoPlaneCaloric", {"beta": 0.0}, chart=euclid2)
 
-    from monolab import cutoff, kernels
-
-    inp = fn.MonotonicityInput(chart=euclid2, pair=pair,
-                               profile=cutoff.build_cutoff(euclid2),
-                               kernel=kernels.KernelSpec("gauss", euclid2),
+    inp = fn.MonotonicityInput(chart=euclid2, pair=pair, kernel_kind="gauss",
                                quad=lean_quad2)
     with pytest.raises(DegenerateInputError):
         gt.manifold_bkp_deficit(inp, 1.0 / 16.0)

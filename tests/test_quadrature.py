@@ -232,9 +232,7 @@ def test_block_equals_per_slice_calls(family, curvature, kind, nodes):
                        if family == "NumericPair" else {"c": 0.5},
                        chart=chart, grid=grid)
     cfg = quad.default_config(2, nodes=nodes)
-    inp = fn.MonotonicityInput(chart=chart, pair=pair,
-                               profile=cutoff.build_cutoff(chart),
-                               kernel=ker.KernelSpec(kind, chart), quad=cfg)
+    inp = fn.MonotonicityInput(chart=chart, pair=pair, kernel_kind=kind, quad=cfg)
     a = inp.profile.inner
     assert [a * a / (4.0 * -s) < 200.0 for s in BLOCK_TIMES] == [True] * 5 + [False] * 3
     for integrand in ("grad_sq", "w_sq", "positive"):

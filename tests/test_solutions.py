@@ -7,8 +7,8 @@ import pytest
 from monolab import geometry as geo
 
 from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplacian,
-                               make_family, pair_validity_check, solve_heat,
-                               supercaloric_residual_check)
+                               make_family, pair_validity_check, sample_pair,
+                               solve_heat, supercaloric_residual_check)
 from monolab.solutions import checks
 from monolab.solutions.grids import GridFunction
 
@@ -282,9 +282,10 @@ def test_unknown_family_and_bad_params():
 def test_caloric_disjoint_and_admissible(euclid2):
     grid = small_grid()
     pair = make_family("TwoPlaneCaloric", {"alpha": 1.0, "beta": 1.0}, chart=euclid2)
-    rec = pair_validity_check(pair, grid, tol=1e-10)
+    frames = sample_pair(pair, grid)
+    rec = pair_validity_check(pair, grid, frames, tol=1e-10)
     assert rec.passed and rec.product_max == 0.0
-    rr = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
+    rr = supercaloric_residual_check(euclid2, grid, frames, tol=1e-10)
     assert rr.passed
     # caloric: discrete residual + 1 equals 1 up to stencil roundoff
     assert rr.min_plus == pytest.approx(1.0, abs=1e-8)
@@ -298,8 +299,9 @@ def test_all_analytic_families_pass_checks(euclid2):
                          ("PowerWedge", {"beta": 0.25}),
                          ("DriftTwoPlane", {"c": 0.5})):
         pair = make_family(name, params, chart=euclid2)
-        assert pair_validity_check(pair, grid, tol=1e-10).passed, name
-        assert supercaloric_residual_check(pair, euclid2, grid, tol=1e-10).passed, name
+        frames = sample_pair(pair, grid)
+        assert pair_validity_check(pair, grid, frames, tol=1e-10).passed, name
+        assert supercaloric_residual_check(euclid2, grid, frames, tol=1e-10).passed, name
 
 
 def test_drift_residual_depth(euclid2):
@@ -307,7 +309,7 @@ def test_drift_residual_depth(euclid2):
     sits one cell inside the cube, so min residual + 1 = 1 - c max(x1)."""
     grid = small_grid(h=0.1)
     pair = make_family("DriftTwoPlane", {"c": 0.5}, chart=euclid2)
-    rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
+    rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
     expected = 1.0 - 0.5 * (1.0 - grid.h)
     assert rec.min_plus == pytest.approx(expected, abs=1e-6)
     assert rec.min_plus >= 0.5
@@ -316,7 +318,7 @@ def test_drift_residual_depth(euclid2):
 def test_wedge_weak_form(euclid2):
     grid = small_grid()
     pair = make_family("PowerWedge", {"beta": 0.5}, chart=euclid2)
-    rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
+    rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
     assert rec.weak_min_plus >= -1e-6
     assert rec.weak_min_minus >= -1e-6
 
@@ -387,10 +389,10 @@ def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
     else:
         chart = sphere2
         pair = make_family("PowerWedge", {"beta": 0.5}, chart=chart)
-    rec = supercaloric_residual_check(pair, chart, grid, tol=1e-8)
+    frames = sample_pair(pair, grid)
+    rec = supercaloric_residual_check(chart, grid, frames, tol=1e-8)
     battery = checks._bump_battery(chart, grid)
-    for u, weak in zip(checks.sample_pair(pair, grid),
-                       (rec.weak_min_plus, rec.weak_min_minus)):
+    for u, weak in zip(frames, (rec.weak_min_plus, rec.weak_min_minus)):
         ref = _reference_weak_pairing(u, chart, grid)
         assert checks._weak_pairings(u, battery) == weak
         assert weak == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -424,7 +426,7 @@ def test_nan_phase_fails_the_certificate(euclid2):
         return out
 
     pair.sampler = SimpleNamespace(values=values, fields=sampler.fields)
-    rec = supercaloric_residual_check(pair, euclid2, grid, tol=1e-10)
+    rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
     assert np.isnan(rec.min_plus) and np.isnan(rec.weak_min_plus)
     assert not rec.passed
 
@@ -523,7 +525,7 @@ def _fields_reference(name, base, r, X, s):
     phases through the per-direction reference values and _one_phase_grad."""
     Xr, sr = r * X, r * r * s
     if name == "NumericPair":
-        gp, gm = base.admissibility["grid_plus"], base.admissibility["grid_minus"]
+        gp, gm = base.sampler.grids
         values = np.array([_ref_value(gp, Xr, sr), _ref_value(gm, Xr, sr)])
         grads = np.array([_one_phase_grad(gp, gm, Xr, sr),
                           _one_phase_grad(gm, gp, Xr, sr)])
@@ -736,31 +738,33 @@ def test_numeric_pair_admissible(euclid2):
     grid = small_grid()
     pair = make_family("NumericPair", {"seed": 11, "source_depth": 0.5},
                        chart=euclid2, grid=grid)
-    rec = pair_validity_check(pair, grid, tol=1e-10)
+    frames = sample_pair(pair, grid)
+    rec = pair_validity_check(pair, grid, frames, tol=1e-10)
     assert rec.passed
-    rr = supercaloric_residual_check(pair, euclid2, grid, tol=1e-8)
+    rr = supercaloric_residual_check(euclid2, grid, frames, tol=1e-8)
     assert rr.passed
     assert rr.min_plus >= -0.5 - 1e-6  # residual equals the source, >= -depth
+    # the certificates return their records; the pair holds no copy of them
+    assert not hasattr(pair, "admissibility")
 
 
 def test_numeric_pair_determinism(euclid2):
     grid = small_grid()
     a = make_family("NumericPair", {"seed": 7}, chart=euclid2, grid=grid)
     b = make_family("NumericPair", {"seed": 7}, chart=euclid2, grid=grid)
-    assert np.array_equal(a.admissibility["grid_plus"].values,
-                          b.admissibility["grid_plus"].values)
+    assert np.array_equal(a.sampler.grids[0].values, b.sampler.grids[0].values)
 
 
 def test_numeric_pair_overlap_negative_control(euclid2):
     grid = small_grid()
     pair = make_family("NumericPair", {"seed": 11, "overlap": True},
                        chart=euclid2, grid=grid)
-    rec = pair_validity_check(pair, grid, tol=1e-10)
+    rec = pair_validity_check(pair, grid, sample_pair(pair, grid), tol=1e-10)
     assert not rec.passed
 
 
 def test_origin_flag_recorded(euclid2):
     grid = small_grid()
     pair = make_family("TwoPlaneCaloric", {}, chart=euclid2)
-    rec = pair_validity_check(pair, grid)
+    rec = pair_validity_check(pair, grid, sample_pair(pair, grid))
     assert rec.origin_plus == 0.0 and rec.origin_minus == 0.0
