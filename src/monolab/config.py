@@ -188,10 +188,12 @@ def parse_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")     # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start] + b".").decode("utf-8").splitlines())
-        raise ConfigError(f"not UTF-8: byte 0x{data[exc.start]:02x} does not decode",
+        # the offsets count from exc.object, the bytes after any byte-order mark
+        body = exc.object
+        line = len((body[:exc.start] + b".").decode("utf-8").splitlines())
+        raise ConfigError(f"not UTF-8: byte 0x{body[exc.start]:02x} does not decode",
                           line=line, source=str(path)) from None
     return parse_config_text(text, name=str(path))
 

@@ -2,7 +2,8 @@
 functional inequalities.
 
 Two maps do the reduction at a fixed slice s of the parabolic rescaling at
-scale r.  The first integrates the metric square root along rays,
+scale r, which reads the scenario's own chart at r y (a chart is never
+rescaled).  The first integrates the metric square root along rays,
 y(x) = int_0^1 g^{1/2}(tx) x dt.  Every built-in chart is an exact
 normal-coordinate chart, so the Gauss lemma g(x) x = x makes this map the
 identity with Jacobian 1; the pushforward uses that closed form, and
@@ -166,8 +167,8 @@ def _fd_jacobian(forward, X, step):
 
 
 class RayTransform:
-    """y(x) = int_0^1 g^{1/2}(tx) x dt on a (rescaled) chart, by Gauss-Legendre
-    nodes along each ray; the numerical reference for the closed form y = x."""
+    """y(x) = int_0^1 g^{1/2}(tx) x dt on a chart, by Gauss-Legendre nodes
+    along each ray; the numerical reference for the closed form y = x."""
 
     def __init__(self, chart):
         self.chart = chart
@@ -235,20 +236,22 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None)
     density sits from the Gauss density; returns the record.
 
     The ray map is the identity with Jacobian 1 (Gauss lemma), so the density
-    after it is the kernel-weighted volume density itself."""
+    after it is the kernel-weighted volume density itself: the Gauss kernel at
+    y times the kernel's order-zero factor and the volume density of the
+    chart at r y."""
     if s not in (-0.5, -1.0):
         raise ValueError("pushforward slices are s = -1/2 or s = -1")
     cfg = cfg or quadrature.default_config(chart.dim)
     n = chart.dim
     t = -s
     v = 2.0 * t
-    chart_r = geometry.rescale_chart(chart, r)
-    kern = kernels.KernelSpec(kernel_kind, chart_r)
+    kern = kernels.KernelSpec(kernel_kind, chart)
     measure = GaussMeasure(n, v)
 
     def density_after_ray(Y):
-        _, dens = geometry.inverse_metric_and_density(chart_r, Y)
-        return kernels.kernel_values(kern, Y, t) * dens
+        _, dens = geometry.inverse_metric_and_density(chart, r * Y)
+        return (kernels.gauss_values(n, np.sum(Y * Y, axis=1), t) * kern.factor(dens)
+                * dens)
 
     def a_field(Y):
         return density_after_ray(Y) / gauss_density(measure, Y) - 1.0

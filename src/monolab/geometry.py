@@ -11,14 +11,13 @@ distance to the center is |x| exactly.  Built-in families:
 
 All built-ins satisfy the Gauss lemma g(x) x = x exactly, which keeps the
 radial direction unit and the chart a genuine normal-coordinate chart.
-Rescaling by r (metric g(r .) on the enlarged ball) is represented by an
-accumulated ``scale`` factor, so rescale-then-evaluate is bitwise identical
-to evaluating the base chart at the rescaled point.
+A chart is never rescaled: the parabolic rescaling at scale r evaluates the
+chart itself at r x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "euclidean_chart",
     "constant_curvature_chart",
     "perturbed_chart",
-    "rescale_chart",
     "InverseMetric",
     "metric_fields",
     "inverse_metric_and_density",
@@ -129,7 +127,6 @@ class NormalChart:
     curvature: float = 0.0
     epsilon: float = 0.0
     shape: str = "wave"
-    scale: float = 1.0
 
     def contains(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -210,8 +207,8 @@ def _dot(a, b):
 
 @dataclass(frozen=True, eq=False)
 class InverseMetric:
-    """g^{-1} = (I + phi z z^T) / lam at points of any leading shape, z = scale
-    x (..., m, n) and lam = 1 + phi |z|^2: the Gauss lemma makes the inverse of
+    """g^{-1} = (I + phi z z^T) / lam at points of any leading shape, z = x
+    (..., m, n) and lam = 1 + phi |z|^2: the Gauss lemma makes the inverse of
     every built-in metric rank one over the identity, so no (m, n, n) array is
     needed.  ``form`` and ``entry`` broadcast over leading axes."""
 
@@ -229,9 +226,9 @@ class InverseMetric:
 
 
 def _rank_one(chart, X, order):
-    """(z, phi, dphi, |z|^2, lam) at points X: z = scale x, phi with its gradient
+    """(z, phi, dphi, |z|^2, lam) at points X: z = x, phi with its gradient
     (None for order 0) and the tangential eigenvalue lam = 1 + phi |z|^2."""
-    Z = chart.scale * np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(X, dtype=float))
     u = _dot(Z, Z)
     phi, dphi = _phi_field(chart, Z, u, order)
     return Z, phi, dphi, u, 1.0 + phi * u
@@ -257,21 +254,21 @@ def inverse_metric_and_density(chart, X):
 
 def radial_log_density_derivative(chart, X):
     """d/drho of log sqrt(det g) along the ray through each sample (m,), 0 at
-    the origin: (n-1)/2 scale (dlam . z/|z|) / lam, dlam = |z|^2 dphi + 2 phi z."""
+    the origin: (n-1)/2 (dlam . z/|z|) / lam, dlam = |z|^2 dphi + 2 phi z."""
     Z, phi, dphi, u, lam = _rank_one(chart, X, 1)
     dlam = u[:, None] * dphi + 2.0 * phi[:, None] * Z
     zhat = Z / np.sqrt(np.where(u > 0, u, 1.0))[:, None]
-    return (chart.dim - 1) / 2.0 * chart.scale * _dot(dlam, zhat) / lam
+    return (chart.dim - 1) / 2.0 * _dot(dlam, zhat) / lam
 
 
 def divergence_drift(chart, X):
     """b^j = (1/dens) d_i(dens g^{ij}), the drift vector of the Laplace-Beltrami
     operator: Delta_g f = g^{ij} d_i d_j f + b^j d_j f.
 
-    Closed form: with z = scale x, u = |z|^2 and lam = 1 + phi u, the metric
+    Closed form: with z = x, u = |z|^2 and lam = 1 + phi u, the metric
     g = I + phi (u I - z z^T) has g^{-1} = (I + phi z z^T) / lam and
     dens = lam^((n-1)/2), so with dlam = u dphi + 2 phi z
-    b = scale ((n-1)/2 g^{-1} dlam / lam + d_i g^{ij}),
+    b = (n-1)/2 g^{-1} dlam / lam + d_i g^{ij},
     d_i g^{ij} = ((z.dphi + (n+1) phi) z - g^{-1} dlam) / lam.
     """
     n = chart.dim
@@ -280,11 +277,5 @@ def divergence_drift(chart, X):
     dlam = u[:, None] * dphi + 2.0 * phi[:, None] * Z
     ginv_dlam = (dlam + (phi * _dot(Z, dlam))[:, None] * Z) / lam
     div_ginv = ((_dot(Z, dphi) + (n + 1) * phi)[:, None] * Z - ginv_dlam) / lam
-    return chart.scale * ((n - 1) / 2.0 * ginv_dlam / lam + div_ginv)
+    return (n - 1) / 2.0 * ginv_dlam / lam + div_ginv
 
-
-def rescale_chart(chart, r):
-    """Chart sampling g(r .), radius/r; pure reparametrization."""
-    if not r > 0:
-        raise ValueError("rescale factor must be positive")
-    return replace(chart, radius=chart.radius / r, scale=chart.scale * r)

@@ -37,6 +37,11 @@ class KernelSpec:
                     "truncation (kind='parametrix0') is available")
             raise ValueError(f"kernel kind must be one of {KINDS}")
 
+    def factor(self, dens):
+        """The kernel's order-zero factor at points of volume density ``dens``:
+        phi0 = dens^(-1/2) for the parametrix, 1.0 for the Gauss kernel."""
+        return dens ** (-0.5) if self.kind == "parametrix0" else 1.0
+
 
 def gauss_values(n, rho_sq, t):
     """Gauss kernel at squared radii rho_sq and time t > 0; the prefactor is
@@ -52,8 +57,7 @@ def kernel_values(spec, X, t):
     rho_sq = np.sum(X * X, axis=1)
     vals = gauss_values(spec.chart.dim, rho_sq, t)
     if spec.kind == "parametrix0":
-        dens = geometry.inverse_metric_and_density(spec.chart, X)[1]
-        vals = vals * dens ** (-0.5)
+        vals = vals * spec.factor(geometry.inverse_metric_and_density(spec.chart, X)[1])
     return vals
 
 
@@ -62,4 +66,4 @@ def parametrix_phi0(chart, x):
     if not np.all(chart.contains(x)):
         raise DomainError("point outside chart ball")
     dens = geometry.inverse_metric_and_density(chart, x[None])[1][0]
-    return float(dens ** (-0.5))
+    return float(KernelSpec("parametrix0", chart).factor(dens))

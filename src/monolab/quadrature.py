@@ -187,8 +187,8 @@ _ANNULUS_FIELDS = weakref.WeakKeyDictionary()
 
 def _annulus_fields(kernel, cutoff):
     """Time-independent fields of the annulus rule: points (one row), weights,
-    g_inv, density, |x|^2, 1 - chi and the parametrix factor density^(-1/2)
-    (None for the Gauss kernel), once per (chart, kernel kind, annulus)."""
+    g_inv, density, |x|^2, 1 - chi and the kernel's order-zero factor
+    (``KernelSpec.factor``), once per (chart, kernel kind, annulus)."""
     per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
     zone = (cutoff.inner, cutoff.outer)
     fields = per_kernel.get(zone)
@@ -198,9 +198,8 @@ def _annulus_fields(kernel, cutoff):
         P = P[None]     # one row of points for every time
         g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
         rho_sq = np.sum(P * P, axis=-1)
-        kernel_factor = dens ** (-0.5) if kernel.kind == "parametrix0" else None
         fields = (P, w, g_inv, dens, rho_sq, 1.0 - chi(cutoff, np.sqrt(rho_sq)),
-                  kernel_factor)
+                  kernel.factor(dens))
         per_kernel[zone] = fields
     return fields
 
@@ -290,9 +289,7 @@ def slice_integral(f, kernel, s, cfg, cutoff=None):
                                     g_inv)
         for run, vals in runs:
             for j, k in enumerate(run):
-                kv = kernels.gauss_values(n, rho_sq, float(t[k]))
-                if kernel_factor is not None:
-                    kv = kv * kernel_factor
+                kv = kernels.gauss_values(n, rho_sq, float(t[k])) * kernel_factor
                 vals_k = vals[:, j] * kv * dens * one_minus_chi
                 for row, vals_row in zip(totals, vals_k):
                     row[k] += float(np.dot(w_ann, vals_row))

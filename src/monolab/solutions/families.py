@@ -159,11 +159,11 @@ def family_params(name, params, grid=None):
     return out
 
 
-def _numeric_pair(n, values, chart, grid):
+def _numeric_pair(values, chart, grid):
     seed, overlap = values["seed"], values["overlap"]
     depth, n_bumps = values["source_depth"], values["n_bumps"]
-    if chart is None or grid is None:
-        raise ValueError("NumericPair needs a chart and a SpaceTimeGrid")
+    if grid is None:
+        raise ValueError("NumericPair needs a SpaceTimeGrid")
     rng = np.random.default_rng(seed)
     pts = grid.points()
     L = grid.half_width
@@ -173,7 +173,7 @@ def _numeric_pair(n, values, chart, grid):
         centers, widths, amps = [], [], []
         for _ in range(n_bumps):
             w = rng.uniform(0.12, 0.25) * L
-            c = rng.uniform(-0.6 * L, 0.6 * L, size=n)
+            c = rng.uniform(-0.6 * L, 0.6 * L, size=chart.dim)
             lo = margin + w if not overlap else -0.3 * L
             c[0] = sgn * rng.uniform(lo, max(lo + 0.05 * L, 0.65 * L - w))
             centers.append(c)
@@ -202,13 +202,11 @@ def _numeric_pair(n, values, chart, grid):
     return GridPhaseSampler(one_side(+1), one_side(-1))
 
 
-def make_family(name, params=None, chart=None, grid=None):
-    """Build an admissible two-phase pair; unknown names or bad parameters
-    raise ConfigError (a ValueError)."""
-    params = params or {}
-    n = chart.dim if chart is not None else int(params.get("dim", 2))
+def make_family(name, params, chart, grid=None):
+    """Build an admissible two-phase pair on ``chart``; unknown names or bad
+    parameters raise ConfigError (a ValueError)."""
     values = family_params(name, params, grid)
-    e = np.eye(n)[0]
+    e = np.eye(chart.dim)[0]
     if name == "Null":      # two planes of amplitude 0
         sampler = _PlanePair(e, (0.0, 0.0))
     elif name == "TwoPlaneCaloric":
@@ -218,5 +216,5 @@ def make_family(name, params=None, chart=None, grid=None):
     elif name == "DriftTwoPlane":
         sampler = _PlanePair(e, (1.0, 1.0), drift=values["c"])
     else:                   # NumericPair
-        sampler = _numeric_pair(n, values, chart, grid)
+        sampler = _numeric_pair(values, chart, grid)
     return TwoPhasePair(sampler)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -496,6 +497,33 @@ def test_non_utf8_config_exits_2_naming_file_and_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"[{bad}, line 2]" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_bom_config_parses_like_one_without(tmp_path):
+    """A UTF-8 byte-order mark before the first key is dropped, not read as
+    part of the key."""
+    text = FAST_CALORIC.lstrip("\n").encode("utf-8")
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    a, b = parse_config(plain), parse_config(bom)
+    assert (dataclasses.replace(a, chart=None, grid=None)
+            == dataclasses.replace(b, chart=None, grid=None))
+    assert vars(a.chart) == vars(b.chart)
+    assert repr(a.grid) == repr(b.grid)
+
+
+def test_bom_config_errors_name_their_line(tmp_path):
+    """After a byte-order mark an unknown key and a byte that is not UTF-8
+    are both reported on their own line, 2."""
+    cfg = tmp_path / "bom.cfg"
+    for body, key in ((b"mystery.key = 1\n", "mystery.key"),
+                      (b"\xff\xfe bad = 1\n", None)):
+        cfg.write_bytes(b"\xef\xbb\xbfscenario.id = x\n" + body)
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert (err.value.line, err.value.key) == (2, key)
+        assert f"[{cfg}, line 2" in str(err.value)
 
 
 def test_main_unwritable_output(tmp_path, capsys):

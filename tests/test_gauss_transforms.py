@@ -168,53 +168,64 @@ def _builtin_charts():
             yield geo.perturbed_chart(n, 0.1, shape)
 
 
+def _ray_at_scale(chart, r):
+    """The ray map of the parabolic rescaling at scale r, read on the chart
+    itself as Y -> forward(r Y) / r, with the determinant of its Jacobian at
+    RayTransform's own difference step."""
+    ray = gt.RayTransform(chart)
+
+    def forward(Y):
+        return ray.forward(r * np.atleast_2d(Y)) / r
+
+    def jacobian_det(Y):
+        return np.linalg.det(gt._fd_jacobian(forward, Y, 1e-3))
+
+    return forward, jacobian_det
+
+
 def test_ray_map_is_identity_on_builtin_charts():
     """The Gauss lemma g(x) x = x makes the ray map y = int_0^1 g^{1/2}(tx) x dt
     the identity with Jacobian 1, which the pushforward uses in closed form;
     the numerical RayTransform is the reference."""
     rng = np.random.default_rng(31)
+    r = 0.1
     for chart in _builtin_charts():
-        chart_r = geo.rescale_chart(chart, 0.1)
         n = chart.dim
         Y = rng.uniform(-4.0, 4.0, size=(12, n))
-        g = geo.metric_fields(chart_r, Y)["g"]
+        g = geo.metric_fields(chart, r * Y)["g"]
         assert np.abs(np.einsum("mij,mj->mi", g, Y) - Y).max() <= 1e-14
-        ray = gt.RayTransform(chart_r)
-        assert np.abs(ray.forward(Y) - Y).max() <= 1e-13
-        jac, _ = ray.jacobian_det(Y)
-        assert np.abs(jac - 1.0).max() <= 1e-10
+        forward, jacobian_det = _ray_at_scale(chart, r)
+        assert np.abs(forward(Y) - Y).max() <= 1e-13
+        assert np.abs(jacobian_det(Y) - 1.0).max() <= 1e-10
 
 
 def test_first_transform_euclid_identity(euclid2):
-    ray = gt.RayTransform(geo.rescale_chart(euclid2, 0.1))
+    forward, jacobian_det = _ray_at_scale(euclid2, 0.1)
     X = np.array([[0.7, -1.2], [3.0, 2.0]])
-    assert np.abs(ray.forward(X) - X).max() < 1e-13
-    jac, _ = ray.jacobian_det(X)
-    assert np.abs(jac - 1.0).max() < 1e-9
+    assert np.abs(forward(X) - X).max() < 1e-13
+    assert np.abs(jacobian_det(X) - 1.0).max() < 1e-9
 
 
 def test_first_transform_sphere_properties(sphere2):
     r = 0.1
-    ray = gt.RayTransform(geo.rescale_chart(sphere2, r))
+    forward, jacobian_det = _ray_at_scale(sphere2, r)
     X = np.array([[1.0, 0.0], [0.3, 0.9], [2.0, -1.0]])
     # Gauss lemma makes the ray map the identity; fitted r^2 bounds hold
-    assert np.abs(ray.forward(X) - X).max() <= 1.0 * r ** 2
-    jac, _ = ray.jacobian_det(X)
-    assert np.abs(jac - 1.0).max() <= 1.0 * r ** 2
+    assert np.abs(forward(X) - X).max() <= 1.0 * r ** 2
+    assert np.abs(jacobian_det(X) - 1.0).max() <= 1.0 * r ** 2
     # monotone along a fixed ray
     lams = np.linspace(0.1, 2.0, 8)
-    ys = ray.forward(lams[:, None] * np.array([0.6, 0.8]))
+    ys = forward(lams[:, None] * np.array([0.6, 0.8]))
     norms = np.linalg.norm(ys, axis=1)
     assert np.all(np.diff(norms) > 0)
 
 
 def test_first_transform_gradient_norm_reduction(sphere2):
     """Through the (identity) ray map the Euclidean gradient norm matches the
-    rescaled-metric norm to O(r^2 |x|^2)."""
+    norm of the metric read at r x to O(r^2 |x|^2)."""
     r = 0.1
-    chart_r = geo.rescale_chart(sphere2, r)
     X = np.array([[1.0, 0.2], [0.5, -1.5], [2.0, 0.0]])
-    g_inv, _ = geo.inverse_metric_and_density(chart_r, X)
+    g_inv, _ = geo.inverse_metric_and_density(sphere2, r * X)
     w = np.array([0.3, -0.8])
     curved = g_inv.form(np.broadcast_to(w, X.shape))
     flat = float(w @ w)
@@ -306,6 +317,37 @@ def test_pushforward_sphere_pinned():
                                  abs=1e-11)
     assert masses == pytest.approx([0.9933439213159192, 0.9983343230641718],
                                    abs=1e-11)
+
+
+@pytest.mark.parametrize("kind", ["gauss", "parametrix0"])
+def test_pushforward_reads_the_chart_once_per_density(sphere2, monkeypatch, kind):
+    """The pushforward reads the scenario's own chart at r y: one metric
+    evaluation per density evaluation (one Gauss kernel call each) and no
+    kernel_values call, with the record unchanged."""
+    from monolab import kernels
+
+    want = gt.pushforward_deviation(sphere2, 0.1, kind, -0.5)
+    calls = {"metric": 0, "gauss": 0, "kernel_values": 0}
+
+    def counted(name, fn_):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn_(*args, **kwargs)
+        return wrapper
+
+    real_metric = geo.inverse_metric_and_density
+
+    def metric(chart, X):
+        assert chart is sphere2
+        return counted("metric", real_metric)(chart, X)
+
+    monkeypatch.setattr(geo, "inverse_metric_and_density", metric)
+    monkeypatch.setattr(kernels, "gauss_values", counted("gauss", kernels.gauss_values))
+    monkeypatch.setattr(kernels, "kernel_values",
+                        counted("kernel_values", kernels.kernel_values))
+    assert gt.pushforward_deviation(sphere2, 0.1, kind, -0.5) == want
+    assert calls["kernel_values"] == 0
+    assert calls["metric"] == calls["gauss"] > 0
 
 
 def test_pushforward_both_slices(sphere2):

@@ -5,6 +5,8 @@ from monolab import geometry as geo
 from monolab import kernels as ker
 from monolab.errors import DomainError
 
+from conftest import rescaled_chart
+
 SPHERE_DENS_03 = 0.98506735553779858  # sin(0.3)/0.3, Jacobi-field closed form
 
 
@@ -13,11 +15,10 @@ def _density(chart, x):
 
 
 def _dg(chart, X):
-    """dg[m, k, i, j] = d_k g_ij of g = I + phi (u I - z z^T), z = scale x,
+    """dg[m, k, i, j] = d_k g_ij of g = I + phi (u I - z z^T), z = x,
     assembled from the 4-index product rule: the reference for the
     closed-form drift and the Christoffels below."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = chart.scale * X
+    Z = np.atleast_2d(np.asarray(X, dtype=float))
     eye = np.eye(chart.dim)
     u = np.sum(Z * Z, axis=1)
     phi, dphi = geo._phi_field(chart, Z, u, 1)
@@ -27,7 +28,7 @@ def _dg(chart, X):
           - eye[None, :, :, None] * Z[:, None, None, :]
           - Z[:, None, :, None] * eye[None, :, None, :])
     dg = dphi[:, :, None, None] * T[:, None, :, :] + phi[:, None, None, None] * dT
-    return chart.scale * dg if chart.scale != 1.0 else dg
+    return dg
 
 
 def _einsum_drift(chart, X):
@@ -82,14 +83,13 @@ def test_metric_inverse_consistency(sphere2, perturbed2):
 
 
 def _rank_one_charts():
-    """Every chart family at n = 1..3, each also rescaled by 0.1."""
+    """Every chart family at n = 1..3."""
     for n in (1, 2, 3):
-        charts = [geo.euclidean_chart(n), geo.constant_curvature_chart(n, 1.0),
-                  geo.constant_curvature_chart(n, -1.0)]
-        charts += [geo.perturbed_chart(n, 0.1, shape) for shape in ("const", "radial", "wave")]
-        for chart in charts:
-            yield chart
-            yield geo.rescale_chart(chart, 0.1)
+        yield geo.euclidean_chart(n)
+        yield geo.constant_curvature_chart(n, 1.0)
+        yield geo.constant_curvature_chart(n, -1.0)
+        for shape in ("const", "radial", "wave"):
+            yield geo.perturbed_chart(n, 0.1, shape)
 
 
 def _sample(chart, rng, m=40):
@@ -102,7 +102,7 @@ def _sample(chart, rng, m=40):
 
 def test_inverse_metric_matches_numerical_inverse():
     """form and entry equal the numerical inverse of g to 1e-14 relative on
-    every family, dimension and a 0.1 rescaling, the origin included."""
+    every family and dimension, the origin included."""
     rng = np.random.default_rng(7)
     for chart in _rank_one_charts():
         n = chart.dim
@@ -144,16 +144,14 @@ def test_euclidean_form_is_bitwise_the_identity_contraction(n):
 def _zhat_radial_reference(chart, X):
     """d/drho log sqrt(det g) by the unit-vector and einsum route the closed
     form replaced."""
-    s = chart.scale
-    Z = s * X
-    u = np.sum(Z * Z, axis=1)
-    phi, dphi = geo._phi_field(chart, Z, u, 1)
+    u = np.sum(X * X, axis=1)
+    phi, dphi = geo._phi_field(chart, X, u, 1)
     rho = np.sqrt(np.sum(X * X, axis=1))
     lam = 1.0 + phi * u
     with np.errstate(invalid="ignore", divide="ignore"):
         zhat = np.where(rho[:, None] > 0, X / np.where(rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-    dphi_r = np.einsum("mk,mk->m", dphi, zhat) * s
-    du_r = 2.0 * np.einsum("mk,mk->m", Z, zhat) * s
+    dphi_r = np.einsum("mk,mk->m", dphi, zhat)
+    du_r = 2.0 * np.einsum("mk,mk->m", X, zhat)
     return (chart.dim - 1) / 2.0 * (dphi_r * u + phi * du_r) / lam
 
 
@@ -225,28 +223,17 @@ def test_christoffel_against_symbolic_oracle(perturbed2):
     assert np.abs(dg - dg_sym).max() < 1e-12
 
 
-def _drift_charts():
-    for n in (1, 2, 3):
-        yield geo.euclidean_chart(n)
-        yield geo.constant_curvature_chart(n, 1.0)
-        yield geo.constant_curvature_chart(n, -1.0)
-        for shape in ("const", "radial", "wave"):
-            yield geo.perturbed_chart(n, 0.1, shape)
-
-
 def test_closed_form_drift_matches_einsum_reference():
     """The closed-form drift equals the numerical-inverse einsum drift on every
-    built-in family, n = 1..3, rescaled by 0.1, at the origin included."""
+    built-in family, n = 1..3, at the origin included."""
     rng = np.random.default_rng(5)
-    for base in _drift_charts():
-        for r in (1.0, 0.1):
-            chart = geo.rescale_chart(base, r)
-            n = chart.dim
-            X = np.vstack([np.zeros(n), rng.uniform(-0.55, 0.55, (200, n)) / r])
-            b = geo.divergence_drift(chart, X)
-            assert b.shape == X.shape
-            assert np.abs(b - _einsum_drift(chart, X)).max() < 1e-14, (chart, r)
-            assert np.all(b[0] == 0.0)
+    for chart in _rank_one_charts():
+        n = chart.dim
+        X = np.vstack([np.zeros(n), rng.uniform(-0.55, 0.55, (200, n))])
+        b = geo.divergence_drift(chart, X)
+        assert b.shape == X.shape
+        assert np.abs(b - _einsum_drift(chart, X)).max() < 1e-14, chart
+        assert np.all(b[0] == 0.0)
 
 
 def test_drift_against_symbolic_oracle(perturbed2):
@@ -303,34 +290,37 @@ def test_chi1_value_does_not_depend_on_order():
     assert np.array_equal(v0, geo._chi1(w, 1)[0])
 
 
-def test_rescale_identity_and_exactness(sphere2):
-    same = geo.rescale_chart(sphere2, 1.0)
-    y = np.array([[0.21, -0.34]])
-    assert np.array_equal(geo.metric_fields(same, y)["g"],
-                          geo.metric_fields(sphere2, y)["g"])
-    r = 0.1
-    resc = geo.rescale_chart(sphere2, r)
-    assert resc.radius == pytest.approx(sphere2.radius / r)
-    ys = np.array([[1.5, 2.0], [0.4, -3.1]])
-    assert np.array_equal(geo.metric_fields(resc, ys)["g"],
-                          geo.metric_fields(sphere2, r * ys)["g"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["euclidean", "K=1", "K=-1"])
+def test_closed_form_rescaled_chart_is_the_chart_at_r_y(n, family):
+    """The tests' closed-form rescaled chart (flat stays flat, K becomes
+    K r^2 on radius / r) reads bit for bit what the chart itself reads at r y
+    for r = 1/16: the reference the rescaling-identity tests build on."""
+    chart = (geo.euclidean_chart(n) if family == "euclidean"
+             else geo.constant_curvature_chart(n, float(family[2:])))
+    r = 1.0 / 16.0
+    resc = rescaled_chart(chart, r)
+    assert resc.radius == chart.radius / r
+    rng = np.random.default_rng(n)
+    Y = _sample(resc, rng)
+    g_resc, dens_resc = geo.inverse_metric_and_density(resc, Y)
+    g_base, dens_base = geo.inverse_metric_and_density(chart, r * Y)
+    assert np.array_equal(dens_resc, dens_base)
+    assert np.array_equal(g_resc.lam, g_base.lam)
+    V = rng.standard_normal(Y.shape)
+    assert np.array_equal(g_resc.form(V), g_base.form(V))
+    assert all(np.array_equal(g_resc.entry(i, j), g_base.entry(i, j))
+               for i in range(n) for j in range(n))
 
 
 def test_rescale_flattens_metric(sphere2, euclid2):
     # |g(ry) - I| ~ K r^2 |y|^2 / 3 tangentially
     r = 0.1
-    resc = geo.rescale_chart(sphere2, r)
     y = np.array([[1.0, 0.0]])
-    dev = np.abs(geo.metric_fields(resc, y)["g"][0] - np.eye(2)).max()
+    dev = np.abs(geo.metric_fields(sphere2, r * y)["g"][0] - np.eye(2)).max()
     expected = r ** 2 / 3.0
     assert 0.5 * expected < dev < 2.0 * expected
-    resc_e = geo.rescale_chart(euclid2, 0.37)
-    assert np.abs(geo.metric_fields(resc_e, y)["g"][0] - np.eye(2)).max() == 0.0
-
-
-def test_rescale_rejects_nonpositive(euclid2):
-    with pytest.raises(ValueError):
-        geo.rescale_chart(euclid2, 0.0)
+    assert np.abs(geo.metric_fields(euclid2, 0.37 * y)["g"][0] - np.eye(2)).max() == 0.0
 
 
 def test_quadratic_flatness_fit():

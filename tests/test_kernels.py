@@ -19,9 +19,8 @@ def test_normalization_at_center(euclid2):
 
 
 def test_frozen_value_n1():
-    # |x| = 2 sits outside a unit chart; a rescaled chart keeps the point legal
-    ch = geo.rescale_chart(geo.euclidean_chart(1), 0.25)
-    assert gauss_at(ch, np.array([2.0]), 1.0) == pytest.approx(GAUSS_N1_X2_T1, abs=1e-6)
+    # |x| = 2 sits outside the unit chart; the Gauss kernel reads no metric
+    assert gauss_at(geo.euclidean_chart(1), np.array([2.0]), 1.0) == pytest.approx(GAUSS_N1_X2_T1, abs=1e-6)
 
 
 def test_kernel_mass_by_quadrature(euclid2):

@@ -261,22 +261,22 @@ def test_per_point_times_match_per_time_calls(n):
 # families
 
 
-def test_null_family():
-    pair = make_family("Null", {"dim": 2})
+def test_null_family(euclid2):
+    pair = make_family("Null", {}, chart=euclid2)
     X = np.random.default_rng(0).uniform(-1, 1, (10, 2))
     assert np.all(pair.plus.value(X, -0.5) == 0.0)
     assert np.all(pair.minus.grad(X, -0.5) == 0.0)
 
 
-def test_unknown_family_and_bad_params():
+def test_unknown_family_and_bad_params(euclid2):
     with pytest.raises(ValueError):
-        make_family("Mystery", {})
+        make_family("Mystery", {}, chart=euclid2)
     with pytest.raises(ValueError):
-        make_family("PowerWedge", {"beta": 1.5, "dim": 2})
+        make_family("PowerWedge", {"beta": 1.5}, chart=euclid2)
     with pytest.raises(ValueError):
-        make_family("DriftTwoPlane", {"c": 0.7, "dim": 2})
+        make_family("DriftTwoPlane", {"c": 0.7}, chart=euclid2)
     with pytest.raises(ValueError):
-        make_family("TwoPlaneCaloric", {"alpha": -1.0, "dim": 2})
+        make_family("TwoPlaneCaloric", {"alpha": -1.0}, chart=euclid2)
 
 
 def test_caloric_disjoint_and_admissible(euclid2):
