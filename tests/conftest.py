@@ -1,11 +1,23 @@
+import io
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from monolab import geometry, quadrature
+from monolab import cli, geometry, quadrature
 from monolab import functional as fn
 from monolab.solutions import TwoPhasePair, make_family
+
+
+@pytest.fixture(scope="session")
+def suite_runs(tmp_path_factory):
+    """The shipped six-scenario suite, run twice: (root, exit codes); the
+    reports are under root/run1 and root/run2."""
+    root = tmp_path_factory.mktemp("suite")
+    paths = cli.shipped_scenario_paths()
+    code1 = cli.check_suite(paths, str(root / "run1"), stream=io.StringIO())
+    code2 = cli.check_suite(paths, str(root / "run2"), stream=io.StringIO())
+    return root, code1, code2
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,10 @@ solutions, and byte comparison for determinism.
 
 import filecmp
 import glob
-import io
 import os
 
 import numpy as np
 import pytest
-from monolab import cli
 from monolab import functional as fn
 from monolab import gauss_transforms as gt
 from monolab import geometry as geo
@@ -27,16 +25,6 @@ from conftest import build_input
 def _line(num, ok, detail):
     print(f"[acceptance {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-@pytest.fixture(scope="module")
-def suite_runs(tmp_path_factory):
-    """The shipped six-scenario suite, run twice."""
-    root = tmp_path_factory.mktemp("suite")
-    paths = cli.shipped_scenario_paths()
-    code1 = cli.check_suite(paths, str(root / "run1"), stream=io.StringIO())
-    code2 = cli.check_suite(paths, str(root / "run2"), stream=io.StringIO())
-    return root, code1, code2
 
 
 def test_01_caloric_phi_plateau(caloric_ladder):
