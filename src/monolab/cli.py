@@ -95,7 +95,7 @@ def run_scenario(cfg):
         environment=environment_info(extra={
             "kernel": cfg.kernel_kind,
             "pair": cfg.pair_family,
-            "manifold": cfg.manifold_family,
+            "manifold": cfg.chart.family,
             # check constants depend on the cutoff profile; record its bounds
             "cutoff_grad_bound": inp.profile.grad_bound,
             "cutoff_laplace_bound": inp.profile.laplace_bound,

@@ -12,7 +12,7 @@ that the chosen family does not read is an error too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geometry, kernels, quadrature
 from .errors import ConfigError
@@ -28,38 +28,27 @@ ALL_CHECKS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    scenario_id: str = "scenario"
-    manifold_family: str = "euclidean"
-    n: int = 2
-    delta_p: float = 1.0
-    curvature: float = 1.0
-    epsilon: float = 0.05
-    shape: str = "wave"
-    pair_family: str = "TwoPlaneCaloric"
-    pair_params: dict = field(default_factory=dict)
-    kernel_kind: str = "gauss"
-    grid_h: float = 0.1
-    grid_q: float = 0.85
-    grid_dt0: float = 0.2
-    quad_nodes: int = 0              # 0: pick the per-dimension default
-    quad_slices_per_scale: int = 40
-    quad_time_blocks: int = 16
-    k_min: int = 2
-    k_max: int = 5
-    c0: float = 10.0
-    c1: float = 1.0
-    checks: tuple = ("ladder",)
-    thm1_guard: float = 100.0
-    thm2_eps: float = 1.0
-    sd_r: float = 0.0625
-    positivity_r: float = 0.0625
-    bkp_rs: tuple = (0.2, 0.1, 0.05, 0.025)
-    # built from the keys above by parse_config_text
-    chart: geometry.NormalChart | None = None
-    grid: SpaceTimeGrid | None = None
-    quad: quadrature.QuadratureConfig | None = None
+    """A parsed scenario: the chart, grid and rule built from the manifold.*,
+    grid.* and quad.* keys, and the other settings the runner reads."""
+    scenario_id: str
+    pair_family: str
+    pair_params: dict
+    kernel_kind: str
+    k_min: int
+    k_max: int
+    c0: float
+    c1: float
+    checks: tuple
+    thm1_guard: float
+    thm2_eps: float
+    sd_r: float
+    positivity_r: float
+    bkp_rs: tuple
+    chart: geometry.NormalChart
+    grid: SpaceTimeGrid
+    quad: quadrature.QuadratureConfig
 
 
 def _parse_float(raw):
@@ -92,47 +81,51 @@ def _parse_str_list(raw):
 # underflow, and far below any scale the default rules resolve.
 _MIN_SCALE = 1e-6
 
-# key -> (attribute, converter); pair.* keys are collected into pair_params
+# scale key -> the checks that read it
+_SCALE_READERS = {"sd.r": {"scale_derivative"}, "positivity.r": {"positivity"},
+                  "bkp.rs": {"bkp_perturbed", "pushforward"}}
+
+# key -> (the ScenarioConfig attribute it sets, or None for a key that only
+# builds the chart, the grid or the rule; its converter; its default).
+# pair.* keys are collected into pair_params.
 _KEYS = {
-    "scenario.id": ("scenario_id", str),
-    "manifold.family": ("manifold_family", str),
-    "manifold.n": ("n", int),
-    "manifold.delta_p": ("delta_p", _parse_float),
-    "manifold.K": ("curvature", _parse_float),
-    "manifold.epsilon": ("epsilon", _parse_float),
-    "manifold.shape": ("shape", str),
-    "pair.family": ("pair_family", str),
-    "kernel.kind": ("kernel_kind", str),
-    "grid.h": ("grid_h", _parse_float),
-    "grid.q": ("grid_q", _parse_float),
-    "grid.dt0": ("grid_dt0", _parse_float),
-    "quad.nodes": ("quad_nodes", int),
-    "quad.slices_per_scale": ("quad_slices_per_scale", int),
-    "quad.time_blocks": ("quad_time_blocks", int),
-    "ladder.k_min": ("k_min", int),
-    "ladder.k_max": ("k_max", int),
-    "ladder.C0": ("c0", _parse_float),
-    "ladder.C1": ("c1", _parse_float),
-    "checks": ("checks", _parse_str_list),
-    "thm1.guard": ("thm1_guard", _parse_float),
-    "thm2.eps": ("thm2_eps", _parse_float),
-    "sd.r": ("sd_r", _parse_float),
-    "positivity.r": ("positivity_r", _parse_float),
-    "bkp.rs": ("bkp_rs", _parse_float_list),
+    "scenario.id": ("scenario_id", str, "scenario"),
+    "manifold.family": (None, str, "euclidean"),
+    "manifold.n": (None, int, 2),
+    "manifold.delta_p": (None, _parse_float, 1.0),
+    "manifold.K": (None, _parse_float, 1.0),
+    "manifold.epsilon": (None, _parse_float, 0.05),
+    "manifold.shape": (None, str, "wave"),
+    "pair.family": ("pair_family", str, "TwoPlaneCaloric"),
+    "kernel.kind": ("kernel_kind", str, "gauss"),
+    "grid.h": (None, _parse_float, 0.1),
+    "grid.q": (None, _parse_float, 0.85),
+    "grid.dt0": (None, _parse_float, 0.2),
+    "quad.nodes": (None, int, 0),           # 0: pick the per-dimension default
+    "quad.slices_per_scale": (None, int, 40),
+    "quad.time_blocks": (None, int, 16),
+    "ladder.k_min": ("k_min", int, 2),
+    "ladder.k_max": ("k_max", int, 5),
+    "ladder.C0": ("c0", _parse_float, 10.0),
+    "ladder.C1": ("c1", _parse_float, 1.0),
+    "checks": ("checks", _parse_str_list, ("ladder",)),
+    "thm1.guard": ("thm1_guard", _parse_float, 100.0),
+    "thm2.eps": ("thm2_eps", _parse_float, 1.0),
+    "sd.r": ("sd_r", _parse_float, 0.0625),
+    "positivity.r": ("positivity_r", _parse_float, 0.0625),
+    "bkp.rs": ("bkp_rs", _parse_float_list, (0.2, 0.1, 0.05, 0.025)),
 }
 
 # pair parameter type (families.param_types) -> its text converter
 _PAIR_PARSERS = {float: _parse_float, int: int, bool: _parse_bool}
 
 # manifold.family -> (the manifold keys it reads beyond manifold.n and
-# manifold.delta_p, its chart through the family's constructor)
+# manifold.delta_p, its chart constructor, which takes n, those keys' values
+# in that order and delta_p)
 _CHARTS = {
-    "euclidean": ((), lambda cfg: geometry.euclidean_chart(cfg.n, cfg.delta_p)),
-    "const_curvature": (("manifold.K",), lambda cfg: geometry.constant_curvature_chart(
-        cfg.n, cfg.curvature, cfg.delta_p)),
-    "perturbed": (("manifold.epsilon", "manifold.shape"),
-                  lambda cfg: geometry.perturbed_chart(
-                      cfg.n, cfg.epsilon, cfg.shape, cfg.delta_p)),
+    "euclidean": ((), geometry.euclidean_chart),
+    "const_curvature": (("manifold.K",), geometry.constant_curvature_chart),
+    "perturbed": (("manifold.epsilon", "manifold.shape"), geometry.perturbed_chart),
 }
 _CHART_KEYS = {key for reads, _ in _CHARTS.values() for key in reads}
 
@@ -147,7 +140,7 @@ def _convert(conv, raw, line=None, key=None):
 def parse_config_text(text, name=None):
     """The scenario config in ``text``; an error names ``name`` (the file the
     text came from), the line and the key."""
-    cfg = ScenarioConfig()
+    values = {key: default for key, (_, _, default) in _KEYS.items()}
     lines, pair_text = {}, {}
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,25 +153,25 @@ def parse_config_text(text, name=None):
             key = key.strip()
             raw_val = raw_val.strip()
             if key in _KEYS:
-                attr, conv = _KEYS[key]
-                setattr(cfg, attr, _convert(conv, raw_val, line=lineno, key=key))
+                values[key] = _convert(_KEYS[key][1], raw_val, line=lineno, key=key)
             elif key.startswith("pair."):
                 pair_text[key[len("pair."):]] = raw_val
             else:
                 raise ConfigError("unknown key", line=lineno, key=key)
             lines[key] = lineno
-        types = param_types(cfg.pair_family)
+        family = values["pair.family"]
+        types = param_types(family)
+        pair_params = {}
         for sub, raw_val in pair_text.items():
             if sub not in types:
-                raise ConfigError(f"pair family {cfg.pair_family} reads no "
+                raise ConfigError(f"pair family {family} reads no "
                                   f"parameter {sub!r}", key=f"pair.{sub}")
-            cfg.pair_params[sub] = _convert(_PAIR_PARSERS[types[sub]], raw_val,
-                                            key=f"pair.{sub}")
-        _validate(cfg, set_keys=lines)
+            pair_params[sub] = _convert(_PAIR_PARSERS[types[sub]], raw_val,
+                                        key=f"pair.{sub}")
+        return _build(values, pair_params, set_keys=lines)
     except ConfigError as exc:
         line = exc.line if exc.line is not None else lines.get(exc.key)
         raise ConfigError(exc.message, line=line, key=exc.key, source=name) from None
-    return cfg
 
 
 def parse_config(path):
@@ -198,58 +191,70 @@ def parse_config(path):
     return parse_config_text(text, name=str(path))
 
 
-def _validate(cfg, set_keys):
-    """Check the limits no constructor holds and build the chart, the grid
-    and the quadrature rule, whose constructors hold the rest.  ``set_keys``
-    are the keys the text sets."""
-    if cfg.scenario_id in ("", ".", "..") or any(c in cfg.scenario_id for c in "/\\\0"):
-        raise ConfigError(f"scenario.id {cfg.scenario_id!r} must be a plain directory "
-                          "name", key="scenario.id")
-    if not cfg.n <= 3:
+def _build(values, pair_params, set_keys):
+    """The frozen config of the key ``values``: check the limits no
+    constructor holds and build the chart, the grid and the quadrature rule,
+    whose constructors hold the rest.  ``set_keys`` are the keys the text
+    sets."""
+    sid = values["scenario.id"]
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise ConfigError(f"scenario.id {sid!r} must be a plain directory name",
+                          key="scenario.id")
+    if not values["manifold.n"] <= 3:
         # the annulus rule of the quadrature has polar rules for n <= 3 only
         raise ConfigError("manifold.n must lie in 1..3", key="manifold.n")
-    if cfg.manifold_family not in _CHARTS:
-        raise ConfigError(f"unknown manifold family {cfg.manifold_family!r} "
+    family = values["manifold.family"]
+    if family not in _CHARTS:
+        raise ConfigError(f"unknown manifold family {family!r} "
                           f"(known: {', '.join(_CHARTS)})", key="manifold.family")
-    reads, build_chart = _CHARTS[cfg.manifold_family]
+    reads, build_chart = _CHARTS[family]
     unread = sorted(_CHART_KEYS.difference(reads).intersection(set_keys),
                     key=set_keys.get)
     if unread:
-        raise ConfigError(f"manifold family {cfg.manifold_family} reads no "
-                          f"{unread[0]}", key=unread[0])
-    cfg.chart = build_chart(cfg)
-    cfg.grid = SpaceTimeGrid.geometric(cfg.n, cfg.delta_p, cfg.grid_h,
-                                       ratio=cfg.grid_q, dt0=cfg.grid_dt0)
-    cfg.quad = quadrature.default_config(
-        cfg.n, nodes=cfg.quad_nodes, slices_per_scale=cfg.quad_slices_per_scale,
-        time_blocks=cfg.quad_time_blocks)
-    if cfg.kernel_kind not in kernels.KINDS:
-        raise ConfigError(f"unknown kernel kind {cfg.kernel_kind!r} "
+        raise ConfigError(f"manifold family {family} reads no {unread[0]}",
+                          key=unread[0])
+    chart = build_chart(values["manifold.n"], *(values[key] for key in reads),
+                        values["manifold.delta_p"])
+    grid = SpaceTimeGrid.geometric(chart.dim, chart.radius, values["grid.h"],
+                                   ratio=values["grid.q"], dt0=values["grid.dt0"])
+    quad = quadrature.default_config(
+        chart.dim, nodes=values["quad.nodes"],
+        slices_per_scale=values["quad.slices_per_scale"],
+        time_blocks=values["quad.time_blocks"])
+    if values["kernel.kind"] not in kernels.KINDS:
+        raise ConfigError(f"unknown kernel kind {values['kernel.kind']!r} "
                           f"(known: {', '.join(kernels.KINDS)})", key="kernel.kind")
-    family_params(cfg.pair_family, cfg.pair_params, cfg.grid)
-    if cfg.k_max < cfg.k_min:
+    family_params(values["pair.family"], pair_params, grid)
+    k_min, k_max = values["ladder.k_min"], values["ladder.k_max"]
+    if k_max < k_min:
         raise ConfigError("k range is empty", key="ladder.k_max")
-    if 4.0 ** (-cfg.k_max) < _MIN_SCALE:
+    if 4.0 ** (-k_max) < _MIN_SCALE:
         raise ConfigError(f"4^-k_max must be >= {_MIN_SCALE:g}", key="ladder.k_max")
-    if 4.0 ** (-cfg.k_min) > cfg.delta_p / 2.0:
+    if 4.0 ** (-k_min) > chart.radius / 2.0:
         raise ConfigError("4^{-k_min} must not exceed delta_p/2", key="ladder.k_min")
-    if not cfg.checks:
+    checks = values["checks"]
+    if not checks:
         raise ConfigError("no checks requested", key="checks")
-    unknown = [c for c in cfg.checks if c not in ALL_CHECKS]
+    unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown} (known: {list(ALL_CHECKS)})",
                           key="checks")
-    if len(set(cfg.checks)) < len(cfg.checks):
-        raise ConfigError(f"checks repeats a name: {list(cfg.checks)}", key="checks")
-    if not 0.0 < cfg.thm2_eps <= 1.0:
+    if len(set(checks)) < len(checks):
+        raise ConfigError(f"checks repeats a name: {list(checks)}", key="checks")
+    if not 0.0 < values["thm2.eps"] <= 1.0:
         raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
-    if not cfg.thm1_guard > 0.0:
+    if not values["thm1.guard"] > 0.0:
         raise ConfigError("thm1.guard must be positive", key="thm1.guard")
-    if len(set(cfg.bkp_rs)) < 2:
+    if len(set(values["bkp.rs"])) < 2:
         raise ConfigError("bkp.rs must list at least two distinct scales to fit "
                           "a slope through", key="bkp.rs")
-    for key, value in ([("sd.r", cfg.sd_r), ("positivity.r", cfg.positivity_r)]
-                       + [("bkp.rs", r) for r in cfg.bkp_rs]):
-        if not _MIN_SCALE <= value <= cfg.delta_p / 4.0:
+    for key, readers in _SCALE_READERS.items():
+        if key not in set_keys and not readers.intersection(checks):
+            continue                # a default that no requested check reads
+        scales = values[key] if key == "bkp.rs" else (values[key],)
+        if not all(_MIN_SCALE <= r <= chart.radius / 4.0 for r in scales):
             raise ConfigError(f"{key} must lie in [{_MIN_SCALE:g}, delta_p/4]",
                               key=key)
+    return ScenarioConfig(
+        **{attr: values[key] for key, (attr, _, _) in _KEYS.items() if attr},
+        pair_params=pair_params, chart=chart, grid=grid, quad=quad)

@@ -11,7 +11,7 @@ import pytest
 import monolab
 from monolab import cli
 from monolab.cli import LADDER_HEADER, PHI_CURVE_HEADER
-from monolab.config import ALL_CHECKS, parse_config, parse_config_text
+from monolab.config import ALL_CHECKS, ScenarioConfig, parse_config, parse_config_text
 from monolab.errors import ConfigError
 from monolab.report import write_report
 
@@ -75,7 +75,15 @@ def test_parse_roundtrip():
     assert cfg.pair_family == "TwoPlaneCaloric"
     assert cfg.pair_params == {"alpha": 1.0, "beta": 1.0}
     assert cfg.checks == ("ladder", "prop1", "thm1")
-    assert cfg.quad_nodes == 32
+    assert cfg.quad.nodes == 32
+
+
+def test_config_is_frozen_and_only_built_by_the_parser():
+    cfg = parse_config_text(FAST_CALORIC)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k_min = 3
+    with pytest.raises(TypeError):
+        ScenarioConfig()        # no field has a default
 
 
 def test_parse_comments_and_blank_lines():
@@ -199,6 +207,21 @@ def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     bad.write_text(FAST_NULL + text)
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def test_unset_scale_read_by_no_check_leaves_a_small_chart_alone(tmp_path, capsys):
+    """On a chart with delta_p = 0.1 the default scales (1/16 and up) exceed
+    delta_p/4, but a scale the text does not set is checked only when a
+    requested check reads it: a ladder runs (it exited 2 naming sd.r, with
+    no line), and the scale derivative is still refused."""
+    small = "manifold.delta_p = 0.1\nladder.k_min = 3\n"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(small + "checks = ladder\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(small + "checks = scale_derivative\n")
+    assert (err.value.key, err.value.line) == ("sd.r", None)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
