@@ -34,7 +34,6 @@ from .errors import DegenerateInputError, DomainError, PreconditionError
 __all__ = [
     "GaussMeasure",
     "GaussField",
-    "gauss_density",
     "gauss_integral",
     "rayleigh_quotient",
     "gaussian_poincare_check",
@@ -80,13 +79,6 @@ def half_plane_field(n, sign=+1, power=1.0):
         return out
 
     return GaussField(value=value, grad=grad)
-
-
-def gauss_density(measure, X):
-    X = np.atleast_2d(X)
-    v = measure.variance
-    return ((2.0 * np.pi * v) ** (-measure.dim / 2.0)
-            * np.exp(-np.sum(X * X, axis=1) / (2.0 * v)))
 
 
 def gauss_integral(f, measure):
@@ -246,15 +238,17 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None)
     t = -s
     v = 2.0 * t
     kern = kernels.KernelSpec(kernel_kind, chart)
-    measure = GaussMeasure(n, v)
+
+    def gauss(Y):
+        # the Gauss kernel at time t is the density of the variance-v measure
+        return kernels.gauss_values(n, np.sum(Y * Y, axis=1), t)
 
     def density_after_ray(Y):
         _, dens = geometry.inverse_metric_and_density(chart, r * Y)
-        return (kernels.gauss_values(n, np.sum(Y * Y, axis=1), t) * kern.factor(dens)
-                * dens)
+        return gauss(Y) * kern.factor(dens) * dens
 
     def a_field(Y):
-        return density_after_ray(Y) / gauss_density(measure, Y) - 1.0
+        return density_after_ray(Y) / gauss(Y) - 1.0
 
     psi_map = PsiMap(a_field, variance=v)
 
@@ -265,9 +259,9 @@ def pushforward_deviation(chart, r, kernel_kind="parametrix0", s=-0.5, cfg=None)
     ax = np.linspace(-4.0, 4.0, 17)     # the sup deviation's sample grid
     grids = np.meshgrid(*([ax] * n), indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=1)
-    dev = pushforward_density(Z) / gauss_density(measure, Z) - 1.0
+    dev = pushforward_density(Z) / gauss(Z) - 1.0
     mass = quadrature.gauss_weighted_integral(
-        lambda W: pushforward_density(W) / gauss_density(measure, W), n, v, cfg)
+        lambda W: pushforward_density(W) / gauss(W), n, v, cfg)
     return {
         "r": r,
         "s": s,

@@ -128,10 +128,6 @@ class NormalChart:
     epsilon: float = 0.0
     shape: str = "wave"
 
-    def contains(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sqrt(np.sum(X * X, axis=1)) < self.radius + 1e-12
-
 
 def euclidean_chart(n, radius=1.0):
     _check_new_chart(n, radius)

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DomainError
 
 __all__ = [
     "KernelSpec",
-    "parametrix_phi0",
     "gauss_values",
     "kernel_values",
 ]
@@ -59,11 +57,3 @@ def kernel_values(spec, X, t):
     if spec.kind == "parametrix0":
         vals = vals * spec.factor(geometry.inverse_metric_and_density(spec.chart, X)[1])
     return vals
-
-
-def parametrix_phi0(chart, x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(chart.contains(x)):
-        raise DomainError("point outside chart ball")
-    dens = geometry.inverse_metric_and_density(chart, x[None])[1][0]
-    return float(KernelSpec("parametrix0", chart).factor(dens))

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from monolab import geometry as geo
-from monolab import kernels as ker
-from monolab.errors import DomainError
 
 from conftest import rescaled_chart
 
@@ -170,12 +168,6 @@ def test_radial_log_density_derivative_closed_form():
         diff = (np.log(geo.inverse_metric_and_density(chart, X[1:] + h * ray)[1])
                 - np.log(geo.inverse_metric_and_density(chart, X[1:] - h * ray)[1])) / (2 * h)
         assert np.abs(dlog[1:] - diff).max() <= 1e-8, chart
-
-
-def test_metric_outside_chart_raises(euclid2):
-    # the order-zero parametrix factor is the metric quantity with a domain guard
-    with pytest.raises(DomainError):
-        ker.parametrix_phi0(euclid2, np.array([1.5, 0.0]))
 
 
 def test_distance_on_sphere_via_geodesic_shooting(sphere2):
