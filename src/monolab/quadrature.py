@@ -40,7 +40,6 @@ however the slices and rows are grouped.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -181,27 +180,18 @@ def annulus_rule(n, a, b, n_r, n_ang):
     return P, w
 
 
-# kernel -> {(inner, outer): annulus fields}; an entry lives as long as its kernel
-_ANNULUS_FIELDS = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=64)
 def _annulus_fields(kernel, cutoff):
     """Time-independent fields of the annulus rule: points (one row), weights,
     g_inv, density, |x|^2, 1 - chi and the kernel's order-zero factor
-    (``KernelSpec.factor``), once per (chart, kernel kind, annulus)."""
-    per_kernel = _ANNULUS_FIELDS.setdefault(kernel, {})
-    zone = (cutoff.inner, cutoff.outer)
-    fields = per_kernel.get(zone)
-    if fields is None:
-        P, w = annulus_rule(kernel.chart.dim, float(cutoff.inner),
-                            float(cutoff.outer), _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
-        P = P[None]     # one row of points for every time
-        g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
-        rho_sq = np.sum(P * P, axis=-1)
-        fields = (P, w, g_inv, dens, rho_sq, 1.0 - chi(cutoff, np.sqrt(rho_sq)),
-                  kernel.factor(dens))
-        per_kernel[zone] = fields
-    return fields
+    (``KernelSpec.factor``), once per (chart, kernel kind, cutoff profile)."""
+    P, w = annulus_rule(kernel.chart.dim, float(cutoff.inner), float(cutoff.outer),
+                        _ANNULUS_RADIAL, _ANNULUS_ANGULAR)
+    P = P[None]     # one row of points for every time
+    g_inv, dens = geometry.inverse_metric_and_density(kernel.chart, P)
+    rho_sq = np.sum(P * P, axis=-1)
+    return (P, w, g_inv, dens, rho_sq, 1.0 - chi(cutoff, np.sqrt(rho_sq)),
+            kernel.factor(dens))
 
 
 def _runs(indices, size):

@@ -460,7 +460,8 @@ def test_slice_table_not_shared_by_copies(euclid2, lean_quad2):
     # equal to them, so it reads the parent's cached annulus fields
     coarse = dataclasses.replace(inp, quad=quad.default_config(2, nodes=16))
     assert coarse.profile == inp.profile and coarse.kernel == inp.kernel
-    assert quad._ANNULUS_FIELDS[coarse.kernel] is quad._ANNULUS_FIELDS[inp.kernel]
+    assert (quad._annulus_fields(coarse.kernel, coarse.profile)
+            is quad._annulus_fields(inp.kernel, inp.profile))
 
 
 def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
