@@ -6,7 +6,8 @@ bytes and malformed values are reported with their line number.  Parsing
 builds the scenario's chart, solver grid and quadrature rule through their
 own constructors, which hold the limits on their keys; an error names its
 file, its key, and the line that sets it.  A pair parameter or a manifold key
-that the chosen family does not read is an error too.
+that the chosen family does not read is an error too.  A default scale is
+checked only where a requested check reads it.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def parse_config(path):
 
 
 def _build(values, pair_params, set_keys):
-    """The frozen config of the key ``values``: check the limits no
+    """The ScenarioConfig of the parsed key ``values``: check the limits no
     constructor holds and build the chart, the grid and the quadrature rule,
     whose constructors hold the rest.  ``set_keys`` are the keys the text
     sets."""

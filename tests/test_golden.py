@@ -11,8 +11,8 @@ in a commit of its own and lists each moved value in CHANGES.md::
 
     python -m monolab suite --glob 'src/monolab/scenarios/*.cfg' --out DIR
 
-then copy each ``DIR/<scenario>/*.csv`` and ``*.dat`` file over
-``tests/golden/<scenario>/`` and delete the rest of ``DIR``.
+then copy each ``DIR/<scenario>/*.csv`` and ``*.dat`` file (not report.json)
+over ``tests/golden/<scenario>/``.
 """
 
 import math
