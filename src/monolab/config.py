@@ -6,8 +6,9 @@ bytes and malformed values are reported with their line number.  Parsing
 builds the scenario's chart, solver grid and quadrature rule through their
 own constructors, which hold the limits on their keys; an error names its
 file, its key, and the line that sets it.  A pair parameter or a manifold key
-that the chosen family does not read is an error too.  A default scale is
-checked only where a requested check reads it.
+that the chosen family does not read is an error too.  A default ladder
+range or scale is checked only where a requested check reads it, and its
+refusal names the default and the key to set.
 """
 
 from __future__ import annotations
@@ -82,9 +83,11 @@ def _parse_str_list(raw):
 # underflow, and far below any scale the default rules resolve.
 _MIN_SCALE = 1e-6
 
-# scale key -> the checks that read it
-_SCALE_READERS = {"sd.r": {"scale_derivative"}, "positivity.r": {"positivity"},
-                  "bkp.rs": {"bkp_perturbed", "pushforward"}}
+# scale or ladder key -> the checks that read it
+_READERS = {"sd.r": {"scale_derivative"}, "positivity.r": {"positivity"},
+            "bkp.rs": {"bkp_perturbed", "pushforward"},
+            **dict.fromkeys(("ladder.k_min", "ladder.k_max"), {
+                "phi_curve", "ladder", "prop1", "prop2", "thm1", "thm2", "e322"})}
 
 # key -> (the ScenarioConfig attribute it sets, or None for a key that only
 # builds the chart, the grid or the rule; its converter; its default).
@@ -226,13 +229,6 @@ def _build(values, pair_params, set_keys):
         raise ConfigError(f"unknown kernel kind {values['kernel.kind']!r} "
                           f"(known: {', '.join(kernels.KINDS)})", key="kernel.kind")
     family_params(values["pair.family"], pair_params, grid)
-    k_min, k_max = values["ladder.k_min"], values["ladder.k_max"]
-    if k_max < k_min:
-        raise ConfigError("k range is empty", key="ladder.k_max")
-    if 4.0 ** (-k_max) < _MIN_SCALE:
-        raise ConfigError(f"4^-k_max must be >= {_MIN_SCALE:g}", key="ladder.k_max")
-    if 4.0 ** (-k_min) > chart.radius / 2.0:
-        raise ConfigError("4^{-k_min} must not exceed delta_p/2", key="ladder.k_min")
     checks = values["checks"]
     if not checks:
         raise ConfigError("no checks requested", key="checks")
@@ -249,13 +245,28 @@ def _build(values, pair_params, set_keys):
     if len(set(values["bkp.rs"])) < 2:
         raise ConfigError("bkp.rs must list at least two distinct scales to fit "
                           "a slope through", key="bkp.rs")
-    for key, readers in _SCALE_READERS.items():
-        if key not in set_keys and not readers.intersection(checks):
-            continue                # a default that no requested check reads
+
+    def limit(key, ok, message):
+        """Refuse ``key`` unless ``ok``, if the text sets it or a requested
+        check reads it; a refused default is named, with the key to set."""
+        if ok or key not in set_keys and not _READERS[key].intersection(checks):
+            return
+        if key not in set_keys:
+            shown = values[key] if key == "bkp.rs" else (values[key],)
+            message += (f" (the default {key} = "
+                        f"{', '.join(f'{v:g}' for v in shown)}; set {key})")
+        raise ConfigError(message, key=key)
+
+    k_min, k_max = values["ladder.k_min"], values["ladder.k_max"]
+    limit("ladder.k_max", k_min <= k_max, "k range is empty")
+    limit("ladder.k_max", 4.0 ** (-k_max) >= _MIN_SCALE,
+          f"4^-k_max must be >= {_MIN_SCALE:g}")
+    limit("ladder.k_min", 4.0 ** (-k_min) <= chart.radius / 2.0,
+          "4^{-k_min} must not exceed delta_p/2")
+    for key in ("sd.r", "positivity.r", "bkp.rs"):
         scales = values[key] if key == "bkp.rs" else (values[key],)
-        if not all(_MIN_SCALE <= r <= chart.radius / 4.0 for r in scales):
-            raise ConfigError(f"{key} must lie in [{_MIN_SCALE:g}, delta_p/4]",
-                              key=key)
+        limit(key, all(_MIN_SCALE <= r <= chart.radius / 4.0 for r in scales),
+              f"{key} must lie in [{_MIN_SCALE:g}, delta_p/4]")
     return ScenarioConfig(
         **{attr: values[key] for key, (attr, _, _) in _KEYS.items() if attr},
         pair_params=pair_params, chart=chart, grid=grid, quad=quad)

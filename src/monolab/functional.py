@@ -408,7 +408,7 @@ def theorem2_check(input_, eps, rs):
     X = X[np.linalg.norm(X, axis=1) < chart.radius * 0.98]   # one row of points
     times = -np.geomspace(1e-4, chart.radius ** 2, 5)          # k times
     denom = (np.sum(X * X, axis=1) + np.abs(times)[:, None]) ** (eps / 2.0)
-    fitted = float(np.max(np.abs(input_.pair.values(X, times)) / denom))
+    fitted = float(np.max(np.abs(input_.pair.values(X[None], times)) / denom))
     rs = sorted(rs)
     phis = {r: phi(input_, r) for r in rs}
     per_rho = {}

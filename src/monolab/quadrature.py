@@ -8,20 +8,20 @@ split by the cutoff's own chi: the part times chi goes through the scaled
 rule, the part times 1 - chi, on the cutoff annulus, is integrated on a
 polar rule in physical coordinates, where the annulus is fixed.
 
-Integrands take rows of points X (p, m, n) and times S (k,) and return
-(k, m), or (rows, k, m) for several integrands on the same points.  The
-scaled rule's points move with the time, so it passes one row per slice
-(p = k); a rule whose points are fixed in time (the annulus, the unweighted
-integral) passes them once (p = 1) for all the times of a call, so their
-spatial work is done once per call.  An integrand that does not depend on
-the time (a pair free of s) returns a time axis of length 1 for those
-times, (1, m) or (rows, 1, m); a fixed-point rule then calls it once per
-call and reuses that result for every other time.  `slice_integral`
-evaluates a block of slice times at once, with the inverse metric, a
-`geometry.InverseMetric`, computed once per point and the annulus fields
-once per (chart, kernel kind, cutoff annulus).  Integrand calls hold at most
-`_CALL_POINTS` times x points (one slice's rule when that is larger), so
-memory per call stays bounded.
+One array contract runs from the pair samplers to the time rules: points are
+rows X (p, m, n), times a 1-D array S (k,), an integrand returns rows
+(rows, k, m), (plus, minus) for a pair, `slice_integral` returns (rows, k)
+and the time rules (rows,).  The scaled rule's points move with the time, so
+it passes one row per slice (p = k); a rule whose points are fixed in time
+(the annulus, the unweighted integral) passes them once (p = 1) for all the
+times of a call, so their spatial work is done once per call.  An integrand
+free of the time returns a time axis of length 1, (rows, 1, m); a fixed-point
+rule then calls it once per call and reuses the result for every time.
+`slice_integral` evaluates a block of slice times at once, with the inverse
+metric, a `geometry.InverseMetric`, computed once per point and the annulus
+fields once per (chart, kernel kind, cutoff annulus).  Integrand calls hold
+at most `_CALL_POINTS` times x points (one slice's rule when that is larger),
+so memory per call stays bounded.
 
 Time integration over (-r^2, 0) uses one absolute mesh for every scale:
 geometric blocks (-ratio^k, -ratio^(k+1)) shrinking toward 0 (ratio
@@ -32,10 +32,9 @@ sliver.  A scale whose r^2 is no such power gets one partial block
 scales share every slice below the top block of the smaller one.  The time
 rules hand all their nodes to `slice_at(s)` as one array, normally slice
 integrals or table lookups of them, so the caller decides how often each
-slice is evaluated; they take one row of slice values or several (both
-phases) and return a float or (rows,).  All reductions run in a fixed order, and each slice
-keeps its own dot product, so equal inputs give bit-identical results
-however the slices and rows are grouped.
+slice is evaluated; they take rows of slice values (rows, k).  All reductions
+run in a fixed order, and each slice keeps its own dot product, so equal
+inputs give bit-identical results however the slices and rows are grouped.
 """
 
 from __future__ import annotations
@@ -202,41 +201,39 @@ def _runs(indices, size):
 def _fixed_point_runs(f, P, times, *args):
     """f at the fixed row of points P (1, m, n) for the times of a rule call,
     in runs of max(1, _CALL_POINTS // m) times: a list of (run, values) with
-    values (rows, len(run), m), and the leading shape of f's result.
+    values (rows, len(run), m).
 
     An integrand that returns a time axis of length 1 for a run of several
     times does not depend on the time: that result serves the rest of the
     call, broadcast over each run, and f is not called again.  A run of one
     time tells nothing, since every integrand returns one time for it."""
     m = P.shape[-2]
-    out, lead, stationary = [], None, None
+    out, stationary = [], None
     for run in _runs(times, max(1, _CALL_POINTS // m)):
         vals = stationary
         if vals is None:
-            vals = np.asarray(f(P, run, *args), dtype=float)
-            lead = vals.shape[:-2]
-            vals = vals.reshape((-1,) + vals.shape[-2:])
+            vals = f(P, run, *args)
             if len(run) > 1 and vals.shape[1] == 1:
                 stationary = vals
         out.append((run, np.broadcast_to(vals, (len(vals), len(run), m))))
-    return out, lead
+    return out
 
 
-def slice_integral(f, kernel, s, cfg, cutoff=None):
+def slice_integral(f, kernel, s, cfg, cutoff):
     """Approximate int f(x, s_k) K(x, -s_k) sqrt(det g) dx for each time s_k < 0
     of the 1-D array ``s``.
 
     The integrand is called as f(X, S, g_inv) with rows of points X (p, m, n)
     (p = k on the scaled rule, 1 on the annulus), the times S (k,) of the
-    call and the ``geometry.InverseMetric`` g_inv at X, and returns (k, m), or
-    (rows, k, m) for several integrands on the same points (both phases of a
-    pair); on the annulus a time axis of length 1 stands for every time (see
-    ``_fixed_point_runs``).  The result is (len(s),) or (rows, len(s)).
-    Slices of one rule share a call in runs of max(1, _CALL_POINTS // rule
-    size).  Each row keeps its own fixed-order dot product per slice and
-    scalar Gauss prefactor, so a block of slices and a stack of integrands
-    give bit-identical values to one call per slice and integrand.  A
-    ``CutoffProfile`` splits f by its chi (see the module doc).
+    call and the ``geometry.InverseMetric`` g_inv at X, and returns rows
+    (rows, k, m), (plus, minus) for a pair; on the annulus a time axis of
+    length 1 stands for every time (see ``_fixed_point_runs``).  The result
+    is (rows, len(s)).  Slices of one rule share a call in runs of
+    max(1, _CALL_POINTS // rule size).  Each row keeps its own fixed-order
+    dot product per slice and scalar Gauss prefactor, so a block of slices
+    and a stack of integrands give bit-identical values to one call per
+    slice and integrand.  The ``CutoffProfile`` ``cutoff`` splits f by its
+    chi (see the module doc).
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or len(s) == 0:
@@ -249,22 +246,17 @@ def slice_integral(f, kernel, s, cfg, cutoff=None):
     c = np.sqrt(t)
     Y, w = _scaled_rule(n, cfg.nodes, cfg.r_tail)
     m = len(w)
-    ann = []
-    if cutoff is not None:
-        a = cutoff.inner
-        radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
-        ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
+    a = cutoff.inner
+    radius_Y = np.sqrt(np.sum(Y * Y, axis=1))
+    ann = [k for k in range(len(s)) if a * a / (4.0 * t[k]) < 200.0]
     totals = None   # (rows, len(s)), once the first call shows the rows
 
     for run in _runs(list(range(len(s))), max(1, _CALL_POINTS // m)):
         X = c[run, None, None] * Y
         g_inv, dens = geometry.inverse_metric_and_density(chart, X)
-        vals = np.asarray(f(X, s[run], g_inv), dtype=float)
-        lead = vals.shape[:-2]
-        vals = vals * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
-        vals = vals.reshape(-1, len(run), m)
-        if cutoff is not None:
-            vals = vals * chi(cutoff, c[run, None] * radius_Y)
+        vals = (f(X, s[run], g_inv)
+                * (dens ** 0.5 if kernel.kind == "parametrix0" else dens)
+                * chi(cutoff, c[run, None] * radius_Y))
         if totals is None:
             totals = np.zeros((len(vals), len(s)))
         for row, block in zip(totals, vals):
@@ -275,15 +267,14 @@ def slice_integral(f, kernel, s, cfg, cutoff=None):
         P, w_ann, g_inv, dens, rho_sq, one_minus_chi, kernel_factor = (
             _annulus_fields(kernel, cutoff))
         # the runs hold slice indices; the integrand gets their times
-        runs, _ = _fixed_point_runs(lambda X, run, g: f(X, s[run], g), P, ann,
-                                    g_inv)
+        runs = _fixed_point_runs(lambda X, run, g: f(X, s[run], g), P, ann, g_inv)
         for run, vals in runs:
             for j, k in enumerate(run):
                 kv = kernels.gauss_values(n, rho_sq, float(t[k])) * kernel_factor
                 vals_k = vals[:, j] * kv * dens * one_minus_chi
                 for row, vals_row in zip(totals, vals_k):
                     row[k] += float(np.dot(w_ann, vals_row))
-    return totals.reshape(lead + (len(s),))
+    return totals
 
 
 def _time_nodes(r_sq, cfg):
@@ -312,17 +303,16 @@ def _time_nodes(r_sq, cfg):
 
 
 def _per_row(values, reduce):
-    """``reduce`` of each row of slice values (len,) or (rows, len), made
-    contiguous so that a row sums as a 1-D array does: a float or (rows,)."""
+    """``reduce`` of each row of slice values (rows, len), made contiguous so
+    that a row sums as a 1-D array does: (rows,)."""
     values = np.ascontiguousarray(values, dtype=float)
-    totals = [reduce(row) for row in values.reshape(-1, values.shape[-1])]
-    return totals[0] if values.ndim == 1 else np.array(totals)
+    return np.array([reduce(row) for row in values])
 
 
 def spacetime_integral(slice_at, r, cfg):
     """int_{-r^2}^0 slice_at(s) ds on the graded time mesh.
 
-    ``slice_at`` maps a 1-D array of slice times s < 0 to (len(s),) or
+    ``slice_at`` maps a 1-D array of slice times s < 0 to rows
     (rows, len(s)) and is called once, with every block's nodes followed by
     the sliver's time; each row then gets its own trapezoid per block, the
     block totals are summed deepest first, then the sliver's rectangle is
@@ -339,8 +329,8 @@ def spacetime_integral(slice_at, r, cfg):
 
 
 def time_range_integral(slice_at, s_lo, s_hi, cells):
-    """Trapezoid of slice_at over [s_lo, s_hi] with ``cells`` cells, s_hi < 0;
-    ``slice_at`` gets all the nodes in one call."""
+    """Trapezoid of each row of slice_at over [s_lo, s_hi] with ``cells``
+    cells, s_hi < 0: (rows,); ``slice_at`` gets all the nodes in one call."""
     if not s_lo < s_hi < 0:
         raise ValueError("need s_lo < s_hi < 0")
     s_nodes = np.linspace(s_lo, s_hi, cells + 1)
@@ -364,10 +354,9 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
     """int_{-t_depth}^0 int_{B(0,radius)} f dV_g ds without any kernel weight.
 
     ``f(X, S)`` gets the rule's points as one row X (1, m, n) and the times
-    S (k,) of a call, and returns (k, m), or (rows, k, m) for several
-    integrands on the same points, with a time axis of length 1 for an
-    integrand free of the time (see ``_fixed_point_runs``); the result is a
-    float or (rows,).  Calls hold at most _CALL_POINTS times x points (one
+    S (k,) of a call, and returns rows (rows, k, m), with a time axis of
+    length 1 for an integrand free of the time (see ``_fixed_point_runs``);
+    the result is (rows,).  Calls hold at most _CALL_POINTS times x points (one
     cell's rule when that is larger), and each row keeps its own dot product
     per cell and its own running sum, in time order."""
     n = chart.dim
@@ -377,10 +366,10 @@ def plain_spacetime_integral(f, chart, radius, t_depth):
     m = len(w)
     dt = t_depth / _PLAIN_TIME_CELLS
     s_nodes = -t_depth + (np.arange(_PLAIN_TIME_CELLS) + 0.5) * dt
-    runs, lead = _fixed_point_runs(f, P[None], s_nodes)
+    runs = _fixed_point_runs(f, P[None], s_nodes)
     totals = [0.0] * len(runs[0][1])    # one running sum per row
     for _, vals in runs:
         for i, block in enumerate(vals):
             for row in block:
                 totals[i] += float(np.dot(wd, row)) * dt
-    return totals[0] if lead == () else np.array(totals)
+    return np.array(totals)

@@ -64,7 +64,7 @@ def sample_pair(pair, grid):
     the nodes are one row of points that every time of the grid reads.  A
     pair that does not depend on s returns one time; it is broadcast to every
     frame and copied, so the frames are contiguous whatever the pair."""
-    values = pair.values(grid.points(), grid.times)
+    values = pair.values(grid.points()[None], grid.times)
     frames = (2, len(grid.times)) + grid.shape()
     return tuple(np.ascontiguousarray(np.broadcast_to(
         values.reshape((2, -1) + grid.shape()), frames)))
@@ -79,7 +79,8 @@ def pair_validity_check(pair, grid, frames, tol=1e-10):
     product_max = float(np.max(up * um))
     min_plus = float(np.min(up))
     min_minus = float(np.min(um))
-    origin_plus, origin_minus = pair.values(np.zeros((1, grid.dim)), 0.0)[:, 0]
+    origin_plus, origin_minus = pair.values(np.zeros((1, 1, grid.dim)),
+                                            np.zeros(1))[:, 0, 0]
     s = max(scale, 1e-300)
     return ValidityRecord(
         product_max=product_max,
@@ -164,7 +165,9 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
 
     Pointwise: min over checkable space-time nodes of the discrete residual
     plus one; pass needs min >= -tol - sqrt(h).  Weak form: the minimum
-    normalized bump pairing must clear the same threshold.  A NaN margin fails.
+    normalized bump pairing must clear the same threshold.  A margin that is
+    not finite fails: NaN, an overflow, or the inf of a part that checked
+    nothing (no checkable node, or no bump with positive mass on the grid).
     """
     triplets, act = assemble_laplacian(chart, grid)
     slack = np.sqrt(grid.h)
@@ -187,7 +190,7 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
     wp, wkp, cp = results["plus"]
     wm, wkm, cm = results["minus"]
     bound = -tol - slack
-    ok = wp >= bound and wm >= bound and wkp >= bound and wkm >= bound
+    ok = all(np.isfinite(v) and v >= bound for v in (wp, wm, wkp, wkm))
     return ResidualRecord(min_plus=wp, min_minus=wm, weak_min_plus=wkp,
                           weak_min_minus=wkm, checkable_plus=cp,
                           checkable_minus=cm, slack=slack, passed=bool(ok))

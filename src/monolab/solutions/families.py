@@ -2,14 +2,15 @@
 
 Every pair has one sampler whose ``values(X, s)`` (2, k, m) and
 ``fields(X, s)`` (values and gradients (2, k, m, n)) read both phases,
-(plus, minus) in that order, at rows of points X and times s as ``grids``
-describes them.  The analytic families share one plane-pair sampler that
-projects the points on e once and multiplies a spatial factor of each phase
-by a time factor (k, 1); a grid pair's sampler is one ``GridPhaseSampler``
-over both grids.  A pair that does not depend on s (Null, TwoPlaneCaloric,
-PowerWedge) reads the k times as one: on one row of points its arrays carry
-a time axis of length 1, (2, 1, m) and (2, 1, m, n), which broadcasts
-against the k times, so a caller that needs every time broadcasts it.
+(plus, minus) in that order, at rows of points X (p, m, n), p = 1 or k, and
+a 1-D array of times s (k,), as ``grids`` describes them.  The analytic
+families share one plane-pair sampler that projects the points on e once and
+multiplies a spatial factor of each phase by a time factor (k, 1); a grid
+pair's sampler is one ``GridPhaseSampler`` over both grids.  A pair that does
+not depend on s (Null, TwoPlaneCaloric, PowerWedge) reads the k times as
+one: on one row of points its arrays carry a time axis of length 1,
+(2, 1, m) and (2, 1, m, n), which broadcasts against the k times, so a
+caller that needs every time broadcasts it.
 ``pair.plus`` and ``pair.minus``, the sampler's rows, are kept only for
 ``bench/tracer.py``; a pair holds no admissibility state.
 Families (e is the first coordinate axis):
@@ -98,12 +99,10 @@ class _PlanePair:
     drift: float = 0.0
 
     def _rows(self, X, s):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        s = np.asarray(s, dtype=float)
-        if self.drift == 0.0 and s.ndim:
+        if self.drift == 0.0:
             s = s[:1]       # stationary: one time stands for all of them
         # the time factor is a column (k, 1) against the points axis
-        return X @ self.e, 1.0 + self.drift * s[..., None]
+        return X @ self.e, 1.0 + self.drift * s[:, None]
 
     def _values(self, d, time):
         return np.array([amp * np.maximum(sign * d, 0.0) ** self.power * time
@@ -184,17 +183,17 @@ def _numeric_pair(values, chart, grid):
         src_w = widths[0] * 1.5
 
         def initial(X):
-            out = np.zeros(np.atleast_2d(X).shape[0])
+            out = np.zeros(X.shape[0])
             for c, w, a in zip(centers, widths, amps):
-                out += a * _bump(np.atleast_2d(X), c, w)
+                out += a * _bump(X, c, w)
             return out
 
         def source(X, t):
-            return -src_amp * _bump(np.atleast_2d(X), src_c, src_w)
+            return -src_amp * _bump(X, src_c, src_w)
 
         side = pts[:, 0] * sgn
         active = side > 1e-12 if not overlap else np.ones(len(pts), dtype=bool)
-        zero = lambda X, t: np.zeros(np.atleast_2d(X).shape[0])
+        zero = lambda X, t: np.zeros(X.shape[0])
         gf = solve_heat(chart, source, initial, zero, grid,
                         active=active.reshape(grid.shape()).ravel())
         return gf

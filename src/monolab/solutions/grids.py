@@ -11,9 +11,9 @@ cell of each point once (flat indices and weights of its 2^n corners in the
 padded frames) and ``_interpolate`` reads any time frame of either grid from
 them; the gradient stencil X +- h e_d reads the same cell shifted by one
 node, with the same weights, so it is located once too.  The sampler takes
-rows of points X (p, m, n), or (m, n) for p = 1, and times s (k,) or a
-scalar: p = 1 is one row that every time reads (as a fixed-point rule passes
-it), p = k one row per time.  Each row is located once for both grids.
+rows of points X (p, m, n) and times s (k,) and returns (plus, minus) rows
+(2, k, m): p = 1 is one row that every time reads (as a fixed-point rule
+passes it), p = k one row per time.  Each row is located once for both grids.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class SpaceTimeGrid:
     half_width: float            # L; cube is [-L, L]^n
     h: float                     # actual spatial step (2L / (nodes - 1))
     times: np.ndarray            # strictly increasing, last element exactly 0
-    ratio: float | None = None   # geometric grading ratio, if built that way
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -112,7 +111,7 @@ class SpaceTimeGrid:
         times.append(0.0)
         h_eff = 2.0 * half_width / (n_nodes - 1)
         return cls(dim=dim, half_width=float(half_width), h=h_eff,
-                   times=np.array(times), ratio=float(ratio))
+                   times=np.array(times))
 
     @classmethod
     def from_times(cls, dim, half_width, h, times):
@@ -159,16 +158,12 @@ def _in_time(v, theta):
 
 
 def _by_row(locate, sample, X, s):
-    """locate(row) once per row of points of X, then sample(located row, t) ->
-    arrays (rows, m, ...) once per time of s, stacked to (rows, *lead, m, ...)
-    with lead the leading axes of X and s broadcast."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lead = np.broadcast_shapes(X.shape[:-2], np.shape(s))
-    located = [locate(row) for row in X.reshape((-1,) + X.shape[-2:])]
-    parts = [sample(located[i % len(located)], t)
-             for i, t in enumerate(np.broadcast_to(s, lead).ravel())]
-    return [np.stack(p, axis=1).reshape(p[0].shape[:1] + lead + p[0].shape[1:])
-            for p in zip(*parts)]
+    """locate(row) once per row of points of X (p, m, n), then sample(located
+    row i % p, s[i]) -> arrays (rows, m, ...) once per time of s (k,),
+    stacked to (rows, k, m, ...)."""
+    located = [locate(row) for row in X]
+    parts = [sample(located[i % len(located)], t) for i, t in enumerate(s)]
+    return [np.stack(p, axis=1) for p in zip(*parts)]
 
 
 def _interpolate(frame, index, weights, out):
@@ -259,7 +254,7 @@ class GridPhaseSampler:
         return self.values(X, s)[0]
 
     def values(self, X, s):
-        """Values (2, k, ..., m) of (plus, minus)."""
+        """Values (2, k, m) of (plus, minus)."""
         return _by_row(lambda X: self._locate(X, 1), self._values_at, X, s)[0]
 
     def _values_at(self, cells, s):
@@ -267,8 +262,7 @@ class GridPhaseSampler:
         return (_in_time(self._raw(cells, frames), theta)[:, 0],)
 
     def fields(self, X, s):
-        """Values (2, k, ..., m) and gradients (2, k, ..., m, n) of (plus,
-        minus)."""
+        """Values (2, k, m) and gradients (2, k, m, n) of (plus, minus)."""
         return tuple(_by_row(lambda X: self._locate(X, len(self._weight_rows)),
                              self._fields_at, X, s))
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monolab import cli, geometry, quadrature
+from monolab import cli, cutoff, geometry, quadrature
 from monolab import functional as fn
 from monolab.solutions import TwoPhasePair, make_family
 
@@ -41,6 +41,15 @@ def quad2():
 
 
 @pytest.fixture(scope="session")
+def far_cutoff():
+    """A cutoff profile far outside every rule a test integrates on: chi is
+    exactly 1.0 on the scaled rule and no slice reaches the annulus, so a
+    slice integral under it is the plain kernel-weighted integral."""
+    return cutoff.CutoffProfile(inner=1e3, outer=2e3, grad_bound=1.875e-3,
+                                laplace_bound=0.0)
+
+
+@pytest.fixture(scope="session")
 def lean_quad2():
     # light config for unit tests that only need ~0.5% accuracy
     return quadrature.default_config(2, nodes=48, slices_per_scale=16,
@@ -60,11 +69,11 @@ def rescale_pair(pair, r):
     r = float(r)
 
     def fields(X, s):
-        values, grads = pair.fields(r * np.atleast_2d(X), r * r * s)
+        values, grads = pair.fields(r * X, r * r * s)
         return values / (r * r), grads / r
 
     def values(X, s):
-        return pair.values(r * np.atleast_2d(X), r * r * s) / (r * r)
+        return pair.values(r * X, r * r * s) / (r * r)
 
     return TwoPhasePair(SimpleNamespace(values=values, fields=fields))
 

@@ -209,12 +209,17 @@ def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     assert repr(key) in capsys.readouterr().err
 
 
+# a chart with delta_p = 0.1 on a grid fine enough for the residual
+# certificate: 10 time frames and 324 checkable nodes per phase
+SMALL_CHART = "manifold.delta_p = 0.1\ngrid.h = 0.02\ngrid.dt0 = 0.002\n"
+
+
 def test_unset_scale_read_by_no_check_leaves_a_small_chart_alone(tmp_path, capsys):
     """On a chart with delta_p = 0.1 the default scales (1/16 and up) exceed
     delta_p/4, but a scale the text does not set is checked only when a
     requested check reads it: a ladder runs (it exited 2 naming sd.r, with
     no line), and the scale derivative is still refused."""
-    small = "manifold.delta_p = 0.1\nladder.k_min = 3\n"
+    small = SMALL_CHART + "ladder.k_min = 3\n"
     cfg = tmp_path / "small.cfg"
     cfg.write_text(small + "checks = ladder\n")
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -222,6 +227,45 @@ def test_unset_scale_read_by_no_check_leaves_a_small_chart_alone(tmp_path, capsy
     with pytest.raises(ConfigError) as err:
         parse_config_text(small + "checks = scale_derivative\n")
     assert (err.value.key, err.value.line) == ("sd.r", None)
+
+
+def test_unset_ladder_range_read_by_no_check_leaves_a_small_chart_alone(tmp_path,
+                                                                      capsys):
+    """The default ladder.k_min = 2 puts 4^-2 above delta_p/2 on a chart with
+    delta_p = 0.1, but it is checked only when a requested check reads the
+    ladder range: a Poincare check runs (it exited 2 naming ladder.k_min),
+    and a k_min that the text sets keeps its check and its line."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CHART + "checks = poincare\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(SMALL_CHART + "checks = ladder\n")
+    assert (err.value.key, err.value.line) == ("ladder.k_min", None)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(SMALL_CHART + "ladder.k_min = 2\nchecks = poincare\n")
+    assert (err.value.key, err.value.line) == ("ladder.k_min", 4)
+
+
+@pytest.mark.parametrize("text, key, default", [
+    ("ladder.k_min = 3\nchecks = scale_derivative\n", "sd.r", "0.0625"),
+    ("ladder.k_min = 3\nchecks = positivity\n", "positivity.r", "0.0625"),
+    ("ladder.k_min = 3\nchecks = pushforward\n", "bkp.rs", "0.2, 0.1, 0.05, 0.025"),
+    ("checks = ladder\n", "ladder.k_min", "2"),
+    ("ladder.k_min = 6\n", "ladder.k_max", "5"),
+])
+def test_a_refused_default_names_itself_and_the_key_to_set(text, key, default):
+    """A default value a requested check reads and refuses is named in the
+    error, with the key to set; the same refusal of a value that the text
+    sets keeps its message."""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(SMALL_CHART + text)
+    assert err.value.key == key and err.value.line is None
+    assert err.value.message.endswith(f" (the default {key} = {default}; set {key})")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(SMALL_CHART + text + f"{key} = {default}\n")
+    assert (err.value.key, err.value.line) == (key, (SMALL_CHART + text).count("\n") + 1)
+    assert "default" not in err.value.message
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -237,7 +281,7 @@ def test_huge_amplitude_fails_admissibility_with_a_report(key):
 def test_parse_builds_chart_grid_and_rule():
     cfg = parse_config_text(FAST_CALORIC)
     assert (cfg.chart.family, cfg.chart.dim, cfg.chart.radius) == ("euclidean", 2, 1.0)
-    assert (cfg.grid.h, cfg.grid.ratio) == (0.25, 0.85)
+    assert cfg.grid.h == 0.25
     assert (cfg.quad.nodes, cfg.quad.slices_per_scale, cfg.quad.time_blocks) == (32, 10, 10)
     assert parse_config_text("manifold.n = 3\nquad.nodes = 0\n").quad.nodes == 24
 

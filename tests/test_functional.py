@@ -312,7 +312,7 @@ def slice_calls(monkeypatch):
     calls = []
     original = quad.slice_integral
 
-    def counted(f, kernel, s, cfg, cutoff=None):
+    def counted(f, kernel, s, cfg, cutoff):
         calls.extend(np.asarray(s).tolist())
         return original(f, kernel, s, cfg, cutoff)
 
@@ -508,7 +508,7 @@ def test_integrand_calls_stay_within_the_point_budget(euclid2, monkeypatch, node
     sizes = []
     original = quad.slice_integral
 
-    def sized(f, kernel, s, cfg, cutoff=None):
+    def sized(f, kernel, s, cfg, cutoff):
         def g(X, S, g_inv):
             sizes.append(len(S) * X.shape[-2])     # times x points
             return f(X, S, g_inv)
@@ -537,7 +537,7 @@ def test_metric_points_within_integrand_points(sphere2, lean_quad2, monkeypatch)
         counts["metric"] += int(np.prod(np.shape(X)[:-1]))
         return metric(chart, X)
 
-    def counted(f, kernel, s, cfg, cutoff=None):
+    def counted(f, kernel, s, cfg, cutoff):
         def g(X, S, g_inv):
             counts["integrand"] += len(S) * X.shape[-2]    # times x points
             return f(X, S, g_inv)
@@ -603,7 +603,8 @@ def test_fixed_row_call_equals_per_slice_calls(name, params, curvature):
     plain = lambda X, s: inp.pair.values(X, s) ** 2
     assert plain(P, _ROW_TIMES).shape == (2, times, P.shape[1])
     assert np.array_equal(np.broadcast_to(plain(P, _ROW_TIMES), full),
-                          np.stack([plain(P, [s])[:, 0] for s in _ROW_TIMES], axis=1))
+                          np.stack([plain(P, _ROW_TIMES[j:j + 1])[:, 0]
+                                    for j in range(k)], axis=1))
     if name != "Null":
         assert np.any(fixed > 0.0)
 

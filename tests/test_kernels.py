@@ -29,11 +29,11 @@ def test_frozen_value_n1():
     assert gauss_at(geo.euclidean_chart(1), np.array([2.0]), 1.0) == pytest.approx(GAUSS_N1_X2_T1, abs=1e-6)
 
 
-def test_kernel_mass_by_quadrature(euclid2):
+def test_kernel_mass_by_quadrature(euclid2, far_cutoff):
     spec = ker.KernelSpec("gauss", euclid2)
     cfg = quad.default_config(2)
-    mass = quad.slice_integral(lambda X, s, g_inv: np.ones(X.shape[:-1]), spec,
-                               np.array([-0.01]), cfg)[0]
+    mass = quad.slice_integral(lambda X, s, g_inv: np.ones((1,) + X.shape[:-1]),
+                               spec, np.array([-0.01]), cfg, far_cutoff)[0, 0]
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 

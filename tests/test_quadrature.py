@@ -20,65 +20,72 @@ def ones(X, *_):
 
 
 def rows(f):
-    """The integrand of rows of points X (p, m, n) and times S (k,), (k, m),
-    that evaluates f(points (N, n), one time per point (N,)) -> (N,)."""
+    """The integrand of rows of points X (p, m, n) and times S (k,), one row
+    (1, k, m), that evaluates f(points (N, n), one time per point (N,)) ->
+    (N,)."""
     def integrand(X, S, g_inv):
         k, m, n = len(S), X.shape[-2], X.shape[-1]
         points = np.broadcast_to(X, (k, m, n)).reshape(-1, n)
-        return f(points, np.repeat(S, m)).reshape(k, m)
+        return f(points, np.repeat(S, m)).reshape(1, k, m)
 
     return integrand
 
 
-def one_slice(f, kernel, s, cfg, cutoff=None):
+def one_slice(f, kernel, s, cfg, cutoff):
     """The slice integral of f(X) at the single time s."""
     return quad.slice_integral(rows(lambda X, S: f(X)), kernel, np.array([s]),
-                               cfg, cutoff)[0]
+                               cfg, cutoff)[0, 0]
 
 
-def slices(f, kernel, cfg):
-    """slice_at(s) for the time rules: the slice integrals of f(., s)."""
-    return lambda s: quad.slice_integral(rows(f), kernel, s, cfg)
+def slices(f, kernel, cfg, cutoff):
+    """slice_at(s) for the time rules: the slice integrals of f(., s), one
+    row (1, len(s))."""
+    return lambda s: quad.slice_integral(rows(f), kernel, s, cfg, cutoff)
 
 
-def test_slice_mass(gauss2, quad2):
+def test_slice_mass(gauss2, quad2, far_cutoff):
     for s in (-0.9, -0.3, -0.01):
-        assert one_slice(ones, gauss2, s, quad2) == pytest.approx(
+        assert one_slice(ones, gauss2, s, quad2, far_cutoff) == pytest.approx(
             1.0, abs=1e-6)
 
 
-def test_slice_second_moment():
+def test_slice_second_moment(far_cutoff):
     ch = geo.euclidean_chart(1)
     spec = ker.KernelSpec("gauss", ch)
     cfg = quad.default_config(1)
     for t in (0.05, 0.3, 0.8):
-        val = one_slice(lambda X: X[:, 0] ** 2, spec, -t, cfg)
+        val = one_slice(lambda X: X[:, 0] ** 2, spec, -t, cfg, far_cutoff)
         assert val == pytest.approx(2.0 * t, rel=1e-5)
 
 
-def test_slice_half_space(gauss2, quad2):
+def test_slice_half_space(gauss2, quad2, far_cutoff):
     for s in (-0.5, -0.07):
-        val = one_slice(lambda X: (X[:, 0] > 0).astype(float), gauss2, s, quad2)
+        val = one_slice(lambda X: (X[:, 0] > 0).astype(float), gauss2, s, quad2,
+                        far_cutoff)
         assert val == pytest.approx(0.5, abs=1e-6)
 
 
-def test_slice_time_validation(gauss2, quad2):
+def test_slice_time_validation(gauss2, quad2, far_cutoff):
     with pytest.raises(ValueError):
-        one_slice(ones, gauss2, 0.0, quad2)
+        one_slice(ones, gauss2, 0.0, quad2, far_cutoff)
 
 
-def test_spacetime_mass_and_zero(gauss2, quad2):
+def test_spacetime_mass_and_zero(gauss2, quad2, far_cutoff):
     r = 0.5
-    assert quad.spacetime_integral(slices(lambda X, s: ones(X), gauss2, quad2),
-                                   r, quad2) == pytest.approx(r * r, abs=1e-5)
+    mass = quad.spacetime_integral(
+        slices(lambda X, s: ones(X), gauss2, quad2, far_cutoff), r, quad2)
+    assert mass.shape == (1,)
+    assert mass[0] == pytest.approx(r * r, abs=1e-5)
     assert quad.spacetime_integral(
-        slices(lambda X, s: np.zeros(X.shape[0]), gauss2, quad2), r, quad2) == 0.0
+        slices(lambda X, s: np.zeros(X.shape[0]), gauss2, quad2, far_cutoff), r,
+        quad2).tolist() == [0.0]
 
 
-def test_spacetime_half_space(gauss2, quad2):
+def test_spacetime_half_space(gauss2, quad2, far_cutoff):
     r = 0.5
     val = quad.spacetime_integral(
-        slices(lambda X, s: (X[:, 0] > 0).astype(float), gauss2, quad2), r, quad2)
+        slices(lambda X, s: (X[:, 0] > 0).astype(float), gauss2, quad2, far_cutoff),
+        r, quad2)[0]
     assert val == pytest.approx(r * r / 2.0, rel=5e-3)
 
 
@@ -88,31 +95,31 @@ def test_spacetime_range_validation(caloric_input):
         fn.phase_energy(caloric_input, 1.5)
 
 
-def test_linearity_exact(gauss2, quad2):
+def test_linearity_exact(gauss2, quad2, far_cutoff):
     f1 = lambda X: np.cos(X[:, 0])
     f2 = lambda X: X[:, 1] ** 2
     a, b = 2.3, -1.7
-    lhs = one_slice(lambda X: a * f1(X) + b * f2(X), gauss2, -0.15, quad2)
-    rhs = (a * one_slice(f1, gauss2, -0.15, quad2)
-           + b * one_slice(f2, gauss2, -0.15, quad2))
+    lhs = one_slice(lambda X: a * f1(X) + b * f2(X), gauss2, -0.15, quad2, far_cutoff)
+    rhs = (a * one_slice(f1, gauss2, -0.15, quad2, far_cutoff)
+           + b * one_slice(f2, gauss2, -0.15, quad2, far_cutoff))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_monotonicity_nonnegative(gauss2, quad2):
+def test_monotonicity_nonnegative(gauss2, quad2, far_cutoff):
     rng = np.random.default_rng(8)
     centers = rng.uniform(-0.5, 0.5, size=(5, 2))
     for c in centers:
         f = lambda X: np.maximum(0.0, 0.2 - np.sum((X - c) ** 2, axis=1))
-        assert one_slice(f, gauss2, -0.2, quad2) >= 0.0
+        assert one_slice(f, gauss2, -0.2, quad2, far_cutoff) >= 0.0
 
 
-def test_determinism_bitwise(gauss2):
+def test_determinism_bitwise(gauss2, far_cutoff):
     cfg_a = quad.default_config(2)
     cfg_b = quad.default_config(2)
     f = lambda X, s: np.exp(-np.abs(X[:, 0])) * (1.0 + s) ** 2
-    v1 = quad.spacetime_integral(slices(f, gauss2, cfg_a), 0.25, cfg_a)
-    v2 = quad.spacetime_integral(slices(f, gauss2, cfg_b), 0.25, cfg_b)
-    assert v1 == v2
+    v1 = quad.spacetime_integral(slices(f, gauss2, cfg_a, far_cutoff), 0.25, cfg_a)
+    v2 = quad.spacetime_integral(slices(f, gauss2, cfg_b, far_cutoff), 0.25, cfg_b)
+    assert v1.tolist() == v2.tolist()
 
 
 def test_gauss_weighted_moments():
@@ -135,9 +142,10 @@ def test_polar_rules_measure():
     assert np.sum(w) == pytest.approx(4.0 / 3.0 * np.pi * 0.5 ** 3, rel=1e-3)
 
 
-def test_time_range_integral(gauss2, quad2):
-    val = quad.time_range_integral(slices(lambda X, s: (-s) * ones(X), gauss2, quad2),
-                                   -0.2, -0.1, quad2.slices_per_scale)
+def test_time_range_integral(gauss2, quad2, far_cutoff):
+    val = quad.time_range_integral(
+        slices(lambda X, s: (-s) * ones(X), gauss2, quad2, far_cutoff), -0.2, -0.1,
+        quad2.slices_per_scale)[0]
     assert val == pytest.approx((0.2 ** 2 - 0.1 ** 2) / 2.0, rel=1e-5)
 
 
@@ -260,11 +268,11 @@ def test_block_runs_split_at_the_call_budget(monkeypatch, call_points):
     test_block_equals_per_slice_calls("DriftTwoPlane", 1.0, "parametrix0", 16)
 
 
-def test_slice_times_must_be_one_dimensional(gauss2, quad2):
+def test_slice_times_must_be_one_dimensional(gauss2, quad2, far_cutoff):
     with pytest.raises(ValueError):
-        quad.slice_integral(ones, gauss2, -0.1, quad2)
+        quad.slice_integral(ones, gauss2, -0.1, quad2, far_cutoff)
     with pytest.raises(ValueError):
-        quad.slice_integral(ones, gauss2, np.array([-0.1, 0.0]), quad2)
+        quad.slice_integral(ones, gauss2, np.array([-0.1, 0.0]), quad2, far_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +330,12 @@ def test_time_nodes_reject_a_degenerate_scale(r_sq, lean_quad2):
 
 def _per_block_spacetime(slice_at, r, cfg):
     """One linspace and one trapezoid per block, summed in order: the loop
-    the single (blocks, cells + 1) mesh must match bit for bit."""
+    the single (blocks, cells + 1) mesh must match bit for bit, for a
+    slice_at of one row."""
     blocks, sliver = quad._time_nodes(r * r, cfg)
     size = cfg.slices_per_scale + 1
     nodes = [np.linspace(lo, hi, size) for lo, hi in blocks]
-    values = slice_at(np.concatenate(nodes + [np.array([sliver])]))
+    values = slice_at(np.concatenate(nodes + [np.array([sliver])]))[0]
     total = 0.0
     for i, s_nodes in enumerate(nodes):
         total += float(np.trapezoid(values[i * size:(i + 1) * size], s_nodes))
@@ -343,24 +352,25 @@ def test_time_mesh_in_one_array_matches_per_block_loop(r, quad2, lean_quad2):
 
         def slice_at(s):
             requests.append(s.tobytes())
-            return np.exp(s) * np.cos(40.0 * s) + np.sqrt(-s)
+            return (np.exp(s) * np.cos(40.0 * s) + np.sqrt(-s))[None]
 
         total = quad.spacetime_integral(slice_at, r, cfg)
         reference = _per_block_spacetime(slice_at, r, cfg)
         assert requests[0] == requests[1]
-        assert total == reference
+        assert total.tolist() == [reference]
 
 
 @pytest.mark.parametrize("r", [0.5, 0.3])
-def test_spacetime_integral_asks_for_every_slice_at_once(gauss2, lean_quad2, r):
+def test_spacetime_integral_asks_for_every_slice_at_once(gauss2, lean_quad2, r,
+                                                         far_cutoff):
     requests = []
-    f = slices(lambda X, s: ones(X), gauss2, lean_quad2)
+    f = slices(lambda X, s: ones(X), gauss2, lean_quad2, far_cutoff)
 
     def slice_at(s):
         requests.append(len(s))
         return f(s)
 
-    mass = quad.spacetime_integral(slice_at, r, lean_quad2)
+    mass = quad.spacetime_integral(slice_at, r, lean_quad2)[0]
     blocks, _ = quad._time_nodes(r * r, lean_quad2)
     assert requests == [len(blocks) * (lean_quad2.slices_per_scale + 1) + 1]
     assert mass == pytest.approx(r * r, rel=1e-6)
@@ -373,8 +383,9 @@ _ROW_SLICES = (lambda s: np.exp(s) * np.cos(40.0 * s) + np.sqrt(-s),
 @pytest.mark.parametrize("layout", ["rows", "transposed"])
 def test_time_rules_on_rows_equal_one_call_per_row(layout, quad2, lean_quad2):
     """A slice_at that returns both rows, (2, len(s)), gives each row the
-    float of a 1-D call, bit for bit, also when its rows are a transposed,
-    non-contiguous view (the summation order of such a view differs)."""
+    value of a call on that row alone, bit for bit, also when its rows are a
+    transposed, non-contiguous view (the summation order of such a view
+    differs)."""
     def pair_at(s):
         values = np.array([f(s) for f in _ROW_SLICES])
         if layout == "transposed":
@@ -386,10 +397,12 @@ def test_time_rules_on_rows_equal_one_call_per_row(layout, quad2, lean_quad2):
         for r in (0.5, 0.3, 1.0 / 16.0):
             pair = quad.spacetime_integral(pair_at, r, cfg)
             assert pair.shape == (2,)
-            assert pair.tolist() == [quad.spacetime_integral(f, r, cfg)
-                                     for f in _ROW_SLICES]
+            assert pair.tolist() == [
+                quad.spacetime_integral(lambda s: f(s)[None], r, cfg)[0]
+                for f in _ROW_SLICES]
     for cells in (4, 40, 333):
         pair = quad.time_range_integral(pair_at, -0.2, -0.05, cells)
         assert pair.shape == (2,)
-        assert pair.tolist() == [quad.time_range_integral(f, -0.2, -0.05, cells)
-                                 for f in _ROW_SLICES]
+        assert pair.tolist() == [
+            quad.time_range_integral(lambda s: f(s)[None], -0.2, -0.05, cells)[0]
+            for f in _ROW_SLICES]

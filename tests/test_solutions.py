@@ -23,6 +23,14 @@ def zeros_sampler(X, t=None):
     return np.zeros(np.atleast_2d(X).shape[0])
 
 
+def at(read, X, s):
+    """A sampler's or pair's ``values`` or ``fields`` ``read`` at the points
+    X (m, n) and the single time s: one row of points and one time, with
+    the time axis dropped, values (2, m) and gradients (2, m, n)."""
+    out = read(X[None], np.array([s]))
+    return out[:, 0] if isinstance(out, np.ndarray) else tuple(p[:, 0] for p in out)
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -84,11 +92,11 @@ def test_sampler_matches_nodes_and_one_sided_gradient():
     gf_m = GridFunction(grid=grid, values=frames_m)
     sampler = GridPhaseSampler(gf_p, gf_m)
     probe = np.array([[0.6, 0.1], [0.3, -0.4]])
-    assert np.allclose(sampler.value(probe, -0.3), np.maximum(probe[:, 0], 0.0))
-    assert np.allclose(sampler.values(probe, -0.3)[1], np.maximum(-probe[:, 0], 0.0))
+    assert np.allclose(at(sampler.values, probe, -0.3)[0], np.maximum(probe[:, 0], 0.0))
+    assert np.allclose(at(sampler.values, probe, -0.3)[1], np.maximum(-probe[:, 0], 0.0))
     # one cell from the interface the one-sided rule must keep the clean slope
     near = np.array([[grid.h, 0.0]])
-    g = sampler.fields(near, -0.2)[1]
+    g = at(sampler.fields, near, -0.2)[1]
     assert g[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,9 +222,9 @@ def test_shared_corner_stencil_matches_per_direction_reference(n):
     sampler = GridPhaseSampler(gf_p, gf_m)
     one_sided = 0
     for s in times:
-        values, grads = sampler.fields(X, s)
-        assert np.array_equal(sampler.values(X, s), values)
-        assert np.array_equal(sampler.value(X, s), values[0])
+        values, grads = at(sampler.fields, X, s)
+        assert np.array_equal(at(sampler.values, X, s), values)
+        assert np.array_equal(sampler.value(X[None], np.array([s]))[0], values[0])
         for v, g, gf, other in ((values[0], grads[0], gf_p, gf_m),
                                 (values[1], grads[1], gf_m, gf_p)):
             assert np.array_equal(v, _ref_value(gf, X, s))
@@ -230,9 +238,9 @@ def test_shared_corner_stencil_matches_per_direction_reference(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_per_point_times_match_per_time_calls(n):
     """values, fields and value at rows of points and times equal one call
-    per time: one row that every time reads (X (m, n) or (1, m, n)) and one
-    row per time (k, m, n); before the mesh, on a node (one frame), between
-    nodes, at 0 and past the end."""
+    per time: one row that every time reads (1, m, n) and one row per time
+    (k, m, n); before the mesh, on a node (one frame), between nodes, at 0
+    and past the end."""
     gf_p, gf_m = _random_pair(n, seed=n)
     t = gf_p.grid.times
     X = _stencil_probes(n, gf_p.grid.h, np.random.default_rng(20 + n))
@@ -244,17 +252,14 @@ def test_per_point_times_match_per_time_calls(n):
     def per_time(rows):
         """(values, grads) of one fields call per (row, time), stacked on
         the time axis."""
-        calls = [sampler.fields(x, s) for x, s in zip(rows, times)]
+        calls = [at(sampler.fields, x, s) for x, s in zip(rows, times)]
         return [np.stack(part, axis=1) for part in zip(*calls)]
 
-    one_row = per_time([X] * len(times))
-    for rows, want in ((X, one_row), (X[None], one_row), (XX, per_time(XX))):
+    for rows, want in ((X[None], per_time([X] * len(times))), (XX, per_time(XX))):
         values, grads = sampler.fields(rows, times)
         assert np.array_equal(values, want[0]) and np.array_equal(grads, want[1])
         assert np.array_equal(sampler.values(rows, times), values)
         assert np.array_equal(sampler.value(rows, times), values[0])
-    assert np.array_equal(sampler.values(X, np.full(1, t[4]))[:, 0],
-                          sampler.values(X, t[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +268,9 @@ def test_per_point_times_match_per_time_calls(n):
 
 def test_null_family(euclid2):
     pair = make_family("Null", {}, chart=euclid2)
-    X = np.random.default_rng(0).uniform(-1, 1, (10, 2))
-    assert np.all(pair.plus.value(X, -0.5) == 0.0)
-    assert np.all(pair.minus.grad(X, -0.5) == 0.0)
+    X = np.random.default_rng(0).uniform(-1, 1, (1, 10, 2))
+    assert np.all(pair.plus.value(X, np.array([-0.5])) == 0.0)
+    assert np.all(pair.minus.grad(X, np.array([-0.5])) == 0.0)
 
 
 def test_unknown_family_and_bad_params(euclid2):
@@ -422,7 +427,7 @@ def test_nan_phase_fails_the_certificate(euclid2):
 
     def values(X, s):
         out = sampler.values(X, s)
-        out[0] = np.where(np.atleast_2d(X)[:, 1] > 0.5, np.nan, out[0])
+        out[0] = np.where(X[..., 1] > 0.5, np.nan, out[0])
         return out
 
     pair.sampler = SimpleNamespace(values=values, fields=sampler.fields)
@@ -431,13 +436,38 @@ def test_nan_phase_fails_the_certificate(euclid2):
     assert not rec.passed
 
 
+@pytest.mark.parametrize("radius, h, dt0, empty", [
+    (0.5, 0.1, 0.2, "weak"),        # two frames: no time bump has mass
+    (0.1, 0.1, 0.002, "pointwise"),  # 3^2 nodes: every stencil meets the other phase
+])
+def test_a_part_that_checked_nothing_fails_the_certificate(radius, h, dt0, empty):
+    """The exactly caloric planes on a grid where one part of the certificate
+    has nothing to check: that part's margin is the inf of an empty minimum,
+    and the certificate fails, though the other part passes."""
+    chart = geo.euclidean_chart(2, radius=radius)
+    grid = SpaceTimeGrid.geometric(2, radius, h, ratio=0.85, dt0=dt0)
+    pair = make_family("TwoPlaneCaloric", {}, chart=chart)
+    rec = supercaloric_residual_check(chart, grid, sample_pair(pair, grid))
+    weak, pointwise = (rec.weak_min_plus, rec.weak_min_minus), (rec.min_plus,
+                                                                rec.min_minus)
+    if empty == "weak":
+        assert len(grid.times) == 2 and weak == (np.inf, np.inf)
+        assert rec.checkable_plus > 0 and all(m == pytest.approx(1.0) for m in pointwise)
+    else:
+        assert (rec.checkable_plus, rec.checkable_minus) == (0, 0)
+        assert pointwise == (np.inf, np.inf)
+        assert all(m == pytest.approx(1.0) for m in weak)
+    assert rec.passed is False
+
+
 def test_rescale_pair_preserves_slack(euclid2):
     pair = make_family("DriftTwoPlane", {"c": 0.5}, chart=euclid2)
     resc = rescale_pair(pair, 0.25)
-    X = np.array([[0.8, 0.2], [2.0, -1.0]])
+    X = np.array([[[0.8, 0.2], [2.0, -1.0]]])
+    s = np.array([-0.5])
     # u(y, s)/r^2 with u(ry, r^2 s): values match by construction
-    direct = pair.plus.value(0.25 * X, 0.25 ** 2 * -0.5) / 0.25 ** 2
-    assert np.allclose(resc.plus.value(X, -0.5), direct)
+    direct = pair.plus.value(0.25 * X, 0.25 ** 2 * s) / 0.25 ** 2
+    assert np.allclose(resc.plus.value(X, s), direct)
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +597,18 @@ def test_pair_fields_equal_per_phase_calls(euclid2, name, params, r):
             assert np.array_equal(got[1], want[1])
 
     for s in times:
-        got, want = pair.fields(X, s), _fields_reference(name, base, r, X, s)
+        got, want = at(pair.fields, X, s), _fields_reference(name, base, r, X, s)
         assert got[0].shape == (2, len(X)) and got[1].shape == (2, len(X), 2)
         check(got, want)
-        assert np.array_equal(pair.values(X, s), want[0])
+        assert np.array_equal(at(pair.values, X, s), want[0])
     want = [_fields_reference(name, base, r, X, s) for s in times]
     want = [np.stack(part, axis=1) for part in zip(*want)]
     k = 1 if name in ("Null", "TwoPlaneCaloric", "PowerWedge") else len(times)
-    for rows in (X, X[None]):
-        values, grads = pair.fields(rows, times)
-        assert values.shape == (2, k, len(X)) and grads.shape == (2, k, len(X), 2)
-        check([np.broadcast_to(got, part.shape)
-               for got, part in zip((values, grads), want)], want)
-        assert np.array_equal(pair.values(rows, times), values)
+    values, grads = pair.fields(X[None], times)
+    assert values.shape == (2, k, len(X)) and grads.shape == (2, k, len(X), 2)
+    check([np.broadcast_to(got, part.shape)
+           for got, part in zip((values, grads), want)], want)
+    assert np.array_equal(pair.values(X[None], times), values)
     XX = X[None] * (1.0 - 0.05 * np.arange(len(times)))[:, None, None]
     want = [_fields_reference(name, base, r, x, s) for x, s in zip(XX, times)]
     values, grads = pair.fields(XX, times)
