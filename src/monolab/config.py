@@ -258,10 +258,13 @@ def _build(values, pair_params, set_keys):
         raise ConfigError(message, key=key)
 
     k_min, k_max = values["ladder.k_min"], values["ladder.k_max"]
+    # the ladder's end scales 4^-k, k clamped to [-500, 600]: beyond it the
+    # power overflows or the integer does not convert, and 4^-k lies far
+    # outside both limits either way
+    r_min, r_max = (4.0 ** -min(max(k, -500), 600) for k in (k_max, k_min))
     limit("ladder.k_max", k_min <= k_max, "k range is empty")
-    limit("ladder.k_max", 4.0 ** (-k_max) >= _MIN_SCALE,
-          f"4^-k_max must be >= {_MIN_SCALE:g}")
-    limit("ladder.k_min", 4.0 ** (-k_min) <= chart.radius / 2.0,
+    limit("ladder.k_max", r_min >= _MIN_SCALE, f"4^-k_max must be >= {_MIN_SCALE:g}")
+    limit("ladder.k_min", r_max <= chart.radius / 2.0,
           "4^{-k_min} must not exceed delta_p/2")
     for key in ("sd.r", "positivity.r", "bkp.rs"):
         scales = values[key] if key == "bkp.rs" else (values[key],)

@@ -1,15 +1,19 @@
 """Admissibility certificates: disjointness and the supercaloric bound.
 
 The weak inequality (Delta_g - d_t) u >= -1 is verified two ways, since no
-single numerical criterion captures "in the weak sense":
+single numerical criterion captures "in the weak sense".  Both read one
+discretization, the residual L_h u - D_t u + 1 of the discrete operator
+applied matrix-free from its triplets and the backward difference in time,
+on every node and frame 1..:
 
-* pointwise with slack, via the discrete operator applied matrix-free from
-  its triplets, restricted to nodes whose full stencil avoids the other
-  phase's positivity set (one-sided stencils at the interface are biased);
-  and
-* pairings against a fixed battery of nonnegative smooth space-time bumps,
-  integrating by parts onto the bump.  The battery is built once per grid,
-  so each phase's pairings are two matrix products with its sampled frames.
+* pointwise with slack, restricted to nodes whose full stencil avoids the
+  other phase's positivity set (one-sided stencils at the interface are
+  biased); and
+* pairings against a fixed battery of nonnegative smooth space-time bumps:
+  the psi-weighted mean of the residual over all nodes, the interface band
+  included.  By summation by parts this is the discrete weak form of the
+  stencil, exact wherever the stencil is.  The battery is built once per
+  grid, so each phase's pairings are one matrix product chain.
 
 Both checks read the phases sampled on every space-time node: ``sample_pair``
 samples them once, the caller passes the frames to each, and neither writes.
@@ -51,7 +55,8 @@ class ValidityRecord:
 class ResidualRecord:
     min_plus: float           # min over checkable nodes of (Delta_g - d_t) u + 1
     min_minus: float
-    weak_min_plus: float      # min bump pairing, normalized by the bump mass
+    weak_min_plus: float      # min over bumps of the psi-weighted mean of that
+                              # residual, all nodes
     weak_min_minus: float
     checkable_plus: int
     checkable_minus: int
@@ -97,49 +102,34 @@ def pair_validity_check(pair, grid, frames, tol=1e-10):
 
 def _bump_battery(chart, grid):
     """Deterministic nonnegative C^2 bumps psi(x) psi_t(t), compactly supported
-    inside Q, as quadrature-weighted factors on the grid.
+    inside Q, as weights on the residual's nodes and frames.
 
-    Returns ``(psi_x, lap_x, psi_t, dpsi_t)``: one row per spatial bump
-    psi = max(0, 1 - |x-c|^2/w^2)^3 and its Delta_g psi on the nodes, weighted
-    by dens h^n, and one row per time bump and its d_t on the frames, weighted
-    by the trapezoid rule.  Every spatial bump pairs with every time bump.
+    Returns ``(psi_x, psi_t)``: one row per spatial bump
+    psi = max(0, 1 - |x-c|^2/w^2)^3 on the nodes, weighted by dens h^n, and
+    one row per time bump on frames 1.., each weighted by its backward step
+    t_j - t_{j-1}, the step whose residual that frame carries.  Every spatial
+    bump pairs with every time bump.
     """
     n = chart.dim
     L = grid.half_width
     T = -float(grid.times[0])
     pts = grid.points()
-    g_inv, dens = geometry.inverse_metric_and_density(chart, pts)
-    drift = geometry.divergence_drift(chart, pts)
-    tr_ginv = sum(g_inv.entry(d, d) for d in range(n))
-    weight = dens * grid.h ** n
+    _, dens = geometry.inverse_metric_and_density(chart, pts)
     centers = [np.zeros(n)] + [s * 0.35 * L * e for e in np.eye(n) for s in (-1.0, 1.0)]
-    psi_x, lap_x = [], []
-    for c in centers:
-        for w in (0.3 * L, 0.5 * L):
-            if np.linalg.norm(c) + w >= 0.95 * L:
-                continue
-            D = pts - c
-            base = np.maximum(0.0, 1.0 - np.sum(D * D, axis=1) / w ** 2)
-            # grad psi = -6/w^2 base^2 D ; hess psi = 24/w^4 base D D^T - 6/w^2 base^2 I
-            lap = ((24.0 / w ** 4) * base * g_inv.form(D)
-                   - (6.0 / w ** 2) * base ** 2 * (tr_ginv + np.sum(drift * D, axis=1)))
-            psi_x.append(base ** 3 * weight)
-            lap_x.append(lap * weight)
-    tw = np.convolve(np.diff(grid.times), [0.5, 0.5])     # trapezoid weights
-    t_width = 0.25 * T
-    tau = (grid.times - np.array([[-0.65 * T], [-0.35 * T]])) / t_width
-    base_t = np.maximum(0.0, 1.0 - tau ** 2)
-    return (np.array(psi_x), np.array(lap_x), base_t ** 3 * tw,
-            -6.0 * tau / t_width * base_t ** 2 * tw)
+    psi_x = [np.maximum(0.0, 1.0 - np.sum((pts - c) ** 2, axis=1) / w ** 2) ** 3
+             for c in centers for w in (0.3 * L, 0.5 * L)
+             if np.linalg.norm(c) + w < 0.95 * L]
+    tau = (grid.times[1:] - np.array([[-0.65 * T], [-0.35 * T]])) / (0.25 * T)
+    psi_t = np.maximum(0.0, 1.0 - tau ** 2) ** 3 * np.diff(grid.times)
+    return np.array(psi_x) * (dens * grid.h ** n), psi_t
 
 
-def _weak_pairings(u_frames, battery):
-    """min over bumps of (iint u (Delta_g psi + d_t psi) + iint psi) / iint psi."""
-    psi_x, lap_x, psi_t, dpsi_t = battery
-    u = u_frames.reshape(len(u_frames), -1).T
-    mass_x = psi_x.sum(axis=1)
-    total = (lap_x @ u + mass_x[:, None]) @ psi_t.T + (psi_x @ u) @ dpsi_t.T
-    mass = np.outer(mass_x, psi_t.sum(axis=1))
+def _weak_pairings(resid, battery):
+    """min over bump pairs of sum psi resid / sum psi, the psi-weighted mean of
+    the residual ``resid`` (frames 1.., nodes) of the discrete operator."""
+    psi_x, psi_t = battery
+    total = (psi_x @ resid.T) @ psi_t.T
+    mass = np.outer(psi_x.sum(axis=1), psi_t.sum(axis=1))
     ok = mass > 0
     return float(np.min(total[ok] / mass[ok], initial=np.inf))
 
@@ -164,8 +154,9 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
     ``sample_pair(pair, grid)``.
 
     Pointwise: min over checkable space-time nodes of the discrete residual
-    plus one; pass needs min >= -tol - sqrt(h).  Weak form: the minimum
-    normalized bump pairing must clear the same threshold.  A margin that is
+    plus one; pass needs min >= -tol - sqrt(h).  Weak form: the minimum over
+    bump pairs of the psi-weighted mean of that residual, over every node,
+    must clear the same threshold.  A margin that is
     not finite fails: NaN, an overflow, or the inf of a part that checked
     nothing (no checkable node, or no bump with positive mass on the grid).
     """
@@ -183,7 +174,7 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
         with np.errstate(over="ignore", invalid="ignore"):
             resid = (apply_laplacian(triplets, flat[1:]) - (flat[1:] - flat[:-1]) / dt
                      + 1.0)
-            weak = _weak_pairings(u, battery)
+            weak = _weak_pairings(resid, battery)
         worst = float(np.min(resid[mask], initial=np.inf))   # NaN propagates
         results[sign] = (worst, weak, int(np.count_nonzero(mask)))
 

@@ -176,6 +176,11 @@ def test_parse_validation_errors():
     # time mesh of 10^9 slice times (MemoryError) and 10^8 blocks (no end)
     ("ladder.k_max = 300\n", "ladder.k_max"),
     ("ladder.k_max = 10\n", "ladder.k_max"),   # 4^-10 < 1e-6 <= 4^-9
+    # ladder indices whose 4^-k overflowed the float power or the integer's
+    # conversion to float: an OverflowError traceback
+    ("ladder.k_min = -10000\n", "ladder.k_min"),
+    ("ladder.k_min = -600\nchecks = poincare\n", "ladder.k_min"),
+    ("ladder.k_max = 1" + "0" * 400 + "\n", "ladder.k_max"),
     ("quad.slices_per_scale = 99999999\n", "quad.slices_per_scale"),
     ("quad.time_blocks = 99999999\n", "quad.time_blocks"),
     # report directories that are not one plain name under --out: the report

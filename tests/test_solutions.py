@@ -11,6 +11,7 @@ from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplaci
                                solve_heat, supercaloric_residual_check)
 from monolab.solutions import checks
 from monolab.solutions.grids import GridFunction
+from monolab.solutions.solver import apply_laplacian
 
 from conftest import rescale_pair
 
@@ -328,22 +329,28 @@ def test_wedge_weak_form(euclid2):
     assert rec.weak_min_minus >= -1e-6
 
 
-def _reference_weak_pairing(u_frames, chart, grid):
-    """The per-bump, per-frame weak pairing: for each bump of the battery and
-    each time frame, integrate u (Delta_g psi + d_t psi) + psi against the
-    density, and return the minimum normalized pairing."""
+def _reference_residual(u_frames, chart, grid):
+    """L_h u - D_t u + 1 on frames 1.. and every node, one frame at a time:
+    the stencil applied to frame j, less the backward difference to j - 1."""
+    triplets, _ = assemble_laplacian(chart, grid)
+    u_flat = u_frames.reshape(len(grid.times), -1)
+    return np.array([apply_laplacian(triplets, u_flat[j])
+                     - (u_flat[j] - u_flat[j - 1]) / (grid.times[j] - grid.times[j - 1])
+                     + 1.0 for j in range(1, len(grid.times))])
+
+
+def _reference_weak_pairing(resid, chart, grid):
+    """The per-bump, per-frame weak pairing: for each (space bump, time bump)
+    pair of the battery, sum psi resid over the nodes against dens h^n and
+    over frames 1.. against the backward steps, and return the minimum of
+    that sum over the same sum of psi."""
     n = chart.dim
     L = grid.half_width
     T = -float(grid.times[0])
     pts = grid.points()
-    g_inv, dens = geo.inverse_metric_and_density(chart, pts)
-    drift = geo.divergence_drift(chart, pts)
+    _, dens = geo.inverse_metric_and_density(chart, pts)
     cell = grid.h ** n
     times = grid.times
-    tw = np.zeros(len(times))
-    tw[1:] += 0.5 * np.diff(times)
-    tw[:-1] += 0.5 * np.diff(times)
-    u_flat = u_frames.reshape(len(times), -1)
     centers = [np.zeros(n)]
     for d in range(n):
         for sgn in (-1.0, 1.0):
@@ -355,37 +362,23 @@ def _reference_weak_pairing(u_frames, chart, grid):
         for w in (0.3 * L, 0.5 * L):
             if np.linalg.norm(c) + w >= 0.95 * L:
                 continue
-            D = pts - c
-            base = np.maximum(0.0, 1.0 - np.sum(D * D, axis=1) / w ** 2)
-            psi_x = base ** 3
-            grad = (-6.0 / w ** 2) * base[:, None] ** 2 * D
-            hess = ((24.0 / w ** 4) * base[:, None, None] * (D[:, :, None] * D[:, None, :])
-                    + (-6.0 / w ** 2) * (base ** 2)[:, None, None] * np.eye(n))
-            lap_x = (sum(g_inv.entry(i, j) * hess[:, i, j]
-                         for i in range(n) for j in range(n))
-                     + np.einsum("mj,mj->m", drift, grad))
+            psi_x = np.maximum(0.0, 1.0 - np.sum((pts - c) ** 2, axis=1) / w ** 2) ** 3
             for tc in (-0.65 * T, -0.35 * T):
-                tww = 0.25 * T
-                tau = (times - tc) / tww
-                base_t = np.maximum(0.0, 1.0 - tau ** 2)
-                psi_t = base_t ** 3
-                dpsi_t = -6.0 * tau / tww * base_t ** 2
-                mass = float(np.sum(tw * psi_t) * np.dot(psi_x, dens) * cell)
-                if mass <= 0:
-                    continue
-                total = 0.0
-                for m in range(len(times)):
-                    integrand = (u_flat[m] * (lap_x * psi_t[m] + psi_x * dpsi_t[m])
-                                 + psi_x * psi_t[m])
-                    total += tw[m] * float(np.dot(integrand, dens)) * cell
-                worst = min(worst, total / mass)
+                total = mass = 0.0
+                for j in range(1, len(times)):
+                    psi_t = max(0.0, 1.0 - ((times[j] - tc) / (0.25 * T)) ** 2) ** 3
+                    weight = psi_t * (times[j] - times[j - 1]) * psi_x * dens * cell
+                    total += float(np.dot(weight, resid[j - 1]))
+                    mass += float(np.sum(weight))
+                if mass > 0:
+                    worst = min(worst, total / mass)
     return worst
 
 
 @pytest.mark.parametrize("case", ["numeric_pair", "sphere_wedge"])
 def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
-    """The stacked battery's two matrix products give the per-bump, per-frame
-    pairing on a grid pair and on a curved chart."""
+    """The stacked battery's one product chain gives the per-bump, per-frame
+    psi-weighted mean of the residual, on a grid pair and on a curved chart."""
     grid = small_grid()
     if case == "numeric_pair":
         chart = euclid2
@@ -398,9 +391,75 @@ def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
     rec = supercaloric_residual_check(chart, grid, frames, tol=1e-8)
     battery = checks._bump_battery(chart, grid)
     for u, weak in zip(frames, (rec.weak_min_plus, rec.weak_min_minus)):
-        ref = _reference_weak_pairing(u, chart, grid)
-        assert checks._weak_pairings(u, battery) == weak
-        assert weak == pytest.approx(ref, rel=1e-13, abs=0.0)
+        resid = _reference_residual(u, chart, grid)
+        assert checks._weak_pairings(resid, battery) == weak
+        assert weak == pytest.approx(_reference_weak_pairing(resid, chart, grid),
+                                     rel=1e-13, abs=0.0)
+
+
+def _plane_grid(radius, h, dt0):
+    return (geo.euclidean_chart(2, radius=radius),
+            SpaceTimeGrid.geometric(2, radius, h, ratio=0.85, dt0=dt0))
+
+
+# the unit chart, and the small chart whose pairing once read -6.36 and -6.72
+PLANE_GRIDS = [(1.0, 0.1, 0.2), (1.0, 0.05, 0.2), (0.1, 0.025, 0.002),
+               (0.1, 0.0125, 0.002)]
+
+
+@pytest.mark.parametrize("radius, h, dt0", PLANE_GRIDS)
+@pytest.mark.parametrize("name, params", [("TwoPlaneCaloric", {}),
+                                          ("DriftTwoPlane", {"c": 0.5})])
+def test_planes_pair_to_their_closed_form(name, params, radius, h, dt0):
+    """The stencil is exact on the planes away from the interface, where
+    their residual is 1 - c |x1| (c = 0: the caloric planes), and a bump over
+    the interface row averages more (its discrete delta).  So the worst bump,
+    the narrow one centred at +-0.35 L e1, pairs to 1 - c x1bar, x1bar its
+    psi-weighted mean of |x1| on the flat chart's nodes: exactly 1 for the
+    caloric planes."""
+    chart, grid = _plane_grid(radius, h, dt0)
+    c = params.get("c", 0.0)
+    rec = supercaloric_residual_check(chart, grid,
+                                      sample_pair(make_family(name, params, chart=chart), grid))
+    pts, L = grid.points(), grid.half_width
+    for sgn, weak in ((1.0, rec.weak_min_plus), (-1.0, rec.weak_min_minus)):
+        centre = np.array([sgn * 0.35 * L, 0.0])
+        psi = np.maximum(0.0, 1.0 - np.sum((pts - centre) ** 2, axis=1)
+                         / (0.3 * L) ** 2) ** 3
+        x1bar = sgn * np.dot(psi, pts[:, 0]) / np.sum(psi)
+        assert weak == pytest.approx(1.0 - c * x1bar, abs=1e-12)
+    assert rec.passed
+
+
+def test_weak_part_reads_the_masked_interface_row():
+    """Negative control: the caloric planes with u_+ growing in time by
+    0.5 (t - t0) on the row x1 = 0 only.  The pointwise part masks that row
+    (the other phase is positive next to it) and still reads 1; the weak
+    part averages the row's residual and fails the certificate."""
+    chart, grid = _plane_grid(1.0, 0.1, 0.2)
+    pair = make_family("TwoPlaneCaloric", {}, chart=chart)
+    up, um = sample_pair(pair, grid)
+    row = (grid.points()[:, 0] == 0.0).reshape(grid.shape())
+    assert row.any()
+    up = up + 0.5 * (grid.times - grid.times[0])[:, None, None] * row
+    rec = supercaloric_residual_check(chart, grid, (up, um))
+    assert rec.min_plus == pytest.approx(1.0, abs=1e-12)
+    assert rec.min_minus == pytest.approx(1.0, abs=1e-12)
+    assert rec.weak_min_plus < -rec.slack
+    assert rec.passed is False
+
+
+@pytest.mark.parametrize("base, depth", [(11, 0.5), (23, 0.8)])
+def test_bench_seed_variants_are_admissible(euclid2, base, depth):
+    """The numeric pairs of the eight seed variants of each bench config,
+    on their grid, pass both certificates."""
+    grid = SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.85, dt0=0.2)
+    for seed in range(base, base + 8):
+        pair = make_family("NumericPair", {"seed": seed, "source_depth": depth},
+                           chart=euclid2, grid=grid)
+        frames = sample_pair(pair, grid)
+        assert pair_validity_check(pair, grid, frames).passed, seed
+        assert supercaloric_residual_check(euclid2, grid, frames).passed, seed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -456,7 +515,8 @@ def test_a_part_that_checked_nothing_fails_the_certificate(radius, h, dt0, empty
     else:
         assert (rec.checkable_plus, rec.checkable_minus) == (0, 0)
         assert pointwise == (np.inf, np.inf)
-        assert all(m == pytest.approx(1.0) for m in weak)
+        # every bump covers the interface node, whose discrete delta adds 1/h
+        assert all(m == pytest.approx(1.0 + 1.0 / h) for m in weak)
     assert rec.passed is False
 
 
