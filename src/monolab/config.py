@@ -7,8 +7,9 @@ builds the scenario's chart, solver grid and quadrature rule through their
 own constructors, which hold the limits on their keys; an error names its
 file, its key, and the line that sets it.  A pair parameter or a manifold key
 that the chosen family does not read is an error too.  A default ladder
-range or scale is checked only where a requested check reads it, and its
-refusal names the default and the key to set.
+range or scale is checked only where a requested check reads it (its row of
+``battery.CHECKS`` names the key), and its refusal names the default and
+the key to set.
 """
 
 from __future__ import annotations
@@ -17,17 +18,12 @@ import math
 from dataclasses import dataclass
 
 from . import geometry, kernels, quadrature
+from .battery import CHECKS
 from .errors import ConfigError
 from .solutions.families import family_params, param_types
 from .solutions.grids import SpaceTimeGrid
 
-__all__ = ["ScenarioConfig", "parse_config", "parse_config_text", "ALL_CHECKS"]
-
-ALL_CHECKS = (
-    "phi_curve", "ladder", "prop1", "prop2", "thm1", "thm2", "e322",
-    "poincare", "bkp", "bkp_perturbed", "pushforward", "scale_derivative",
-    "positivity",
-)
+__all__ = ["ScenarioConfig", "parse_config", "parse_config_text"]
 
 
 @dataclass(frozen=True)
@@ -82,12 +78,6 @@ def _parse_str_list(raw):
 # be a positive normal float; 1e-6 keeps it at 1e-12 or above, far from
 # underflow, and far below any scale the default rules resolve.
 _MIN_SCALE = 1e-6
-
-# scale or ladder key -> the checks that read it
-_READERS = {"sd.r": {"scale_derivative"}, "positivity.r": {"positivity"},
-            "bkp.rs": {"bkp_perturbed", "pushforward"},
-            **dict.fromkeys(("ladder.k_min", "ladder.k_max"), {
-                "phi_curve", "ladder", "prop1", "prop2", "thm1", "thm2", "e322"})}
 
 # key -> (the ScenarioConfig attribute it sets, or None for a key that only
 # builds the chart, the grid or the rule; its converter; its default).
@@ -232,24 +222,18 @@ def _build(values, pair_params, set_keys):
     checks = values["checks"]
     if not checks:
         raise ConfigError("no checks requested", key="checks")
-    unknown = [c for c in checks if c not in ALL_CHECKS]
+    unknown = [c for c in checks if c not in CHECKS]
     if unknown:
-        raise ConfigError(f"unknown checks {unknown} (known: {list(ALL_CHECKS)})",
+        raise ConfigError(f"unknown checks {unknown} (known: {list(CHECKS)})",
                           key="checks")
     if len(set(checks)) < len(checks):
         raise ConfigError(f"checks repeats a name: {list(checks)}", key="checks")
-    if not 0.0 < values["thm2.eps"] <= 1.0:
-        raise ConfigError("thm2.eps must lie in (0, 1]", key="thm2.eps")
-    if not values["thm1.guard"] > 0.0:
-        raise ConfigError("thm1.guard must be positive", key="thm1.guard")
-    if len(set(values["bkp.rs"])) < 2:
-        raise ConfigError("bkp.rs must list at least two distinct scales to fit "
-                          "a slope through", key="bkp.rs")
 
     def limit(key, ok, message):
         """Refuse ``key`` unless ``ok``, if the text sets it or a requested
-        check reads it; a refused default is named, with the key to set."""
-        if ok or key not in set_keys and not _READERS[key].intersection(checks):
+        check reads it (``battery.CHECKS``); a refused default is named, with
+        the key to set."""
+        if ok or key not in set_keys and not any(key in CHECKS[c][0] for c in checks):
             return
         if key not in set_keys:
             shown = values[key] if key == "bkp.rs" else (values[key],)
@@ -257,6 +241,10 @@ def _build(values, pair_params, set_keys):
                         f"{', '.join(f'{v:g}' for v in shown)}; set {key})")
         raise ConfigError(message, key=key)
 
+    limit("thm2.eps", 0.0 < values["thm2.eps"] <= 1.0, "thm2.eps must lie in (0, 1]")
+    limit("thm1.guard", values["thm1.guard"] > 0.0, "thm1.guard must be positive")
+    limit("bkp.rs", len(set(values["bkp.rs"])) >= 2,
+          "bkp.rs must list at least two distinct scales to fit a slope through")
     k_min, k_max = values["ladder.k_min"], values["ladder.k_max"]
     # the ladder's end scales 4^-k, k clamped to [-500, 600]: beyond it the
     # power overflows or the integer does not convert, and 4^-k lies far

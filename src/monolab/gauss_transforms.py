@@ -47,6 +47,8 @@ __all__ = [
 
 _POINCARE_TOL = 1e-8
 _NOISE_FLOOR = 1e-10     # deficit-ladder values up to it are numerical zeros
+# pushforward-ladder values up to it are exact zeros, left out of its slope fits
+PUSHFORWARD_FLOOR = 1e-12
 _BLEND_START = 0.5       # PsiMap blends psi to zero from |z| = 1 down to it
 
 
@@ -280,8 +282,8 @@ def pushforward_ladder(chart, rs, kernel_kind="parametrix0", s=-0.5, cfg=None):
     return {
         "rs": list(rs),
         "records": recs,
-        "sup_slope": functional.fit_log_slope(rs, sups, floor=1e-12),
-        "mass_defect_slope": functional.fit_log_slope(rs, defects, floor=1e-12),
+        "sup_slope": functional.fit_log_slope(rs, sups, floor=PUSHFORWARD_FLOOR),
+        "mass_defect_slope": functional.fit_log_slope(rs, defects, floor=PUSHFORWARD_FLOOR),
         "fitted_mass_constant": float(fitted_mass_const),
     }
 

@@ -75,9 +75,12 @@ class TwoPhasePair:
     sampler: object = field(repr=False)
 
     def __post_init__(self):
+        # the rows close over the sampler, not the pair: a pair in a reference
+        # cycle would keep its arrays until the cyclic collector runs
+        sampler = self.sampler
         self.plus, self.minus = (
-            Phase(value=lambda X, s, i=i: self.sampler.values(X, s)[i],
-                  grad=lambda X, s, i=i: self.sampler.fields(X, s)[1][i])
+            Phase(value=lambda X, s, i=i: sampler.values(X, s)[i],
+                  grad=lambda X, s, i=i: sampler.fields(X, s)[1][i])
             for i in (0, 1))
 
     def values(self, X, s):

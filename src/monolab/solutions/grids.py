@@ -88,7 +88,9 @@ class SpaceTimeGrid:
         """Mesh on (-T, 0] with steps dt0, dt0*ratio, ... snapped onto 0.
 
         T is half_width^2 (the parabolic scaling of the cube).
-        Requires dt0 > T (1 - ratio) so the geometric sum reaches 0.
+        Requires dt0 > T (1 - ratio) so the geometric sum reaches 0, and
+        at least three frames: on two no time bump of the weak residual
+        certificate has mass, so the certificate checks nothing.
         """
         if not 0.0 < ratio < 1.0:
             raise ConfigError("grading ratio must lie in (0, 1)", key="grid.q")
@@ -109,6 +111,10 @@ class SpaceTimeGrid:
             times.append(nxt)
             step *= ratio
         times.append(0.0)
+        if len(times) < 3:
+            raise ConfigError(f"coarsest step {dt0:g} leaves two time frames, which "
+                              "the weak certificate cannot check: set a smaller "
+                              "grid.dt0", key="grid.dt0")
         h_eff = 2.0 * half_width / (n_nodes - 1)
         return cls(dim=dim, half_width=float(half_width), h=h_eff,
                    times=np.array(times))

@@ -9,9 +9,9 @@ import warnings
 import pytest
 
 import monolab
-from monolab import cli
-from monolab.cli import LADDER_HEADER, PHI_CURVE_HEADER
-from monolab.config import ALL_CHECKS, ScenarioConfig, parse_config, parse_config_text
+from monolab import cli, config
+from monolab.battery import CHECKS, LADDER_HEADER, PHI_CURVE_HEADER
+from monolab.config import ScenarioConfig, parse_config, parse_config_text
 from monolab.errors import ConfigError
 from monolab.report import write_report
 
@@ -196,6 +196,9 @@ def test_parse_validation_errors():
     ("scenario.id = nul\x00\n", "scenario.id"),
     # a repeated check ran twice and wrote its artifacts twice
     ("checks = ladder, prop1, ladder\n", "checks"),
+    # a time mesh of two frames, -T and 0: the weak certificate checked
+    # nothing, and every check was recorded failed (exit 1)
+    ("manifold.delta_p = 0.5\ngrid.dt0 = 0.2\n", "grid.dt0"),
 ])
 def test_constructor_limits_exit_2(tmp_path, capsys, text, key):
     """Values the quadrature, grid or chart constructors reject, and keys
@@ -292,8 +295,8 @@ def test_parse_builds_chart_grid_and_rule():
 
 
 def test_readme_lists_every_config_key():
-    """The README's key table and the parser know the same keys."""
-    from monolab import config
+    """The README's key table and the parser know the same keys, and its
+    checks row the battery's checks."""
     from monolab.solutions.families import FAMILY_NAMES, param_types
 
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -310,11 +313,40 @@ def test_readme_lists_every_config_key():
     parsed = set(config._KEYS) | {f"pair.{p}" for family in FAMILY_NAMES
                                   for p in param_types(family)}
     assert documented == parsed
+    # the checks row names the battery's checks, in the table's order
+    checks_row = next(row for row in table.splitlines() if row.startswith("| `checks` |"))
+    assert checks_row.split("`")[3].split(", ") == list(CHECKS)
 
 
 def test_all_checks_known():
-    cfg = parse_config_text("checks = " + ", ".join(ALL_CHECKS) + "\n")
-    assert set(cfg.checks) == set(ALL_CHECKS)
+    cfg = parse_config_text("checks = " + ", ".join(CHECKS) + "\n")
+    assert cfg.checks == tuple(CHECKS)
+
+
+# the ScenarioConfig attribute of every key some check of the table reads
+CHECK_ATTRS = {key: config._KEYS[key][0] for reads, _ in CHECKS.values()
+               for key in reads}
+_UNCHECKED = FAST_CALORIC.replace("checks = ladder, prop1, thm1\n", "")
+TABLE_TEXTS = {
+    "flat": _UNCHECKED,
+    "curved": _UNCHECKED.replace("manifold.family = euclidean",
+                                 "manifold.family = const_curvature\nmanifold.K = 1.0"),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(TABLE_TEXTS))
+def test_each_check_reads_only_the_keys_of_its_table_row(chart):
+    """Each check, run with every check-specific setting its row of
+    ``CHECKS`` does not name set to None, records what it records in a run
+    of all the checks on the unchanged config."""
+    cfg = parse_config_text(TABLE_TEXTS[chart] + "checks = " + ", ".join(CHECKS) + "\n")
+    full = cli.run_scenario(cfg)
+    assert full.record("admissibility").passed
+    for name, (reads, _) in CHECKS.items():
+        unread = {attr: None for key, attr in CHECK_ATTRS.items() if key not in reads}
+        doc = cli.run_scenario(dataclasses.replace(cfg, checks=(name,), **unread))
+        # repr: a NaN value equals itself only as text
+        assert repr(doc.records[1]) == repr(full.record(name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +427,28 @@ def test_write_report_idempotent(null_doc, tmp_path):
     first = (tmp_path / "twice" / "ladder.csv").read_bytes()
     write_report(null_doc, out)
     assert (tmp_path / "twice" / "ladder.csv").read_bytes() == first
+
+
+def test_flat_pushforward_passes_on_an_exact_reduction(tmp_path, capsys):
+    """On the flat chart of caloric_euclid the reduction to Gauss measure is
+    exact: every sup deviation lies at the slope fit's floor, so there is no
+    slope to fit (NaN), and the check passes (it failed)."""
+    from monolab import gauss_transforms as gt
+
+    path = next(p for p in cli.shipped_scenario_paths()
+                if os.path.basename(p) == "caloric_euclid.cfg")
+    with open(path, encoding="utf-8") as fh:
+        text = _mutate(fh.read(), "checks", "pushforward")
+    cfg = tmp_path / "push.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "[caloric_euclid:pushforward] PASS" in capsys.readouterr().out
+    values = json.loads((out / "caloric_euclid" / "report.json").read_text())[
+        "checks"]["pushforward"]["values"]
+    assert values["sup_slope"] == "nan"
+    assert all(0.0 < rec["sup_deviation"] <= gt.PUSHFORWARD_FLOOR
+               for rec in values["records"])
 
 
 def test_caloric_scenario_values():

@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from monolab import geometry as geo
-
+from monolab.errors import ConfigError
 from monolab.solutions import (GridPhaseSampler, SpaceTimeGrid, assemble_laplacian,
                                make_family, pair_validity_check, sample_pair,
                                solve_heat, supercaloric_residual_check)
@@ -50,6 +52,11 @@ def test_geometric_mesh_validation():
         SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=1.2, dt0=0.3)
     with pytest.raises(ValueError):
         SpaceTimeGrid.geometric(2, 1.0, 0.1, ratio=0.5, dt0=0.3)  # never reaches 0
+    # two frames, -T and 0: no time bump of the weak certificate has mass
+    with pytest.raises(ConfigError, match="set a smaller grid.dt0") as err:
+        SpaceTimeGrid.geometric(2, 0.5, 0.1, ratio=0.85, dt0=0.2)
+    assert err.value.key == "grid.dt0"
+    assert len(SpaceTimeGrid.geometric(2, 0.5, 0.1, ratio=0.85, dt0=0.05).times) >= 3
 
 
 def test_from_times_validation():
@@ -504,7 +511,12 @@ def test_a_part_that_checked_nothing_fails_the_certificate(radius, h, dt0, empty
     has nothing to check: that part's margin is the inf of an empty minimum,
     and the certificate fails, though the other part passes."""
     chart = geo.euclidean_chart(2, radius=radius)
-    grid = SpaceTimeGrid.geometric(2, radius, h, ratio=0.85, dt0=dt0)
+    if empty == "weak":
+        # geometric refuses the two-frame mesh -T, 0 that this dt0 gives;
+        # the certificate must still fail it
+        grid = SpaceTimeGrid.from_times(2, radius, h, [-radius ** 2, 0.0])
+    else:
+        grid = SpaceTimeGrid.geometric(2, radius, h, ratio=0.85, dt0=dt0)
     pair = make_family("TwoPlaneCaloric", {}, chart=chart)
     rec = supercaloric_residual_check(chart, grid, sample_pair(pair, grid))
     weak, pointwise = (rec.weak_min_plus, rec.weak_min_minus), (rec.min_plus,
@@ -518,6 +530,24 @@ def test_a_part_that_checked_nothing_fails_the_certificate(radius, h, dt0, empty
         # every bump covers the interface node, whose discrete delta adds 1/h
         assert all(m == pytest.approx(1.0 + 1.0 / h) for m in weak)
     assert rec.passed is False
+
+
+@pytest.mark.parametrize("family, params", [("TwoPlaneCaloric", {}),
+                                            ("NumericPair", {"seed": 3})])
+def test_a_dropped_pair_frees_its_sampler_without_the_collector(euclid2, family,
+                                                                  params):
+    """A pair is in no reference cycle: its sampler, and so a grid pair's
+    grids and padded frames, go when the pair goes, not when the cyclic
+    collector next runs."""
+    grid = SpaceTimeGrid.geometric(2, 1.0, 0.25, ratio=0.85, dt0=0.2)
+    pair = make_family(family, params, chart=euclid2, grid=grid)
+    sampler = weakref.ref(pair.sampler)
+    gc.disable()
+    try:
+        del pair
+        assert sampler() is None
+    finally:
+        gc.enable()
 
 
 def test_rescale_pair_preserves_slack(euclid2):
