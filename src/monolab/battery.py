@@ -6,10 +6,14 @@ parser reads the keys (a default is checked only where a requested check
 reads it), and the runner calls the function.  A function takes the parsed
 config and the scenario's ``MonotonicityInput`` and returns ``(passed,
 values, tables)``: ``passed`` is None for a check that only reports values,
-and ``tables`` maps a file stem to a ``CheckRecord`` table.  Each verdict
-rule sits with its check.  Numerics are looked up on their modules at call
-time (``fn.dyadic_ladder``), never bound at import, so a wrapper set on a
-module attribute sees every call.
+and ``tables`` maps a file stem to a ``CheckRecord`` table.  Most verdict
+rules sit here; thm1, thm2, poincare and bkp take the ``passed`` of the
+numerics they call, whose rules sit in ``functional`` (the guard, a finite
+and stable constant) and ``gauss_transforms`` (the 1e-8 tolerance, the
+-1e-3 deficit), and prop1 ANDs ``dyadic_ladder``'s per-rung predicate.
+Numerics are looked up on their modules at call time (``fn.dyadic_ladder``),
+never bound at import, so a wrapper set on a module attribute sees every
+call.
 """
 
 from __future__ import annotations
@@ -67,22 +71,21 @@ def _phi_curve(cfg, inp):
 
 
 def _ladder(cfg, inp):
-    lad = _dyadic_ladder(cfg, inp)
-    rows = [dataclasses.asdict(row) for row in lad.rows]
-    return (None, {"rows": rows, "C0": lad.c0, "C1": lad.c1},
+    rows = _dyadic_ladder(cfg, inp)
+    return (None, {"rows": rows, "C0": cfg.c0, "C1": cfg.c1},
             {"ladder": _table(rows, LADDER_HEADER, csv=True)})
 
 
 def _prop1(cfg, inp):
-    rows = _dyadic_ladder(cfg, inp).rows
-    return all(row.prop1_pass for row in rows), {
-        "ratios": [row.prop1_ratio for row in rows],
-        "deltas": [row.delta_k for row in rows]}, {}
+    rows = _dyadic_ladder(cfg, inp)
+    return all(row["prop1_pass"] for row in rows), {
+        "ratios": [row["prop1_ratio"] for row in rows],
+        "deltas": [row["delta_k"] for row in rows]}, {}
 
 
 def _prop2(cfg, inp):
-    active = [(row.k, row.prop2_ratio) for row in _dyadic_ladder(cfg, inp).rows
-              if row.prop2_active]
+    active = [(row["k"], row["prop2_ratio"]) for row in _dyadic_ladder(cfg, inp)
+              if row["prop2_active"]]
     ratios = [r for _, r in active if np.isfinite(r)]
     ok = all(r < 1.0 for r in ratios) if ratios else True
     fitted_eps = 1.0 - max(ratios) if ratios else None
@@ -100,17 +103,14 @@ def _thm2(cfg, inp):
 
 
 def _e322(cfg, inp):
-    rs = _ladder_rs(cfg)
-    per_r = {r: fn.energy_inequality_check(inp, r) for r in rs}
-    values = {"records": {repr(r): [dataclasses.asdict(rec) for rec in pair_]
-                          for r, pair_ in per_r.items()}}
+    records = {repr(r): fn.energy_inequality_check(inp, r)
+               for r in _ladder_rs(cfg)}
     ok = True
-    for attr in ("c_fixed_form", "c_inf_form", "c_annulus_form"):
+    for key in ("c_fixed_form", "c_inf_form", "c_annulus_form"):
         for sign in (0, 1):
-            series = [getattr(per_r[r][sign], attr) for r in rs]
+            series = [recs[sign][key] for recs in records.values()]
             ok = ok and all(np.isfinite(series)) and fn.constants_stable(series)
-    values["stable"] = ok
-    return ok, values, {}
+    return ok, {"records": records, "stable": ok}, {}
 
 
 def _poincare(cfg, inp):
@@ -150,8 +150,8 @@ def _pushforward(cfg, inp):
 
 def _scale_derivative(cfg, inp):
     rec = fn.scale_derivative(inp, cfg.sd_r)
-    gap = abs(rec.direct - rec.finite_difference)
-    return gap <= 0.02 * max(rec.term_scale, 1e-300), dataclasses.asdict(rec), {}
+    gap = abs(rec["direct"] - rec["finite_difference"])
+    return gap <= 0.02 * max(rec["term_scale"], 1e-300), rec, {}
 
 
 def _positivity(cfg, inp):

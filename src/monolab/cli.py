@@ -47,7 +47,7 @@ def run_scenario(cfg):
     frames = sample_pair(pair, grid)
     validity = pair_validity_check(pair, grid, frames)
     residual = supercaloric_residual_check(chart, grid, frames)
-    admissible = bool(validity.passed and residual.passed)
+    admissible = bool(validity["passed"] and residual["passed"])
     records.append(CheckRecord(
         name="admissibility",
         passed=admissible,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  (imported with the package, not on first use)
 
 from . import geometry
 

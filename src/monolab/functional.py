@@ -58,10 +58,6 @@ from .kernels import KernelSpec
 
 __all__ = [
     "MonotonicityInput",
-    "DyadicLadder",
-    "LadderRow",
-    "ScaleDerivativeRecord",
-    "EnergyInequalityRecord",
     "phase_energy",
     "phi",
     "boundary_energy",
@@ -196,31 +192,9 @@ def slice_mass(input_, s):
 # dyadic ladder
 
 
-@dataclass(frozen=True)
-class LadderRow:
-    k: int
-    r: float
-    a_plus: float
-    a_minus: float
-    b_plus: float
-    b_minus: float
-    delta_k: float
-    phi: float
-    prop1_ratio: float
-    prop1_pass: bool
-    prop2_active: bool
-    prop2_ratio: float
-
-
-@dataclass(frozen=True)
-class DyadicLadder:
-    rows: tuple
-    c0: float
-    c1: float
-
-
 def dyadic_ladder(input_, k_min, k_max, c0=10.0, c1=1.0):
-    """A_k, b_k = 4^{4k} A_k, delta_k and the two proposition predicates.
+    """One row dict per rung k of the ladder r = 4^-k: A_k^pm, b_k^pm =
+    4^{4k} A_k^pm, delta_k, phi, and the two proposition predicates.
 
     prop1: whenever b_k^pm >= c0, the product ratio 4^4 A_{k+1}^+ A_{k+1}^- /
     (A_k^+ A_k^-) must not exceed 1 + delta_k (vacuous pass below the gate).
@@ -255,36 +229,28 @@ def dyadic_ladder(input_, k_min, k_max, c0=10.0, c1=1.0):
             p2_ratio = a_m[k + 1] / a_m[k] if (p2_active and a_m[k] > 0) else np.nan
         else:
             ratio, p1, p2_active, p2_ratio = np.nan, True, False, np.nan
-        rows.append(LadderRow(k=k, r=r, a_plus=a_p[k], a_minus=a_m[k],
-                              b_plus=bp, b_minus=bm, delta_k=float(delta_k),
-                              phi=phi_k, prop1_ratio=float(ratio),
-                              prop1_pass=bool(p1), prop2_active=bool(p2_active),
-                              prop2_ratio=float(p2_ratio)))
-    return DyadicLadder(rows=tuple(rows), c0=c0, c1=c1)
+        rows.append({"k": k, "r": r, "a_plus": a_p[k], "a_minus": a_m[k],
+                     "b_plus": bp, "b_minus": bm, "delta_k": float(delta_k),
+                     "phi": phi_k, "prop1_ratio": float(ratio),
+                     "prop1_pass": bool(p1), "prop2_active": bool(p2_active),
+                     "prop2_ratio": float(p2_ratio)})
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # scale derivative
 
 
-@dataclass(frozen=True)
-class ScaleDerivativeRecord:
-    r: float
-    a_plus: float            # A~_pm(1) of the rescaled pair
-    a_minus: float
-    b_plus: float            # B~_pm(1), single-slice energies at s = -1
-    b_minus: float
-    direct: float            # -4 A+A- + 2 B+A- + 2 A+B-
-    finite_difference: float
-    fd_step: float
-    lambda_plus: float       # Rayleigh quotients of the s = -1 slice
-    lambda_minus: float
-    term_scale: float        # 4A+A- + 2B+A- + 2A+B-, the comparison yardstick
-
-
 def scale_derivative(input_, r):
     """Direct phi~'(1) vs the centered difference of phi~, plus the slice
     Rayleigh quotients, for the parabolic rescaling u(r y, r^2 s) / r^2.
+
+    Keys: A~_pm(1) (``a_plus``, ``a_minus``), the single-slice energies
+    B~_pm(1) at s = -1 (``b_plus``, ``b_minus``), ``direct`` = -4 A+A- +
+    2 B+A- + 2 A+B-, ``finite_difference`` with its ``fd_step``, the Rayleigh
+    quotients B~/m~ of the s = -1 slice (``lambda_plus``, ``lambda_minus``)
+    and ``term_scale`` = 4 A+A- + 2 B+A- + 2 A+B-, the yardstick the two
+    derivatives are compared against.
 
     The rescaled quantities are read from the input's own slice table:
     A~(rho) = r^-4 A(r rho), B~(1) = r^-2 B(r) and m~(-1) = r^-4 m(-r^2);
@@ -306,33 +272,27 @@ def scale_derivative(input_, r):
     lam_p = b_p / m_p if m_p > 0 else np.nan
     lam_m = b_m / m_m if m_m > 0 else np.nan
     scale = 4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m
-    return ScaleDerivativeRecord(r=r, a_plus=a_p, a_minus=a_m, b_plus=b_p,
-                                 b_minus=b_m, direct=direct,
-                                 finite_difference=fd, fd_step=_FD_STEP,
-                                 lambda_plus=float(lam_p),
-                                 lambda_minus=float(lam_m),
-                                 term_scale=scale)
+    return {"r": r, "a_plus": a_p, "a_minus": a_m, "b_plus": b_p,
+            "b_minus": b_m, "direct": direct, "finite_difference": fd,
+            "fd_step": _FD_STEP, "lambda_plus": float(lam_p),
+            "lambda_minus": float(lam_m), "term_scale": scale}
 
 
 # ---------------------------------------------------------------------------
 # energy inequality and theorem checks
 
 
-@dataclass(frozen=True)
-class EnergyInequalityRecord:
-    r: float
-    sign: int
-    energy: float             # A_pm(r)
-    slice_mass_r: float       # int w^2(., -r^2) dnu^{-r^2}
-    inf_slice_mass: float     # inf over s in [-4r^2, -r^2]
-    annulus_mass: float       # iint_{S_2r \ S_r} w^2 dnu
-    c_fixed_form: float       # smallest C in A <= C r^4 + C r^2 sqrt(M) + M/2
-    c_inf_form: float         # smallest C in A <= C (r^4 + inf-mass)
-    c_annulus_form: float     # smallest C in A <= C (r^4 + annulus/r^2)
-
-
 def energy_inequality_check(input_, r):
-    """One record per phase, (plus, minus), from one request per quantity."""
+    """One record dict per phase, (plus, minus), from one request per
+    quantity: the ``energy`` A_pm(r), ``slice_mass_r`` = int w^2(., -r^2)
+    dnu^{-r^2}, its ``inf_slice_mass`` over s in [-4r^2, -r^2], the
+    ``annulus_mass`` iint_{S_2r \\ S_r} w^2 dnu, and the smallest C in each
+    form of the energy inequality:
+
+        c_fixed_form:   A <= C r^4 + C r^2 sqrt(M) + M/2, M = slice_mass_r
+        c_inf_form:     A <= C (r^4 + inf_slice_mass)
+        c_annulus_form: A <= C (r^4 + annulus_mass / r^2)
+    """
     masses = _slice_at(input_, "w_sq")
     inf_masses = [min(row) for row in
                   masses(-np.geomspace(r * r, 4 * r * r, 9)).tolist()]
@@ -345,9 +305,10 @@ def energy_inequality_check(input_, r):
         c1 = max(0.0, a - 0.5 * p) / (r ** 4 + r ** 2 * np.sqrt(max(p, 0.0)))
         c2 = a / (r ** 4 + inf_mass)
         c3 = a / (r ** 4 + ann / r ** 2)
-        records.append(EnergyInequalityRecord(
-            r=r, sign=sign, energy=a, slice_mass_r=p, inf_slice_mass=inf_mass,
-            annulus_mass=ann, c_fixed_form=c1, c_inf_form=c2, c_annulus_form=c3))
+        records.append({
+            "r": r, "sign": sign, "energy": a, "slice_mass_r": p,
+            "inf_slice_mass": inf_mass, "annulus_mass": ann,
+            "c_fixed_form": c1, "c_inf_form": c2, "c_annulus_form": c3})
     return tuple(records)
 
 

@@ -8,7 +8,6 @@ byte-identical for identical documents.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import platform
@@ -64,8 +63,6 @@ def _num(x):
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -23,8 +23,6 @@ u_pm(0, 0) = 0 is NOT enforced; the records carry the origin values as a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import geometry
@@ -32,36 +30,10 @@ from .grids import positivity_tol
 from .solver import apply_laplacian, assemble_laplacian
 
 __all__ = [
-    "ValidityRecord",
-    "ResidualRecord",
     "sample_pair",
     "pair_validity_check",
     "supercaloric_residual_check",
 ]
-
-
-@dataclass(frozen=True)
-class ValidityRecord:
-    product_max: float        # disjointness defect max u_+ u_-
-    min_plus: float           # nonnegativity margins
-    min_minus: float
-    scale: float
-    origin_plus: float        # u_pm at (0, 0); recorded, not enforced
-    origin_minus: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ResidualRecord:
-    min_plus: float           # min over checkable nodes of (Delta_g - d_t) u + 1
-    min_minus: float
-    weak_min_plus: float      # min over bumps of the psi-weighted mean of that
-                              # residual, all nodes
-    weak_min_minus: float
-    checkable_plus: int
-    checkable_minus: int
-    slack: float
-    passed: bool
 
 
 def sample_pair(pair, grid):
@@ -78,7 +50,11 @@ def sample_pair(pair, grid):
 def pair_validity_check(pair, grid, frames, tol=1e-10):
     """max u_+ u_- <= tol * scale^2 and min u_pm >= -tol * max(1, scale).
 
-    ``frames`` is ``sample_pair(pair, grid)``; ``pair`` gives u_pm(0, 0)."""
+    ``frames`` is ``sample_pair(pair, grid)``; ``pair`` gives u_pm(0, 0).
+    The record dict holds the disjointness defect ``product_max`` = max
+    u_+ u_-, the nonnegativity margins ``min_plus``, ``min_minus``, the
+    ``scale`` max |u_pm|, the origin values (recorded, not enforced) and
+    ``passed``."""
     up, um = frames
     scale = max(float(np.max(np.abs(up))), float(np.max(np.abs(um))), 0.0)
     product_max = float(np.max(up * um))
@@ -87,17 +63,17 @@ def pair_validity_check(pair, grid, frames, tol=1e-10):
     origin_plus, origin_minus = pair.values(np.zeros((1, 1, grid.dim)),
                                             np.zeros(1))[:, 0, 0]
     s = max(scale, 1e-300)
-    return ValidityRecord(
-        product_max=product_max,
-        min_plus=min_plus,
-        min_minus=min_minus,
-        scale=scale,
-        origin_plus=float(origin_plus),
-        origin_minus=float(origin_minus),
-        passed=(product_max <= tol * (s * s)
-                and min_plus >= -tol * max(1.0, scale)
-                and min_minus >= -tol * max(1.0, scale)),
-    )
+    return {
+        "product_max": product_max,
+        "min_plus": min_plus,
+        "min_minus": min_minus,
+        "scale": scale,
+        "origin_plus": float(origin_plus),
+        "origin_minus": float(origin_minus),
+        "passed": (product_max <= tol * (s * s)
+                   and min_plus >= -tol * max(1.0, scale)
+                   and min_minus >= -tol * max(1.0, scale)),
+    }
 
 
 def _bump_battery(chart, grid):
@@ -159,6 +135,9 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
     must clear the same threshold.  A margin that is
     not finite fails: NaN, an overflow, or the inf of a part that checked
     nothing (no checkable node, or no bump with positive mass on the grid).
+    The record dict holds both margins of each phase (``min_plus``,
+    ``weak_min_plus``, ...), the number of checkable nodes per phase, the
+    ``slack`` sqrt(h) and ``passed``.
     """
     triplets, act = assemble_laplacian(chart, grid)
     slack = np.sqrt(grid.h)
@@ -182,6 +161,6 @@ def supercaloric_residual_check(chart, grid, frames, tol=1e-8):
     wm, wkm, cm = results["minus"]
     bound = -tol - slack
     ok = all(np.isfinite(v) and v >= bound for v in (wp, wm, wkp, wkm))
-    return ResidualRecord(min_plus=wp, min_minus=wm, weak_min_plus=wkp,
-                          weak_min_minus=wkm, checkable_plus=cp,
-                          checkable_minus=cm, slack=slack, passed=bool(ok))
+    return {"min_plus": wp, "min_minus": wm, "weak_min_plus": wkp,
+            "weak_min_minus": wkm, "checkable_plus": cp, "checkable_minus": cm,
+            "slack": slack, "passed": bool(ok)}

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import numpy.random  # noqa: F401  (imported with the package, not on first use)
 
 from ..errors import ConfigError
 from .grids import GridPhaseSampler

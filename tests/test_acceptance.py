@@ -30,7 +30,7 @@ def _line(num, ok, detail):
 def test_01_caloric_phi_plateau(caloric_ladder):
     """phi(4^-k) = 0.25 within 1% for k = 2..5 under 60 s (default rules)."""
     ladder, elapsed = caloric_ladder
-    worst = max(abs(row.phi / 0.25 - 1.0) for row in ladder.rows)
+    worst = max(abs(row["phi"] / 0.25 - 1.0) for row in ladder)
     ok = worst <= 0.01 and elapsed <= 60.0
     _line(1, ok, f"max phi deviation {100 * worst:.3f}%, elapsed {elapsed:.1f}s")
 
@@ -38,11 +38,11 @@ def test_01_caloric_phi_plateau(caloric_ladder):
 def test_02_caloric_ladder_identities(caloric_ladder):
     """prop1 ratio 1 +- 2%; b_k = 4^{2k}/2 within 5% for k = 2..4."""
     ladder, _ = caloric_ladder
-    ratio_ok = all(abs(row.prop1_ratio - 1.0) <= 0.02
-                   for row in ladder.rows if np.isfinite(row.prop1_ratio))
-    b_ok = all(abs(row.b_plus / (4.0 ** (2 * row.k) / 2.0) - 1.0) <= 0.05
-               and abs(row.b_minus / (4.0 ** (2 * row.k) / 2.0) - 1.0) <= 0.05
-               for row in ladder.rows if row.k <= 4)
+    ratio_ok = all(abs(row["prop1_ratio"] - 1.0) <= 0.02
+                   for row in ladder if np.isfinite(row["prop1_ratio"]))
+    b_ok = all(abs(row["b_plus"] / (4.0 ** (2 * row["k"]) / 2.0) - 1.0) <= 0.05
+               and abs(row["b_minus"] / (4.0 ** (2 * row["k"]) / 2.0) - 1.0) <= 0.05
+               for row in ladder if row["k"] <= 4)
     _line(2, ratio_ok and b_ok,
           f"ratios within 2%: {ratio_ok}, b_k within 5%: {b_ok}")
 
@@ -211,8 +211,8 @@ def test_09_wedge_slopes(euclid2, lean_quad2):
         a_slope = fn.fit_log_slope(rs, a_vals)
         phi_slope = fn.fit_log_slope(rs, phis)
         lad = fn.dyadic_ladder(inp, 2, 4)
-        ratios_below_one = all(row.prop1_ratio < 1.0 for row in lad.rows
-                               if np.isfinite(row.prop1_ratio))
+        ratios_below_one = all(row["prop1_ratio"] < 1.0 for row in lad
+                               if np.isfinite(row["prop1_ratio"]))
         t2 = fn.theorem2_check(inp, 1.0, rs)
         ok = (ok and abs(a_slope - (2 + 2 * beta)) <= 0.1
               and abs(phi_slope - 4 * beta) <= 0.2
@@ -250,10 +250,10 @@ def test_11_scale_derivative_identity(euclid2, quad2):
     for family, params in (("TwoPlaneCaloric", {}), ("DriftTwoPlane", {"c": 0.5})):
         inp = build_input(euclid2, family, params, cfg=quad2)
         rec = fn.scale_derivative(inp, 1.0 / 16.0)
-        gap = abs(rec.direct - rec.finite_difference)
-        tol = 0.02 * rec.term_scale
+        gap = abs(rec["direct"] - rec["finite_difference"])
+        tol = 0.02 * rec["term_scale"]
         ok = ok and gap <= tol
-        details.append(f"{family}: gap/scale {gap / rec.term_scale:.2e}")
+        details.append(f"{family}: gap/scale {gap / rec['term_scale']:.2e}")
     _line(11, ok, "; ".join(details))
 
 

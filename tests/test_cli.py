@@ -712,7 +712,7 @@ def test_validity_gate(monkeypatch):
     doc = cli.run_scenario(parse_config_text(
         FAST_OVERLAP + f"checks = {', '.join(checks)}\n"))
     assert doc.record("admissibility").passed is False
-    assert not doc.record("admissibility").values["validity"].passed
+    assert not doc.record("admissibility").values["validity"]["passed"]
     assert [rec.name for rec in doc.records[1:]] == list(checks)
     for rec in doc.records[1:]:
         assert rec.passed is False
@@ -736,8 +736,9 @@ def test_each_phase_sampled_once_per_scenario(monkeypatch):
 
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_import_leaves_scipy_out_and_pins_blas_threads(preset):
-    """``import monolab.cli`` loads no scipy module, and sets
-    OPENBLAS_NUM_THREADS to 1 only when the user has not set it."""
+    """``import monolab.cli`` loads no scipy module but does load
+    numpy.random, and sets OPENBLAS_NUM_THREADS to 1 only when the user has
+    not set it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(monolab.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -745,13 +746,14 @@ def test_import_leaves_scipy_out_and_pins_blas_threads(preset):
         env["OPENBLAS_NUM_THREADS"] = preset
     probe = ("import json, os, sys; import monolab.cli; "
              "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-             " os.environ.get('OPENBLAS_NUM_THREADS')]))")
+             " os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy.random' in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, threads = json.loads(proc.stdout)
+    scipy_modules, threads, has_random = json.loads(proc.stdout)
     assert scipy_modules == []
     assert threads == (preset or "1")
+    assert has_random is True
 
 
 def test_shipped_scenarios_present_and_parse():
@@ -772,7 +774,10 @@ HOSTILE = ("nan", "inf", "-1", "0", "1e308", "", "abc", "3.5", "1e-320", "2",
 
 
 def _mutate(text, key, value):
-    """``text`` with the line setting ``key`` set to ``value``."""
+    """``text`` with the line setting ``key`` set to ``value``, or with that
+    line appended if ``text`` does not set ``key``."""
+    if key not in _set_keys(text):
+        return text + f"{key} = {value}\n"
     return "".join(f"{key} = {value}\n" if _line_key(line) == key else line
                    for line in text.splitlines(keepends=True))
 
@@ -810,6 +815,20 @@ def _escape(text, run=False):
 RUNTIME_ROWS = [
     ("numeric_pair_a", "grid.h", "0.999"),   # no interior node on a half-cube
     ("caloric_euclid", "pair.alpha", "1e308"),   # margins overflow: a FAIL report
+    # each key at a limit the parser accepts
+    ("caloric_euclid", "pair.alpha", "0"),       # a null plus phase
+    ("caloric_euclid", "quad.nodes", "8"),
+    ("caloric_euclid", "quad.slices_per_scale", "1"),
+    ("caloric_euclid", "quad.time_blocks", "1"),
+    ("caloric_euclid", "ladder.k_max", "9"),
+    ("caloric_euclid", "sd.r", "0.25"),
+    ("sphere_bkp", "pair.alpha", "0"),
+    ("sphere_bkp", "manifold.K", "-20"),
+    ("sphere_bkp", "bkp.rs", "0.25, 1e-6"),
+    ("wedge_half", "pair.beta", "1"),
+    ("drift_plane", "pair.c", "0"),
+    ("numeric_pair_a", "pair.source_depth", "0"),
+    ("numeric_pair_b", "pair.n_bumps", "1"),
 ]
 
 

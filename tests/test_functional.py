@@ -105,35 +105,35 @@ def test_fit_log_slope_needs_two_distinct_scales():
 def test_ladder_caloric_identities(euclid2, lean_quad2):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     lad = fn.dyadic_ladder(inp, 2, 4, c0=10.0, c1=1.0)
-    for row in lad.rows:
+    for row in lad:
         # b_k = 4^{4k} A_k holds by construction, exactly
-        assert row.b_plus == 4.0 ** (4 * row.k) * row.a_plus
-        assert row.b_plus == pytest.approx(4.0 ** (2 * row.k) / 2.0, rel=0.05)
-        assert row.phi == pytest.approx(0.25, rel=0.02)
-        if np.isfinite(row.prop1_ratio):
-            assert row.prop1_ratio == pytest.approx(1.0, abs=0.02)
-            assert row.prop1_pass
+        assert row["b_plus"] == 4.0 ** (4 * row["k"]) * row["a_plus"]
+        assert row["b_plus"] == pytest.approx(4.0 ** (2 * row["k"]) / 2.0, rel=0.05)
+        assert row["phi"] == pytest.approx(0.25, rel=0.02)
+        if np.isfinite(row["prop1_ratio"]):
+            assert row["prop1_ratio"] == pytest.approx(1.0, abs=0.02)
+            assert row["prop1_pass"]
         # caloric planes: the plus energy grows under zoom, prop2 active,
         # and the minus phase decays by 4^{-2} exactly
-        if row.prop2_active:
-            assert row.prop2_ratio == pytest.approx(1.0 / 16.0, rel=0.02)
+        if row["prop2_active"]:
+            assert row["prop2_ratio"] == pytest.approx(1.0 / 16.0, rel=0.02)
 
 
 def test_ladder_null_vacuous(euclid2, lean_quad2):
     inp = build_input(euclid2, "Null", cfg=lean_quad2)
     lad = fn.dyadic_ladder(inp, 2, 3)
-    for row in lad.rows:
-        assert row.a_plus == 0.0 and row.phi == 0.0
-        assert row.prop1_pass and not row.prop2_active
+    for row in lad:
+        assert row["a_plus"] == 0.0 and row["phi"] == 0.0
+        assert row["prop1_pass"] and not row["prop2_active"]
 
 
 def test_ladder_wedge_decay(euclid2, lean_quad2):
     inp = build_input(euclid2, "PowerWedge", {"beta": 0.5}, cfg=lean_quad2)
     lad = fn.dyadic_ladder(inp, 2, 4)
-    for row in lad.rows:
-        if np.isfinite(row.prop1_ratio):
-            assert row.prop1_ratio == pytest.approx(4.0 ** -2.0, rel=0.1)
-            assert row.prop1_pass
+    for row in lad:
+        if np.isfinite(row["prop1_ratio"]):
+            assert row["prop1_ratio"] == pytest.approx(4.0 ** -2.0, rel=0.1)
+            assert row["prop1_pass"]
 
 
 def test_ladder_range_validation(caloric_input):
@@ -148,18 +148,18 @@ def test_scale_derivative_caloric(euclid2, lean_quad2):
     r = 1.0 / 16.0
     rec = fn.scale_derivative(inp, r)
     # the parabolic normalization gives r^2 A~(1) = 1/2 for the caloric pair
-    assert r * r * rec.a_plus == pytest.approx(0.5, rel=0.01)
-    assert r * r * rec.b_plus == pytest.approx(0.5, rel=0.01)
-    assert abs(rec.direct) <= 0.02 * rec.term_scale
-    assert abs(rec.direct - rec.finite_difference) <= 0.02 * rec.term_scale
-    assert rec.lambda_plus == pytest.approx(0.5, abs=0.01)
-    assert rec.lambda_minus == pytest.approx(0.5, abs=0.01)
+    assert r * r * rec["a_plus"] == pytest.approx(0.5, rel=0.01)
+    assert r * r * rec["b_plus"] == pytest.approx(0.5, rel=0.01)
+    assert abs(rec["direct"]) <= 0.02 * rec["term_scale"]
+    assert abs(rec["direct"] - rec["finite_difference"]) <= 0.02 * rec["term_scale"]
+    assert rec["lambda_plus"] == pytest.approx(0.5, abs=0.01)
+    assert rec["lambda_minus"] == pytest.approx(0.5, abs=0.01)
 
 
 def test_scale_derivative_null_and_validation(euclid2, lean_quad2):
     inp = build_input(euclid2, "Null", cfg=lean_quad2)
     rec = fn.scale_derivative(inp, 1.0 / 16.0)
-    assert rec.direct == 0.0 and rec.finite_difference == 0.0
+    assert rec["direct"] == 0.0 and rec["finite_difference"] == 0.0
     cal = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     with pytest.raises(ValueError):
         fn.scale_derivative(cal, 0.3)
@@ -184,31 +184,31 @@ def test_energy_inequality_caloric_oracles(euclid2, lean_quad2):
     inp = build_input(euclid2, "TwoPlaneCaloric", {}, cfg=lean_quad2)
     r = 1.0 / 16.0
     rec_p, rec_m = fn.energy_inequality_check(inp, r)
-    assert rec_p.slice_mass_r == pytest.approx(r * r, rel=0.02)
-    assert rec_p.slice_mass_r == pytest.approx(
+    assert rec_p["slice_mass_r"] == pytest.approx(r * r, rel=0.02)
+    assert rec_p["slice_mass_r"] == pytest.approx(
         _caloric_slice_mass_oracle(-r * r), rel=1e-3)
-    assert rec_p.inf_slice_mass == pytest.approx(r * r, rel=0.02)
+    assert rec_p["inf_slice_mass"] == pytest.approx(r * r, rel=0.02)
     ss = np.linspace(-4 * r * r, -r * r, 200)
     ann_oracle = float(np.trapezoid([_caloric_slice_mass_oracle(s) for s in ss], ss))
-    assert rec_p.annulus_mass == pytest.approx(ann_oracle, rel=3e-3)
+    assert rec_p["annulus_mass"] == pytest.approx(ann_oracle, rel=3e-3)
     # the fixed-coefficient surplus vanishes only once the cutoff effect is
     # dead: at r = 1/16 it is still ~6e-2, by r = 1/32 it is ~0
-    assert rec_p.c_fixed_form <= 0.1
+    assert rec_p["c_fixed_form"] <= 0.1
     small = fn.energy_inequality_check(inp, 1.0 / 32.0)[0]
-    assert small.c_fixed_form <= 0.01
-    assert rec_p.c_inf_form == pytest.approx(0.5, rel=0.1)
-    c3_oracle = rec_p.energy / (r ** 4 + ann_oracle / r ** 2)
-    assert rec_p.c_annulus_form == pytest.approx(c3_oracle, rel=0.01)
-    assert rec_m.energy == pytest.approx(rec_p.energy, rel=1e-6)
+    assert small["c_fixed_form"] <= 0.01
+    assert rec_p["c_inf_form"] == pytest.approx(0.5, rel=0.1)
+    c3_oracle = rec_p["energy"] / (r ** 4 + ann_oracle / r ** 2)
+    assert rec_p["c_annulus_form"] == pytest.approx(c3_oracle, rel=0.01)
+    assert rec_m["energy"] == pytest.approx(rec_p["energy"], rel=1e-6)
 
 
 def test_energy_inequality_null(euclid2, lean_quad2):
     inp = build_input(euclid2, "Null", cfg=lean_quad2)
     rec_p, rec_m = fn.energy_inequality_check(inp, 1.0 / 16.0)
     for rec in (rec_p, rec_m):
-        assert rec.energy == 0.0
-        assert rec.c_fixed_form == 0.0
-        assert np.isfinite(rec.c_inf_form) and rec.c_inf_form == 0.0
+        assert rec["energy"] == 0.0
+        assert rec["c_fixed_form"] == 0.0
+        assert np.isfinite(rec["c_inf_form"]) and rec["c_inf_form"] == 0.0
 
 
 def test_theorem2_null_trivial(euclid2, lean_quad2):
@@ -221,8 +221,8 @@ def test_energy_inequality_drift_stability(euclid2, lean_quad2):
     inp = build_input(euclid2, "DriftTwoPlane", {"c": 0.5}, cfg=lean_quad2)
     rs = [4.0 ** (-k) for k in (2, 3, 4)]
     recs = {r: fn.energy_inequality_check(inp, r) for r in rs}
-    for attr in ("c_fixed_form", "c_inf_form", "c_annulus_form"):
-        series = [getattr(recs[r][0], attr) for r in rs]
+    for key in ("c_fixed_form", "c_inf_form", "c_annulus_form"):
+        series = [recs[r][0][key] for r in rs]
         assert all(np.isfinite(series))
         assert fn.constants_stable(series)
 
@@ -415,12 +415,12 @@ def _scale_derivative_on(rin, r, fd_step):
     b_p, b_m = fn.boundary_energy(rin, 1.0)
     m_p, m_m = fn.slice_mass(rin, -1.0)
     fd = (fn.phi(rin, 1.0 + fd_step) - fn.phi(rin, 1.0 - fd_step)) / (2.0 * fd_step)
-    return fn.ScaleDerivativeRecord(
-        r=r, a_plus=a_p, a_minus=a_m, b_plus=b_p, b_minus=b_m,
-        direct=-4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m,
-        finite_difference=fd, fd_step=fd_step, lambda_plus=b_p / m_p,
-        lambda_minus=b_m / m_m,
-        term_scale=4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m)
+    return {
+        "r": r, "a_plus": a_p, "a_minus": a_m, "b_plus": b_p, "b_minus": b_m,
+        "direct": -4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m,
+        "finite_difference": fd, "fd_step": fd_step, "lambda_plus": b_p / m_p,
+        "lambda_minus": b_m / m_m,
+        "term_scale": 4.0 * a_p * a_m + 2.0 * b_p * a_m + 2.0 * a_p * b_m}
 
 
 @pytest.mark.parametrize("chart_name, kind", [("euclid2", "gauss"),
@@ -485,8 +485,8 @@ def test_each_energy_assembled_once_per_input(euclid2, lean_quad2, monkeypatch):
     fn.theorem2_check(inp, 1.0, rs)
     fn.positivity_measure(inp, rs[0])         # A(r/4) and A(r): both on the ladder
     assert assembled == rs and list(inp.energies) == rs
-    assert fn.phase_energy(inp, rs[0]) == (ladder.rows[0].a_plus,
-                                          ladder.rows[0].a_minus)
+    assert fn.phase_energy(inp, rs[0]) == (ladder[0]["a_plus"],
+                                          ladder[0]["a_minus"])
 
 
 # ---------------------------------------------------------------------------

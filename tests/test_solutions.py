@@ -297,11 +297,11 @@ def test_caloric_disjoint_and_admissible(euclid2):
     pair = make_family("TwoPlaneCaloric", {"alpha": 1.0, "beta": 1.0}, chart=euclid2)
     frames = sample_pair(pair, grid)
     rec = pair_validity_check(pair, grid, frames, tol=1e-10)
-    assert rec.passed and rec.product_max == 0.0
+    assert rec["passed"] and rec["product_max"] == 0.0
     rr = supercaloric_residual_check(euclid2, grid, frames, tol=1e-10)
-    assert rr.passed
+    assert rr["passed"]
     # caloric: discrete residual + 1 equals 1 up to stencil roundoff
-    assert rr.min_plus == pytest.approx(1.0, abs=1e-8)
+    assert rr["min_plus"] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_all_analytic_families_pass_checks(euclid2):
@@ -313,8 +313,8 @@ def test_all_analytic_families_pass_checks(euclid2):
                          ("DriftTwoPlane", {"c": 0.5})):
         pair = make_family(name, params, chart=euclid2)
         frames = sample_pair(pair, grid)
-        assert pair_validity_check(pair, grid, frames, tol=1e-10).passed, name
-        assert supercaloric_residual_check(euclid2, grid, frames, tol=1e-10).passed, name
+        assert pair_validity_check(pair, grid, frames, tol=1e-10)["passed"], name
+        assert supercaloric_residual_check(euclid2, grid, frames, tol=1e-10)["passed"], name
 
 
 def test_drift_residual_depth(euclid2):
@@ -324,16 +324,16 @@ def test_drift_residual_depth(euclid2):
     pair = make_family("DriftTwoPlane", {"c": 0.5}, chart=euclid2)
     rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
     expected = 1.0 - 0.5 * (1.0 - grid.h)
-    assert rec.min_plus == pytest.approx(expected, abs=1e-6)
-    assert rec.min_plus >= 0.5
+    assert rec["min_plus"] == pytest.approx(expected, abs=1e-6)
+    assert rec["min_plus"] >= 0.5
 
 
 def test_wedge_weak_form(euclid2):
     grid = small_grid()
     pair = make_family("PowerWedge", {"beta": 0.5}, chart=euclid2)
     rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
-    assert rec.weak_min_plus >= -1e-6
-    assert rec.weak_min_minus >= -1e-6
+    assert rec["weak_min_plus"] >= -1e-6
+    assert rec["weak_min_minus"] >= -1e-6
 
 
 def _reference_residual(u_frames, chart, grid):
@@ -397,7 +397,7 @@ def test_weak_pairings_match_per_bump_reference(euclid2, sphere2, case):
     frames = sample_pair(pair, grid)
     rec = supercaloric_residual_check(chart, grid, frames, tol=1e-8)
     battery = checks._bump_battery(chart, grid)
-    for u, weak in zip(frames, (rec.weak_min_plus, rec.weak_min_minus)):
+    for u, weak in zip(frames, (rec["weak_min_plus"], rec["weak_min_minus"])):
         resid = _reference_residual(u, chart, grid)
         assert checks._weak_pairings(resid, battery) == weak
         assert weak == pytest.approx(_reference_weak_pairing(resid, chart, grid),
@@ -429,13 +429,13 @@ def test_planes_pair_to_their_closed_form(name, params, radius, h, dt0):
     rec = supercaloric_residual_check(chart, grid,
                                       sample_pair(make_family(name, params, chart=chart), grid))
     pts, L = grid.points(), grid.half_width
-    for sgn, weak in ((1.0, rec.weak_min_plus), (-1.0, rec.weak_min_minus)):
+    for sgn, weak in ((1.0, rec["weak_min_plus"]), (-1.0, rec["weak_min_minus"])):
         centre = np.array([sgn * 0.35 * L, 0.0])
         psi = np.maximum(0.0, 1.0 - np.sum((pts - centre) ** 2, axis=1)
                          / (0.3 * L) ** 2) ** 3
         x1bar = sgn * np.dot(psi, pts[:, 0]) / np.sum(psi)
         assert weak == pytest.approx(1.0 - c * x1bar, abs=1e-12)
-    assert rec.passed
+    assert rec["passed"]
 
 
 def test_weak_part_reads_the_masked_interface_row():
@@ -450,10 +450,10 @@ def test_weak_part_reads_the_masked_interface_row():
     assert row.any()
     up = up + 0.5 * (grid.times - grid.times[0])[:, None, None] * row
     rec = supercaloric_residual_check(chart, grid, (up, um))
-    assert rec.min_plus == pytest.approx(1.0, abs=1e-12)
-    assert rec.min_minus == pytest.approx(1.0, abs=1e-12)
-    assert rec.weak_min_plus < -rec.slack
-    assert rec.passed is False
+    assert rec["min_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert rec["min_minus"] == pytest.approx(1.0, abs=1e-12)
+    assert rec["weak_min_plus"] < -rec["slack"]
+    assert rec["passed"] is False
 
 
 @pytest.mark.parametrize("base, depth", [(11, 0.5), (23, 0.8)])
@@ -465,8 +465,8 @@ def test_bench_seed_variants_are_admissible(euclid2, base, depth):
         pair = make_family("NumericPair", {"seed": seed, "source_depth": depth},
                            chart=euclid2, grid=grid)
         frames = sample_pair(pair, grid)
-        assert pair_validity_check(pair, grid, frames).passed, seed
-        assert supercaloric_residual_check(euclid2, grid, frames).passed, seed
+        assert pair_validity_check(pair, grid, frames)["passed"], seed
+        assert supercaloric_residual_check(euclid2, grid, frames)["passed"], seed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -498,8 +498,8 @@ def test_nan_phase_fails_the_certificate(euclid2):
 
     pair.sampler = SimpleNamespace(values=values, fields=sampler.fields)
     rec = supercaloric_residual_check(euclid2, grid, sample_pair(pair, grid), tol=1e-10)
-    assert np.isnan(rec.min_plus) and np.isnan(rec.weak_min_plus)
-    assert not rec.passed
+    assert np.isnan(rec["min_plus"]) and np.isnan(rec["weak_min_plus"])
+    assert not rec["passed"]
 
 
 @pytest.mark.parametrize("radius, h, dt0, empty", [
@@ -519,17 +519,17 @@ def test_a_part_that_checked_nothing_fails_the_certificate(radius, h, dt0, empty
         grid = SpaceTimeGrid.geometric(2, radius, h, ratio=0.85, dt0=dt0)
     pair = make_family("TwoPlaneCaloric", {}, chart=chart)
     rec = supercaloric_residual_check(chart, grid, sample_pair(pair, grid))
-    weak, pointwise = (rec.weak_min_plus, rec.weak_min_minus), (rec.min_plus,
-                                                                rec.min_minus)
+    weak = (rec["weak_min_plus"], rec["weak_min_minus"])
+    pointwise = (rec["min_plus"], rec["min_minus"])
     if empty == "weak":
         assert len(grid.times) == 2 and weak == (np.inf, np.inf)
-        assert rec.checkable_plus > 0 and all(m == pytest.approx(1.0) for m in pointwise)
+        assert rec["checkable_plus"] > 0 and all(m == pytest.approx(1.0) for m in pointwise)
     else:
-        assert (rec.checkable_plus, rec.checkable_minus) == (0, 0)
+        assert (rec["checkable_plus"], rec["checkable_minus"]) == (0, 0)
         assert pointwise == (np.inf, np.inf)
         # every bump covers the interface node, whose discrete delta adds 1/h
         assert all(m == pytest.approx(1.0 + 1.0 / h) for m in weak)
-    assert rec.passed is False
+    assert rec["passed"] is False
 
 
 @pytest.mark.parametrize("family, params", [("TwoPlaneCaloric", {}),
@@ -859,10 +859,10 @@ def test_numeric_pair_admissible(euclid2):
                        chart=euclid2, grid=grid)
     frames = sample_pair(pair, grid)
     rec = pair_validity_check(pair, grid, frames, tol=1e-10)
-    assert rec.passed
+    assert rec["passed"]
     rr = supercaloric_residual_check(euclid2, grid, frames, tol=1e-8)
-    assert rr.passed
-    assert rr.min_plus >= -0.5 - 1e-6  # residual equals the source, >= -depth
+    assert rr["passed"]
+    assert rr["min_plus"] >= -0.5 - 1e-6  # residual equals the source, >= -depth
     # the certificates return their records; the pair holds no copy of them
     assert not hasattr(pair, "admissibility")
 
@@ -879,11 +879,11 @@ def test_numeric_pair_overlap_negative_control(euclid2):
     pair = make_family("NumericPair", {"seed": 11, "overlap": True},
                        chart=euclid2, grid=grid)
     rec = pair_validity_check(pair, grid, sample_pair(pair, grid), tol=1e-10)
-    assert not rec.passed
+    assert not rec["passed"]
 
 
 def test_origin_flag_recorded(euclid2):
     grid = small_grid()
     pair = make_family("TwoPlaneCaloric", {}, chart=euclid2)
     rec = pair_validity_check(pair, grid, sample_pair(pair, grid))
-    assert rec.origin_plus == 0.0 and rec.origin_minus == 0.0
+    assert rec["origin_plus"] == 0.0 and rec["origin_minus"] == 0.0
